@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 
-	"sllt/internal/arena"
 	"sllt/internal/design"
 	"sllt/internal/geom"
 	"sllt/internal/lefdef"
@@ -71,25 +70,6 @@ const (
 // Generate synthesizes a placed design for the spec. Deterministic for a
 // given spec and seed.
 func Generate(spec Spec, seed int64) *design.Design {
-	var g Generator
-	return g.Generate(spec, seed)
-}
-
-// Generator is a reusable design synthesizer: the instance array comes from
-// an arena and the placement-collision set is recycled, so benchmark loops
-// that generate tier after tier do not re-grow either. The returned design's
-// Insts slice is arena memory — it is valid only until the generator's next
-// Generate call, which rewinds the arena. The package-level Generate wraps a
-// throwaway Generator and has no such aliasing.
-type Generator struct {
-	instA arena.Arena[design.Instance]
-	used  map[[2]int]bool
-}
-
-// Generate synthesizes a placed design for the spec, reusing the
-// generator's memory. Output is identical to the package-level Generate for
-// the same (spec, seed).
-func (g *Generator) Generate(spec Spec, seed int64) *design.Design {
 	rng := rand.New(rand.NewSource(seed))
 	totalArea := float64(spec.Insts-spec.FFs)*logicArea + float64(spec.FFs)*ffArea
 	dieArea := totalArea / spec.Util
@@ -111,7 +91,6 @@ func (g *Generator) Generate(spec Spec, seed int64) *design.Design {
 		centers[i] = geom.Pt(rng.Float64()*side, rng.Float64()*side)
 	}
 	sigma := side / 18
-	g.instA.Reset()
 	nFF := spec.FFs
 	if nFF < 0 {
 		nFF = 0
@@ -120,14 +99,9 @@ func (g *Generator) Generate(spec Spec, seed int64) *design.Design {
 	if nLogic < 0 {
 		nLogic = 0
 	}
-	insts := g.instA.AllocN(nFF + nLogic)
+	insts := make([]design.Instance, nFF+nLogic)
 	d.Insts = insts
-	if g.used == nil {
-		g.used = make(map[[2]int]bool, spec.FFs)
-	} else {
-		clear(g.used)
-	}
-	used := g.used
+	used := make(map[[2]int]bool, nFF)
 	for i := 0; i < spec.FFs; i++ {
 		c := centers[rng.Intn(nClusters)]
 		var p geom.Point

@@ -90,28 +90,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGeneratorReuse pins the arena-backed Generator to the package-level
-// Generate: identical output on a fresh generator, and identical output
-// again after the generator's memory has been recycled by intervening
-// generations of other specs.
-func TestGeneratorReuse(t *testing.T) {
-	small := Spec{Name: "g_small", Insts: 400, FFs: 120, Util: 0.6}
-	large := Spec{Name: "g_large", Insts: 2500, FFs: 500, Util: 0.65}
-
-	var g Generator
-	first := g.Generate(small, 5)
-	if !reflect.DeepEqual(first, Generate(small, 5)) {
-		t.Fatal("fresh Generator output differs from package Generate")
-	}
-	// Recycle through a larger and a smaller problem, then regenerate.
-	if !reflect.DeepEqual(g.Generate(large, 6), Generate(large, 6)) {
-		t.Fatal("reused Generator (grow) output differs from package Generate")
-	}
-	if !reflect.DeepEqual(g.Generate(small, 5), Generate(small, 5)) {
-		t.Fatal("reused Generator (shrink) output differs from package Generate")
-	}
-}
-
 // TestStreamDEFMatchesWriteDEF pins the streaming DEF renderer byte for
 // byte against the in-memory one, and checks the streamed bytes re-parse to
 // the same netlist through the streaming parser.

@@ -111,9 +111,10 @@ func ParseDEF(src string) (*DEF, error) {
 
 // ParseDEFReader parses DEF-lite from r, streaming through a fixed reusable
 // buffer: peak parser memory is O(buffer)+O(result), independent of input
-// length. Results and parse errors are identical to ParseDEFLegacy on every
-// input; a reader failure is surfaced as "def: read: ..." in preference to
-// whatever truncation diagnostic the cut-short token stream would produce.
+// length. Results and parse errors are identical to the legacy whole-string
+// parser's (kept in legacy_test.go) on every input; a reader failure is
+// surfaced as "def: read: ..." in preference to whatever truncation
+// diagnostic the cut-short token stream would produce.
 func ParseDEFReader(r io.Reader) (*DEF, error) {
 	sc := NewScanner(r)
 	cur := newTokCursor(sc)

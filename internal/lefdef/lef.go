@@ -71,7 +71,8 @@ func ParseLEF(src string) (*LEF, error) {
 
 // ParseLEFReader parses LEF-lite from r, streaming through a fixed reusable
 // buffer (see ParseDEFReader for the memory and error contract). Results and
-// parse errors are identical to ParseLEFLegacy on every input.
+// parse errors are identical to the legacy whole-string parser's (kept in
+// legacy_test.go) on every input.
 func ParseLEFReader(r io.Reader) (*LEF, error) {
 	sc := NewScanner(r)
 	cur := newTokCursor(sc)

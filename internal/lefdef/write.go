@@ -70,9 +70,10 @@ func appendFixed4(dst []byte, v float64) []byte {
 	return strconv.AppendFloat(dst, v, 'f', 4, 64)
 }
 
-// WriteTo streams DEF-lite source to w, byte-identical to WriteDEFLegacy,
-// without materializing the document: formatting goes through an append
-// buffer flushed in bounded chunks. It implements io.WriterTo.
+// WriteTo streams DEF-lite source to w, byte-identical to the legacy
+// whole-string writer the tests keep, without materializing the document:
+// formatting goes through an append buffer flushed in bounded chunks. It
+// implements io.WriterTo.
 func (d *DEF) WriteTo(w io.Writer) (int64, error) {
 	e := newEmitter(w)
 	v := d.Version

@@ -199,9 +199,9 @@ func (lx *streamLexer) ident() token {
 // ParseASTReader parses Liberty source from r into its top-level group,
 // streaming through a fixed reusable buffer: peak lexer memory is
 // O(buffer)+O(result), independent of input length. Results and parse errors
-// are identical to ParseASTLegacy on every input; a reader failure is
-// surfaced as "liberty: read: ..." in preference to the truncation
-// diagnostics the cut-short token stream would produce.
+// are identical to the whole-string lexer's (kept in legacy_test.go) on every
+// input; a reader failure is surfaced as "liberty: read: ..." in preference
+// to the truncation diagnostics the cut-short token stream would produce.
 func ParseASTReader(r io.Reader) (*Group, error) {
 	lx := newStreamLexer(r)
 	g, err := parseTop(&parser{lx: lx})

@@ -32,8 +32,8 @@ func TestAssignPointsGridMatchesExhaustive(t *testing.T) {
 
 		got := make([]int, n)
 		ref := make([]int, n)
-		gc := AssignPoints(pts, centers, got, 1)
-		rc := AssignPointsExhaustive(pts, centers, ref)
+		gc := assignPoints(pts, centers, got, 1)
+		rc := assignRange(pts, centers, ref, 0, n, nil)
 		if gc != rc {
 			t.Fatalf("integer=%v: changed flags differ: %v vs %v", integer, gc, rc)
 		}
@@ -43,7 +43,7 @@ func TestAssignPointsGridMatchesExhaustive(t *testing.T) {
 			}
 		}
 		// Second identical pass must report no change through both paths.
-		if AssignPoints(pts, centers, got, 1) || AssignPointsExhaustive(pts, centers, ref) {
+		if assignPoints(pts, centers, got, 1) || assignRange(pts, centers, ref, 0, n, nil) {
 			t.Fatalf("integer=%v: stable assignment reported a change", integer)
 		}
 	}
@@ -150,7 +150,7 @@ func TestSilhouetteSampledPath(t *testing.T) {
 	for i := range sAssign {
 		sAssign[i] = i % k
 	}
-	if got, ref := SilhouetteP(small, sAssign, k, 1), SilhouetteExact(small, sAssign, k, 1); got != ref {
+	if got, ref := SilhouetteP(small, sAssign, k, 1), silhouetteExact(small, sAssign, k, 1); got != ref {
 		t.Fatalf("below threshold SilhouetteP=%g != exact %g", got, ref)
 	}
 
@@ -170,7 +170,7 @@ func TestSilhouetteSampledPath(t *testing.T) {
 	if est < -1 || est > 1 {
 		t.Fatalf("sampled silhouette %g out of [-1,1]", est)
 	}
-	exact := SilhouetteExact(big, bAssign, k, 1)
+	exact := silhouetteExact(big, bAssign, k, 1)
 	if math.Abs(est-exact) > 0.05 {
 		t.Fatalf("sampled silhouette %g too far from exact %g", est, exact)
 	}

@@ -11,6 +11,23 @@ import (
 	"sllt/internal/tree"
 )
 
+// MSTTree returns the rooted MST routing tree over the net with no
+// Steinerization or local search applied — the shared starting point of the
+// Steinerize equivalence tests.
+func MSTTree(net *tree.Net) *tree.Tree {
+	pts := make([]geom.Point, 0, len(net.Sinks)+1)
+	pts = append(pts, net.Source)
+	pts = append(pts, net.SinkPoints()...)
+	return treeFromParents(net, pts, MST(pts))
+}
+
+// SteinerizeReference is the exhaustive Steinerize oracle at every size: a
+// full-tree rescan for the best move after every accepted insertion.
+func SteinerizeReference(t *tree.Tree) {
+	tree.LegalizeSinkLeaves(t)
+	steinerizeScan(t, nil)
+}
+
 func randomEquivPts(n int, rng *rand.Rand, integer bool) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
@@ -35,7 +52,7 @@ func TestMSTGridMatchesExhaustive(t *testing.T) {
 		for _, integer := range []bool{false, true} {
 			for trial := 0; trial < 3; trial++ {
 				pts := randomEquivPts(n, rng, integer)
-				ref := MSTExhaustive(pts)
+				ref := mstExhaustive(pts)
 				got := mstGrid(pts, nil)
 				for i := range ref {
 					if got[i] != ref[i] {
@@ -54,7 +71,7 @@ func TestMSTDispatchMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, n := range []int{0, 1, 2, 40, 64, 500} {
 		pts := randomEquivPts(n, rng, false)
-		ref := MSTExhaustive(pts)
+		ref := mstExhaustive(pts)
 		got := MST(pts)
 		if len(got) != len(ref) {
 			t.Fatalf("n=%d: len %d vs %d", n, len(got), len(ref))

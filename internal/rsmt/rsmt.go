@@ -74,17 +74,17 @@ func MSTK(pts []geom.Point, kern *obs.KernelCounters) []int {
 		kern.MSTPoints.Add(int64(len(pts)))
 	}
 	if len(pts) < mstGridThreshold {
-		return MSTExhaustive(pts)
+		return mstExhaustive(pts)
 	}
 	return mstGrid(pts, kern)
 }
 
-// MSTExhaustive is the retained O(n²) Prim reference: the lowest-index
-// unvisited point among the minima is picked each round, and ties for a
-// point's best tree neighbor keep the earliest-added one. MST's grid path is
-// defined — and property-tested — as byte-identical to this kernel; it also
-// anchors the speedup column of the BENCH_*.json trajectory.
-func MSTExhaustive(pts []geom.Point) []int {
+// mstExhaustive is the O(n²) Prim scan MST runs below mstGridThreshold:
+// the lowest-index unvisited point among the minima is picked each round,
+// and ties for a point's best tree neighbor keep the earliest-added one.
+// MST's grid path is defined — and property-tested — as byte-identical to
+// this kernel at every size.
+func mstExhaustive(pts []geom.Point) []int {
 	n := len(pts)
 	parent := make([]int, n)
 	if n == 0 {
@@ -134,16 +134,6 @@ func MSTWL(pts []geom.Point) float64 {
 		}
 	}
 	return wl
-}
-
-// MSTTree returns the rooted MST routing tree over the net with no
-// Steinerization or local search applied — the shared starting point for the
-// Steinerize/Improve kernels and their benchmarks.
-func MSTTree(net *tree.Net) *tree.Tree {
-	pts := make([]geom.Point, 0, len(net.Sinks)+1)
-	pts = append(pts, net.Source)
-	pts = append(pts, net.SinkPoints()...)
-	return treeFromParents(net, pts, MST(pts))
 }
 
 // treeFromParents converts a parent-index array over [source, sinks...] into
@@ -201,10 +191,9 @@ func treeFromParents(net *tree.Net, pts []geom.Point, parent []int) *tree.Tree {
 // Both sink-parent legality and redundancy cleanup are preserved: Steiner
 // insertion only happens below nodes with >= 2 children.
 //
-// Below steinerQueueThreshold nodes the exhaustive per-move rescan runs
-// (retained as SteinerizeReference); above it a candidate priority queue
-// applies the same greedy moves while re-evaluating only pairs whose
-// endpoints the last accepted move touched.
+// Below steinerQueueThreshold nodes the exhaustive per-move rescan runs;
+// above it a candidate priority queue applies the same greedy moves while
+// re-evaluating only pairs whose endpoints the last accepted move touched.
 func Steinerize(t *tree.Tree) {
 	SteinerizeK(t, nil)
 }
@@ -226,14 +215,6 @@ func countNodes(t *tree.Tree) int {
 	n := 0
 	t.Walk(func(*tree.Node) bool { n++; return true })
 	return n
-}
-
-// SteinerizeReference is the retained exhaustive kernel: a full-tree rescan
-// for the best move after every accepted insertion. It anchors the
-// Steinerize equivalence property tests and the BENCH_*.json speedup column.
-func SteinerizeReference(t *tree.Tree) {
-	tree.LegalizeSinkLeaves(t)
-	steinerizeScan(t, nil)
 }
 
 func steinerizeScan(t *tree.Tree, kern *obs.KernelCounters) {
