@@ -23,9 +23,9 @@ package hotpath
 
 import (
 	"fmt"
+	"go/token"
 	"sort"
 	"strings"
-	"go/token"
 
 	"sllt/internal/analysis"
 )

@@ -655,12 +655,12 @@ const (
 // writer, is not hot-kernel code); sync/atomic and sync are handled by
 // exemptPkg before classification.
 var allowPkgs = map[string]bool{
-	"math":        true,
-	"math/bits":   true,
-	"math/cmplx":  true,
-	"cmp":         true,
-	"unicode":     true,
-	"unicode/utf8": true,
+	"math":            true,
+	"math/bits":       true,
+	"math/cmplx":      true,
+	"cmp":             true,
+	"unicode":         true,
+	"unicode/utf8":    true,
 	"encoding/binary": true,
 }
 
@@ -693,14 +693,14 @@ var allowFuncs = map[string]bool{
 	"strconv.AppendInt":   true,
 	"strconv.AppendUint":  true,
 	"strconv.AppendFloat": true,
-	"slices.Sort":           true,
-	"slices.SortFunc":       true,
-	"slices.BinarySearch":   true,
-	"slices.Contains":       true,
-	"slices.Index":          true,
-	"slices.Min":            true,
-	"slices.Max":            true,
-	"slices.Reverse":        true,
+	"slices.Sort":         true,
+	"slices.SortFunc":     true,
+	"slices.BinarySearch": true,
+	"slices.Contains":     true,
+	"slices.Index":        true,
+	"slices.Min":          true,
+	"slices.Max":          true,
+	"slices.Reverse":      true,
 }
 
 // constructPkgs build strings, errors or formatted values on the heap by

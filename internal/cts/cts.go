@@ -45,6 +45,21 @@ func DefaultConstraints() Constraints {
 	return Constraints{SkewBound: 80, MaxFanout: 32, MaxCap: 150, MaxWL: 300}
 }
 
+// validate rejects constraints no clock tree can meet. A fanout below 2
+// cannot shrink a level (the level loop would never end), and a
+// non-positive cap or a negative skew bound admits no legal tree.
+func (c Constraints) validate() error {
+	switch {
+	case c.MaxFanout < 2:
+		return fmt.Errorf("cts: max fanout %d is below 2", c.MaxFanout)
+	case c.MaxCap <= 0:
+		return fmt.Errorf("cts: max cap %g fF is not positive", c.MaxCap)
+	case c.SkewBound < 0:
+		return fmt.Errorf("cts: skew bound %g ps is negative", c.SkewBound)
+	}
+	return nil
+}
+
 // DelayEst selects how cluster-root insertion delays are estimated for the
 // next level's balancing (§3.4, Fig. 5).
 type DelayEst int
@@ -192,6 +207,9 @@ type clockNode struct {
 //
 // stage: flow
 func Run(d *design.Design, opts Options) (*Result, error) {
+	if err := opts.Cons.validate(); err != nil {
+		return nil, err
+	}
 	flat := d.Net()
 	if err := flat.Validate(); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"sllt/internal/designgen"
 	"sllt/internal/dme"
@@ -192,5 +193,57 @@ func TestRunPropagatesBuilderFailure(t *testing.T) {
 	}
 	if !strings.Contains(fmt.Sprint(pe.Value), "builder exploded") {
 		t.Fatalf("panic value lost: %v", pe.Value)
+	}
+}
+
+// TestRunRejectsImpossibleConstraints: constraints no tree can meet must
+// fail fast with an error naming the constraint. Each case runs under a
+// deadline with panics recovered, so a hang or a crash fails the case
+// instead of stalling or killing the suite.
+func TestRunRejectsImpossibleConstraints(t *testing.T) {
+	d := designgen.Generate(designgen.Spec{Name: "unit", Insts: 500, FFs: 80, Util: 0.6}, 3)
+	cases := []struct {
+		name string
+		mut  func(*Constraints)
+		want string
+	}{
+		{"fanout0", func(c *Constraints) { c.MaxFanout = 0 }, "fanout"},
+		{"fanout1", func(c *Constraints) { c.MaxFanout = 1 }, "fanout"},
+		{"fanoutNeg", func(c *Constraints) { c.MaxFanout = -3 }, "fanout"},
+		{"cap0", func(c *Constraints) { c.MaxCap = 0 }, "cap"},
+		{"capNeg", func(c *Constraints) { c.MaxCap = -1 }, "cap"},
+		{"skewNeg", func(c *Constraints) { c.SkewBound = -5 }, "skew"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.SAIters = 0
+			c.mut(&opts.Cons)
+			type outcome struct {
+				err   error
+				panic any
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- outcome{panic: r}
+					}
+				}()
+				_, err := Run(d, opts)
+				done <- outcome{err: err}
+			}()
+			select {
+			case o := <-done:
+				if o.panic != nil {
+					t.Fatalf("Run panicked: %v", o.panic)
+				}
+				if o.err == nil || !strings.Contains(o.err.Error(), c.want) {
+					t.Fatalf("Run error = %v, want one naming %q", o.err, c.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run did not return within 5 s")
+			}
+		})
 	}
 }

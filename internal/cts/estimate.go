@@ -4,13 +4,15 @@ import (
 	"math"
 
 	"sllt/internal/dme"
+	"sllt/internal/timing"
 	"sllt/internal/tree"
 )
 
 // estimateLatency returns the insertion-delay annotation for a cluster
 // driver according to the configured estimation mode: 0 (none), the
 // Equation-7 lower-bound propagation (the paper's choice — conservative,
-// cheap, and stable under later re-buffering), or exact STA-lite.
+// cheap, and stable under later re-buffering), or the max latency of full
+// timing on the (detached) subtree.
 //
 // unit: -> ps, _
 func estimateLatency(driver *tree.Node, opts Options) (float64, error) {
@@ -18,39 +20,14 @@ func estimateLatency(driver *tree.Node, opts Options) (float64, error) {
 	case EstNone:
 		return 0, nil
 	case EstExact:
-		return exactLatency(driver, opts)
+		rep, err := timing.Analyze(&tree.Tree{Root: driver}, opts.Lib, opts.Tech, opts.SourceSlew)
+		if err != nil {
+			return 0, err
+		}
+		return rep.MaxLatency, nil
 	default:
 		return lowerBoundLatency(driver, opts), nil
 	}
-}
-
-// exactLatency runs full timing on the (detached) subtree.
-//
-// unit: -> ps, _
-func exactLatency(driver *tree.Node, opts Options) (float64, error) {
-	caps := stageCaps(driver, opts)
-	var maxLat float64
-	var walk func(n *tree.Node, d, slew float64)
-	walk = func(n *tree.Node, d, slew float64) {
-		if n.Kind == tree.Buffer {
-			cell := opts.Lib.Cell(n.BufCell)
-			if cell != nil {
-				load := bufferLoad(n, caps, opts)
-				d += cell.Delay(slew, load)
-				slew = cell.OutSlew(load)
-			}
-		}
-		if n.Kind == tree.Sink && d > maxLat {
-			maxLat = d
-		}
-		for _, c := range n.Children {
-			wd := opts.Tech.WireElmore(c.EdgeLen, caps[c])
-			ws := math.Log(9) * wd
-			walk(c, d+wd, math.Sqrt(slew*slew+ws*ws))
-		}
-	}
-	walk(driver, 0, opts.SourceSlew)
-	return maxLat, nil
 }
 
 // lowerBoundLatency propagates wire Elmore delays plus the Equation-7

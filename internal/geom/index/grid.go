@@ -1,14 +1,13 @@
-// Package index provides deterministic spatial indexes over Manhattan-plane
-// point sets: a uniform bucket grid with expanding-ring nearest-neighbor
-// queries (optionally supporting point removal), and octant-restricted
-// nearest queries used for rectilinear-MST candidate generation.
+// Package index provides a deterministic spatial index over a fixed
+// Manhattan-plane point set: a uniform bucket grid with expanding-ring
+// nearest-neighbor queries.
 //
 // Every query is byte-identical to the exhaustive scan it replaces: the true
 // nearest point always wins, and exact distance ties break toward the lowest
-// point index. That rule is what lets the rsmt and partition hot paths swap
-// their O(n) scans for grid queries without perturbing a single output bit
-// of the same-seed determinism contract (see DESIGN.md "Determinism &
-// invariants").
+// point index. That rule is what lets partition's center assignment and
+// annealing moves swap their O(n) scans for grid queries without perturbing
+// a single output bit of the same-seed determinism contract (see DESIGN.md
+// "Determinism & invariants").
 //
 // Queries allocate nothing in steady state — the ring walk touches only
 // prebuilt cell slices — which the AllocsPerRun guard in grid_test.go pins.
@@ -22,8 +21,8 @@ import (
 )
 
 // Grid is a uniform bucket grid over a fixed point set. The zero value is
-// not usable; construct with New or NewRemovable. Queries are read-only and
-// safe for concurrent use; Remove is not.
+// not usable; construct with New. Queries are read-only and safe for
+// concurrent use.
 type Grid struct {
 	pts  []geom.Point // coordinates in µm, like all placement geometry
 	cell float64      // unit: um // cell side length
@@ -33,14 +32,6 @@ type Grid struct {
 	ny   int
 	// cells holds point indices per cell in ascending order (fill order).
 	cells [][]int32
-	// alive tracks removals (NewRemovable only; nil means all points live).
-	alive      []bool
-	liveInCell []int32
-	liveTotal  int
-	// rebuildAt triggers compaction: when liveTotal drains to it, the cell
-	// table is rebuilt over the survivors so query rings stay ~1 point per
-	// cell instead of expanding across emptied buckets.
-	rebuildAt int
 	// Kernel, when non-nil, receives per-query counters (GridQueries and
 	// GridRingSteps). Atomic adds keep queries schedule-independent and
 	// allocation-free, so the counters never perturb results or the
@@ -48,19 +39,10 @@ type Grid struct {
 	Kernel *obs.KernelCounters
 }
 
-// New builds a static grid over pts. The points slice is retained, not
-// copied; callers must not mutate it while the grid is in use.
+// New builds a grid over pts. The points slice is retained, not copied;
+// callers must not mutate it while the grid is in use.
 func New(pts []geom.Point) *Grid {
-	return build(pts, false)
-}
-
-// NewRemovable builds a grid over pts that additionally supports Remove.
-func NewRemovable(pts []geom.Point) *Grid {
-	return build(pts, true)
-}
-
-func build(pts []geom.Point, removable bool) *Grid {
-	g := &Grid{pts: pts, liveTotal: len(pts)}
+	g := &Grid{pts: pts}
 	n := len(pts)
 	if n == 0 {
 		g.cell = 1
@@ -68,28 +50,8 @@ func build(pts []geom.Point, removable bool) *Grid {
 		g.cells = make([][]int32, 1)
 		return g
 	}
-	if removable {
-		g.alive = make([]bool, n)
-		for i := range g.alive {
-			g.alive[i] = true
-		}
-		g.rebuildAt = n / 2
-	}
-	g.rebuild()
-	return g
-}
-
-// rebuild lays out and fills the cell table over the live point set. Called
-// at construction and again by Remove-triggered compaction; the live set and
-// the lowest-index tie rule fully determine every query answer, so a rebuild
-// changes walk cost only, never results.
-func (g *Grid) rebuild() {
-	n := g.liveTotal
 	r := geom.EmptyRect()
-	for i, p := range g.pts {
-		if g.alive != nil && !g.alive[i] {
-			continue
-		}
+	for _, p := range pts {
 		r = r.Grow(p)
 	}
 	g.x0, g.y0 = r.XLo, r.YLo
@@ -113,10 +75,7 @@ func (g *Grid) rebuild() {
 	g.cell, g.nx, g.ny = cell, nx, ny
 	g.cells = make([][]int32, nx*ny)
 	counts := make([]int32, nx*ny)
-	for i, p := range g.pts {
-		if g.alive != nil && !g.alive[i] {
-			continue
-		}
+	for _, p := range pts {
 		counts[g.cellOf(p)]++
 	}
 	backing := make([]int32, n)
@@ -125,18 +84,13 @@ func (g *Grid) rebuild() {
 		g.cells[ci] = backing[off : off : off+c]
 		off += c
 	}
-	// Ascending fill keeps each cell's indices sorted, preserving the
-	// lowest-index tie rule across compactions.
-	for i, p := range g.pts {
-		if g.alive != nil && !g.alive[i] {
-			continue
-		}
+	// Ascending fill keeps each cell's indices sorted, which the
+	// lowest-index tie rule relies on.
+	for i, p := range pts {
 		ci := g.cellOf(p)
 		g.cells[ci] = append(g.cells[ci], int32(i))
 	}
-	if g.alive != nil {
-		g.liveInCell = counts // fill counts double as live counts
-	}
+	return g
 }
 
 // cellOf returns the flattened cell index containing p, clamped to the grid.
@@ -162,67 +116,17 @@ func (g *Grid) coords(p geom.Point) (int, int) {
 	return cx, cy
 }
 
-// Len returns the number of indexed points (including removed ones).
-func (g *Grid) Len() int { return len(g.pts) }
-
-// Live returns the number of points still present (Len for static grids).
-func (g *Grid) Live() int { return g.liveTotal }
-
-// Remove deletes point i from a grid built with NewRemovable. Removing an
-// already-removed point is a no-op. Panics on static grids.
-//
-// Each time the live count halves, the cell table is recompacted over the
-// survivors (amortized O(1) per removal, geometric series), so drain-heavy
-// callers like grid-Prim keep ~1 live point per cell throughout instead of
-// walking ever-wider rings of emptied buckets.
-//
-// hot:
-func (g *Grid) Remove(i int) {
-	if !g.alive[i] {
-		return
-	}
-	g.alive[i] = false
-	g.liveInCell[g.cellOf(g.pts[i])]--
-	g.liveTotal--
-	if g.liveTotal > 0 && g.liveTotal <= g.rebuildAt {
-		g.rebuild()
-		g.rebuildAt = g.liveTotal / 2
-	}
-}
-
-// Nearest returns the index of the live point nearest to q under Manhattan
+// Nearest returns the index of the point nearest to q under Manhattan
 // distance, together with that distance, skipping points for which skip
 // returns true (skip may be nil). Exact distance ties break toward the
 // lowest index — the same answer an ascending exhaustive scan produces.
-// Returns (-1, 0) when no live point qualifies.
+// Returns (-1, 0) when no point qualifies.
 //
 // unit: -> _, um
 //
 // hot: alloc-free
 func (g *Grid) Nearest(q geom.Point, skip func(int) bool) (int, float64) {
-	return g.nearest(q, -1, skip)
-}
-
-// NearestInOctant is Nearest restricted to points whose displacement from q
-// falls in the given octant (0..7, counter-clockwise from east; each sector
-// boundary ray belongs to exactly one of its two neighbors, and points
-// coincident with q count as octant 0). The union of the eight
-// octant-nearest neighbors of every point is the classic sparse edge
-// superset that contains a rectilinear MST.
-//
-// unit: -> _, um
-//
-// hot: alloc-free
-func (g *Grid) NearestInOctant(q geom.Point, oct int, skip func(int) bool) (int, float64) {
-	return g.nearest(q, oct, skip)
-}
-
-// nearest is the expanding-ring walk behind both public queries: prebuilt
-// cell slices only, no per-query state.
-//
-// hot: alloc-free
-func (g *Grid) nearest(q geom.Point, oct int, skip func(int) bool) (int, float64) {
-	if g.liveTotal == 0 {
+	if len(g.pts) == 0 {
 		return -1, 0
 	}
 	if g.Kernel != nil {
@@ -257,13 +161,13 @@ func (g *Grid) nearest(q geom.Point, oct int, skip func(int) bool) (int, float64
 		if top >= 0 {
 			row := top * g.nx
 			for x := rxlo; x <= rxhi; x++ {
-				best, bestD = g.scanCell(q, row+x, oct, skip, best, bestD)
+				best, bestD = g.scanCell(q, row+x, skip, best, bestD)
 			}
 		}
 		if bot < g.ny && bot != top {
 			row := bot * g.nx
 			for x := rxlo; x <= rxhi; x++ {
-				best, bestD = g.scanCell(q, row+x, oct, skip, best, bestD)
+				best, bestD = g.scanCell(q, row+x, skip, best, bestD)
 			}
 		}
 		// Side columns between the rows, y-clamped.
@@ -279,10 +183,10 @@ func (g *Grid) nearest(q geom.Point, oct int, skip func(int) bool) (int, float64
 			for y := sylo; y <= syhi; y++ {
 				row := y * g.nx
 				if scanL {
-					best, bestD = g.scanCell(q, row+xlo, oct, skip, best, bestD)
+					best, bestD = g.scanCell(q, row+xlo, skip, best, bestD)
 				}
 				if scanR {
-					best, bestD = g.scanCell(q, row+xhi, oct, skip, best, bestD)
+					best, bestD = g.scanCell(q, row+xhi, skip, best, bestD)
 				}
 			}
 		}
@@ -296,60 +200,20 @@ func (g *Grid) nearest(q geom.Point, oct int, skip func(int) bool) (int, float64
 	return best, bestD
 }
 
-// scanCell folds cell ci's live points into the (best, bestD) incumbent.
+// scanCell folds cell ci's points into the (best, bestD) incumbent.
 //
 // hot: alloc-free
-func (g *Grid) scanCell(q geom.Point, ci, oct int, skip func(int) bool, best int, bestD float64) (int, float64) {
-	if g.alive != nil && g.liveInCell[ci] == 0 {
-		return best, bestD
-	}
+func (g *Grid) scanCell(q geom.Point, ci int, skip func(int) bool, best int, bestD float64) (int, float64) {
 	for _, i32 := range g.cells[ci] {
 		i := int(i32)
-		if g.alive != nil && !g.alive[i] {
-			continue
-		}
 		if skip != nil && skip(i) {
 			continue
 		}
-		p := g.pts[i]
-		if oct >= 0 && octantOf(p.X-q.X, p.Y-q.Y) != oct {
-			continue
-		}
-		d := q.Dist(p)
+		d := q.Dist(g.pts[i])
 		//slltlint:ignore floatcmp exact equality implements the lowest-index tie rule the scans it replaces rely on
 		if d < bestD || (d == bestD && i < best) {
 			best, bestD = i, d
 		}
 	}
 	return best, bestD
-}
-
-// octantOf classifies a displacement into one of eight 45° sectors,
-// counter-clockwise from east; every boundary ray lands in exactly one of
-// its two adjacent sectors, so the sectors partition the plane. The zero
-// displacement maps to octant 0.
-func octantOf(dx, dy float64) int {
-	switch {
-	case dx > 0 && dy >= 0:
-		if dy < dx {
-			return 0
-		}
-		return 1
-	case dx <= 0 && dy > 0:
-		if -dx <= dy {
-			return 2
-		}
-		return 3
-	case dx < 0 && dy <= 0:
-		if -dy <= -dx {
-			return 4
-		}
-		return 5
-	case dy < 0:
-		if dx < -dy {
-			return 6
-		}
-		return 7
-	}
-	return 0 // dx == 0 && dy == 0
 }

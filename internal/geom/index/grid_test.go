@@ -26,15 +26,6 @@ func bruteNearest(pts []geom.Point, q geom.Point, skip func(int) bool) (int, flo
 	return best, bd
 }
 
-func bruteNearestInOctant(pts []geom.Point, q geom.Point, oct int, skip func(int) bool) (int, float64) {
-	return bruteNearest(pts, q, func(i int) bool {
-		if skip != nil && skip(i) {
-			return true
-		}
-		return octantOf(pts[i].X-q.X, pts[i].Y-q.Y) != oct
-	})
-}
-
 func randPts(n int, rng *rand.Rand) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
@@ -98,35 +89,6 @@ func TestNearestLowestIndexTies(t *testing.T) {
 	}
 }
 
-func TestNearestWithRemovals(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	pts := randPts(250, rng)
-	g := NewRemovable(pts)
-	alive := make([]bool, len(pts))
-	for i := range alive {
-		alive[i] = true
-	}
-	skipDead := func(i int) bool { return !alive[i] }
-	order := rng.Perm(len(pts))
-	for k, victim := range order {
-		g.Remove(victim)
-		g.Remove(victim) // double removal must be a no-op
-		alive[victim] = false
-		if g.Live() != len(pts)-k-1 {
-			t.Fatalf("Live()=%d after %d removals", g.Live(), k+1)
-		}
-		q := pts[order[(k+7)%len(order)]]
-		gi, gd := g.Nearest(q, nil)
-		bi, bd := bruteNearest(pts, q, skipDead)
-		if gi != bi || gd != bd {
-			t.Fatalf("after %d removals q=%v: grid (%d,%g) != brute (%d,%g)", k+1, q, gi, gd, bi, bd)
-		}
-	}
-	if i, _ := g.Nearest(geom.Pt(0, 0), nil); i != -1 {
-		t.Fatalf("empty grid returned %d, want -1", i)
-	}
-}
-
 func TestNearestDegenerateSets(t *testing.T) {
 	cases := map[string][]geom.Point{
 		"empty":      {},
@@ -149,56 +111,8 @@ func TestNearestDegenerateSets(t *testing.T) {
 	}
 }
 
-func TestOctantOfPartitionsPlane(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	// Every displacement (including axis and diagonal cases) must land in
-	// exactly one octant 0..7 adjacent to its ray — boundary rays belong to
-	// exactly one of their two neighboring sectors.
-	checks := []struct {
-		dx, dy float64
-		want   int
-	}{
-		{1, 0, 0}, {1, 1, 1}, {0, 1, 2}, {-1, 1, 2},
-		{-1, 0, 4}, {-1, -1, 4}, {0, -1, 6}, {1, -1, 7},
-	}
-	for _, c := range checks {
-		if got := octantOf(c.dx, c.dy); got != c.want {
-			t.Fatalf("octantOf(%g,%g)=%d, want %d", c.dx, c.dy, got, c.want)
-		}
-	}
-	if got := octantOf(0, 0); got != 0 {
-		t.Fatalf("octantOf(0,0)=%d, want 0", got)
-	}
-	for trial := 0; trial < 1000; trial++ {
-		dx, dy := rng.NormFloat64(), rng.NormFloat64()
-		oct := octantOf(dx, dy)
-		if oct < 0 || oct > 7 {
-			t.Fatalf("octantOf(%g,%g)=%d out of range", dx, dy, oct)
-		}
-	}
-}
-
-func TestNearestInOctantMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	pts := randPts(300, rng)
-	g := New(pts)
-	for trial := 0; trial < 100; trial++ {
-		qi := rng.Intn(len(pts))
-		q := pts[qi]
-		self := func(i int) bool { return i == qi }
-		for oct := 0; oct < 8; oct++ {
-			gi, gd := g.NearestInOctant(q, oct, self)
-			bi, bd := bruteNearestInOctant(pts, q, oct, self)
-			if gi != bi || gd != bd {
-				t.Fatalf("q=%v oct=%d: grid (%d,%g) != brute (%d,%g)", q, oct, gi, gd, bi, bd)
-			}
-		}
-	}
-}
-
 // TestNearestSteadyStateZeroAllocs pins the package contract that queries
-// allocate nothing: a regression here silently wrecks the MST and swap
-// kernels' constants at the 10⁵ tier.
+// allocate nothing: partition runs one query per point per assignment pass.
 func TestNearestSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := randPts(2000, rng)
@@ -206,8 +120,5 @@ func TestNearestSteadyStateZeroAllocs(t *testing.T) {
 	q := geom.Pt(50, 50)
 	if avg := testing.AllocsPerRun(100, func() { g.Nearest(q, nil) }); avg != 0 {
 		t.Fatalf("Nearest allocates %.1f/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { g.NearestInOctant(q, 3, nil) }); avg != 0 {
-		t.Fatalf("NearestInOctant allocates %.1f/op, want 0", avg)
 	}
 }

@@ -31,14 +31,8 @@ var allocFreeGuards = map[string]func(){
 	"Grid.Nearest": func() {
 		guardSinkN, guardSinkF = guardGrid.Nearest(geom.Pt(13, 11), nil)
 	},
-	"Grid.NearestInOctant": func() {
-		guardSinkN, guardSinkF = guardGrid.NearestInOctant(geom.Pt(13, 11), 3, nil)
-	},
-	"Grid.nearest": func() {
-		guardSinkN, guardSinkF = guardGrid.nearest(geom.Pt(29, 2), -1, nil)
-	},
 	"Grid.scanCell": func() {
-		guardSinkN, guardSinkF = guardGrid.scanCell(geom.Pt(3, 3), 0, -1, nil, -1, math.Inf(1))
+		guardSinkN, guardSinkF = guardGrid.scanCell(geom.Pt(3, 3), 0, nil, -1, math.Inf(1))
 	},
 }
 

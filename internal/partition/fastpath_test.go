@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -134,48 +133,5 @@ func TestRefineSALargeDeterministic(t *testing.T) {
 		if a[i] < 0 || a[i] >= k {
 			t.Fatalf("assign[%d]=%d out of range", i, a[i])
 		}
-	}
-}
-
-// TestSilhouetteSampledPath: above the exact threshold SilhouetteP switches
-// to the stratified estimator — which must be deterministic, bounded like a
-// silhouette, and close to the exact score; below it, it must literally be
-// the exact score.
-func TestSilhouetteSampledPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	k := 12
-
-	small := fastpathPts(1500, rng, false)
-	sAssign := make([]int, len(small))
-	for i := range sAssign {
-		sAssign[i] = i % k
-	}
-	if got, ref := SilhouetteP(small, sAssign, k, 1), silhouetteExact(small, sAssign, k, 1); got != ref {
-		t.Fatalf("below threshold SilhouetteP=%g != exact %g", got, ref)
-	}
-
-	// Clustered (not uniform) points give a meaningful positive silhouette.
-	big := make([]geom.Point, silhouetteExactThreshold+2000)
-	bAssign := make([]int, len(big))
-	for i := range big {
-		c := i % k
-		cx, cy := float64(c%4)*200, float64(c/4)*200
-		big[i] = geom.Pt(cx+rng.NormFloat64()*8, cy+rng.NormFloat64()*8)
-		bAssign[i] = c
-	}
-	est := SilhouetteP(big, bAssign, k, 1)
-	if est2 := SilhouetteP(big, bAssign, k, 1); est != est2 {
-		t.Fatalf("sampled silhouette not deterministic: %g vs %g", est, est2)
-	}
-	if est < -1 || est > 1 {
-		t.Fatalf("sampled silhouette %g out of [-1,1]", est)
-	}
-	exact := silhouetteExact(big, bAssign, k, 1)
-	if math.Abs(est-exact) > 0.05 {
-		t.Fatalf("sampled silhouette %g too far from exact %g", est, exact)
-	}
-	// Workers must not change the sampled estimate either.
-	if est8 := SilhouetteP(big, bAssign, k, 8); est8 != est {
-		t.Fatalf("sampled silhouette differs across workers: %g vs %g", est, est8)
 	}
 }

@@ -39,16 +39,6 @@ const (
 	seedSampleSize      = 4096
 )
 
-// silhouetteExactThreshold is the point count above which Silhouette scores
-// a deterministic per-cluster stratified sample of silhouetteSampleTarget
-// points instead of running the exact O(n²) scoring. Below it (which
-// includes every call the hierarchical flow makes — cts subsamples to 2500
-// first) the exact kernel runs, unchanged.
-const (
-	silhouetteExactThreshold = 4096
-	silhouetteSampleTarget   = 2048
-)
-
 // KMeans runs Lloyd's algorithm with deterministic farthest-point seeding
 // and returns the cluster centers and per-point assignment. k is clamped to
 // [1, len(pts)].
@@ -282,29 +272,13 @@ func Silhouette(pts []geom.Point, assign []int, k int) float64 {
 // over workers. Each point's coefficient is an independent function of the
 // whole point set, so tasks write only their own slot; the mean is then
 // reduced serially in point order, giving the exact float result of the
-// serial loop for every workers value.
-//
-// Above silhouetteExactThreshold points the score is a deterministic
-// stratified-sample estimate: every cluster contributes a stride sample
-// proportional to its size, and the exact kernel runs on the sample. Below
-// the threshold the result is exact.
+// serial loop for every workers value. The score is exact at every size;
+// callers bound n (cts subsamples to 2500 points first).
 //
 // pure:
-func SilhouetteP(pts []geom.Point, assign []int, k, workers int) float64 {
-	if len(pts) > silhouetteExactThreshold {
-		sp, sa := stratifiedSample(pts, assign, k, silhouetteSampleTarget)
-		return silhouetteExact(sp, sa, k, workers)
-	}
-	return silhouetteExact(pts, assign, k, workers)
-}
-
-// silhouetteExact is the exact O(n²) scorer, with the same worker fan-out
-// as SilhouetteP but no sampling at any size. SilhouetteP runs it on the
-// whole point set up to silhouetteExactThreshold and on the stratified sample
-// above; the estimator's tests use it as the oracle.
 //
 // hot:
-func silhouetteExact(pts []geom.Point, assign []int, k, workers int) float64 {
+func SilhouetteP(pts []geom.Point, assign []int, k, workers int) float64 {
 	n := len(pts)
 	if n == 0 || k < 2 {
 		return 0
@@ -342,40 +316,6 @@ func silhouetteExact(pts []geom.Point, assign []int, k, workers int) float64 {
 		return 0
 	}
 	return total / float64(counted)
-}
-
-// stratifiedSample picks ~target points, each cluster contributing a stride
-// sample (ascending member order) proportional to its share of the points.
-// Fully deterministic: no randomness, and the returned points keep their
-// ascending original order so downstream float reductions are stable.
-func stratifiedSample(pts []geom.Point, assign []int, k, target int) ([]geom.Point, []int) {
-	n := len(pts)
-	if n <= target {
-		return pts, assign
-	}
-	members := make([][]int32, k)
-	for i, a := range assign {
-		members[a] = append(members[a], int32(i))
-	}
-	picked := make([]int32, 0, target+k)
-	for _, mem := range members {
-		if len(mem) == 0 {
-			continue
-		}
-		want := (len(mem)*target + n - 1) / n // ceil: every cluster is represented
-		stride := (len(mem) + want - 1) / want
-		for i := 0; i < len(mem); i += stride {
-			picked = append(picked, mem[i])
-		}
-	}
-	sort.Slice(picked, func(a, b int) bool { return picked[a] < picked[b] })
-	sp := make([]geom.Point, len(picked))
-	sa := make([]int, len(picked))
-	for i, idx := range picked {
-		sp[i] = pts[idx]
-		sa[i] = assign[idx]
-	}
-	return sp, sa
 }
 
 // silhouetteOf computes point i's silhouette coefficient, or the unscored

@@ -6,16 +6,8 @@ import (
 	"sllt/internal/geom"
 )
 
-// Guard fixtures: presized heap backings (steady-state pushes must land in
-// existing capacity) and sinks that keep the compiler from discarding the
-// guarded calls.
+// Guard sinks keep the compiler from discarding the guarded calls.
 var (
-	guardCandBacking = make([]mstCand, 0, 8)
-	guardMoveBacking = make(moveHeap, 0, 8)
-
-	guardSinkB bool
-	guardSinkC mstCand
-	guardSinkM steinerMove
 	guardSinkP geom.Point
 	guardSinkF float64
 )
@@ -25,47 +17,11 @@ var (
 // guardcov test in internal/analysis/hotpath checks the map stays in sync
 // with the annotations.
 var allocFreeGuards = map[string]func(){
-	"candLess": func() {
-		guardSinkB = candLess(mstCand{d: 1, v: 2}, mstCand{d: 1, v: 3})
-	},
-	"candPush": func() {
-		h := guardCandBacking
-		candPush(&h, mstCand{d: 3, v: 1})
-		candPush(&h, mstCand{d: 1, v: 2})
-	},
-	"candPop": func() {
-		h := guardCandBacking
-		candPush(&h, mstCand{d: 3, v: 1})
-		candPush(&h, mstCand{d: 1, v: 2})
-		guardSinkC = candPop(&h)
-	},
 	"median3": func() {
 		guardSinkP = median3(geom.Pt(0, 9), geom.Pt(4, 1), geom.Pt(2, 5))
 	},
 	"median": func() {
 		guardSinkF = median(3, 1, 2)
-	},
-	"moveBefore": func() {
-		guardSinkB = moveBefore(steinerMove{gain: 2, seq: 1}, steinerMove{gain: 1, seq: 0})
-	},
-	"moveSiftDown": func() {
-		h := append(guardMoveBacking, steinerMove{gain: 1}, steinerMove{gain: 5, seq: 1}, steinerMove{gain: 3, seq: 2})
-		moveSiftDown(h, 0, len(h))
-	},
-	"moveHeapInit": func() {
-		h := append(guardMoveBacking, steinerMove{gain: 1}, steinerMove{gain: 5, seq: 1}, steinerMove{gain: 3, seq: 2})
-		moveHeapInit(h)
-	},
-	"moveHeapPush": func() {
-		h := guardMoveBacking
-		moveHeapPush(&h, steinerMove{gain: 1})
-		moveHeapPush(&h, steinerMove{gain: 5, seq: 1})
-	},
-	"moveHeapPop": func() {
-		h := guardMoveBacking
-		moveHeapPush(&h, steinerMove{gain: 1})
-		moveHeapPush(&h, steinerMove{gain: 5, seq: 1})
-		guardSinkM = moveHeapPop(&h)
 	},
 }
 

@@ -2,15 +2,9 @@ package rsmt
 
 import (
 	"sllt/internal/geom"
-	"sllt/internal/geom/index"
 	"sllt/internal/obs"
 	"sllt/internal/tree"
 )
-
-// swapGridThreshold is the node count at which edge swapping switches from
-// the exhaustive all-pairs scan to grid-backed candidate queries. Flow-level
-// cluster nets stay below it, keeping their outputs byte-identical.
-const swapGridThreshold = 96
 
 // Improve runs unconstrained wirelength local search on t: alternating
 // edge swaps (reattach a subtree to the nearest non-descendant vertex when
@@ -27,7 +21,7 @@ func Improve(t *tree.Tree) {
 // kern.SteinerInserts (nil kern: exactly Improve).
 func ImproveK(t *tree.Tree, kern *obs.KernelCounters) {
 	for pass := 0; pass < 16; pass++ {
-		moved := edgeSwapOnce(t, kern)
+		moved := edgeSwapOnce(t)
 		if kern != nil {
 			kern.EdgeSwapPasses.Add(1)
 			kern.EdgeSwapMoves.Add(int64(moved))
@@ -38,19 +32,6 @@ func ImproveK(t *tree.Tree, kern *obs.KernelCounters) {
 			return
 		}
 	}
-}
-
-// edgeSwapOnce applies every profitable reattachment it finds, best-first,
-// until none remains, and reports the number of accepted moves. Small trees
-// run the exhaustive all-pairs scan; large ones answer each vertex's
-// best-candidate-parent question with a grid nearest-neighbor query instead
-// of a full sweep.
-func edgeSwapOnce(t *tree.Tree, kern *obs.KernelCounters) int {
-	nodes := t.Nodes()
-	if len(nodes) >= swapGridThreshold {
-		return edgeSwapGrid(t, nodes, kern)
-	}
-	return edgeSwapScan(t, nodes)
 }
 
 // swapOrder renumbers the tree into order/last: order is the current
@@ -74,15 +55,15 @@ func swapOrder(t *tree.Tree, order []*tree.Node, last []int) ([]*tree.Node, []in
 	return order, last
 }
 
-// edgeSwapScan is the retained exhaustive kernel: every (vertex, candidate
-// parent) pair is scored each round, the single best reattachment applied,
-// and the preorder intervals refreshed. Scan order and tie-breaking are
-// identical to the original implementation (preorder, first strict
-// improvement wins), so outputs are unchanged.
-func edgeSwapScan(t *tree.Tree, nodes []*tree.Node) int {
+// edgeSwapOnce applies every profitable reattachment it finds, best-first,
+// until none remains, and reports the number of accepted moves. Every
+// (vertex, candidate parent) pair is scored each round, the single best
+// reattachment applied, and the preorder intervals refreshed; ties go to the
+// first strict improvement in preorder.
+func edgeSwapOnce(t *tree.Tree) int {
 	moves := 0
-	order := make([]*tree.Node, 0, len(nodes))
-	last := make([]int, 0, len(nodes))
+	var order []*tree.Node
+	var last []int
 	for {
 		order, last = swapOrder(t, order, last)
 		var bestV, bestW *tree.Node
@@ -99,69 +80,6 @@ func edgeSwapScan(t *tree.Tree, nodes []*tree.Node) int {
 				if gain := cur - w.Loc.Dist(v.Loc); gain > bestGain {
 					bestGain, bestV, bestW = gain, v, w
 				}
-			}
-		}
-		if bestV == nil {
-			break
-		}
-		bestV.Detach()
-		bestW.AddChild(bestV)
-		moves++
-	}
-	if moves > 0 {
-		tree.LegalizeSinkLeaves(t)
-	}
-	return moves
-}
-
-// edgeSwapGrid mirrors edgeSwapScan on large trees: for each vertex the best
-// candidate parent is by definition the nearest valid vertex (gain = current
-// edge − candidate distance), so one expanding-ring query per vertex replaces
-// the O(n) sweep. Node locations never change during swapping — moves only
-// relink — so the grid is built once per call. Results match the scan except
-// for exact-tie candidate choices (grid: lowest build index; scan: first in
-// preorder), which is why the fast path sits behind swapGridThreshold.
-func edgeSwapGrid(t *tree.Tree, nodes []*tree.Node, kern *obs.KernelCounters) int {
-	moves := 0
-	locs := make([]geom.Point, len(nodes))
-	id := make(map[*tree.Node]int, len(nodes))
-	for i, n := range nodes {
-		locs[i] = n.Loc
-		id[n] = i
-	}
-	g := index.New(locs)
-	g.Kernel = kern
-	order := make([]*tree.Node, 0, len(nodes))
-	last := make([]int, 0, len(nodes))
-	pos := make([]int, len(nodes)) // build index -> current preorder position
-	for {
-		order, last = swapOrder(t, order, last)
-		for p, n := range order {
-			pos[id[n]] = p
-		}
-		var bestV, bestW *tree.Node
-		bestGain := geom.Eps
-		for vp, v := range order {
-			if v.Parent == nil {
-				continue
-			}
-			cur := v.Parent.Loc.Dist(v.Loc)
-			if cur-bestGain <= 0 {
-				continue // even a zero-length edge cannot beat the incumbent
-			}
-			parent, sublo, subhi := v.Parent, vp, last[vp]
-			j, d := g.Nearest(v.Loc, func(w int) bool {
-				if nodes[w] == parent {
-					return true
-				}
-				wp := pos[w]
-				return wp >= sublo && wp < subhi
-			})
-			if j < 0 {
-				continue
-			}
-			if gain := cur - d; gain > bestGain {
-				bestGain, bestV, bestW = gain, v, nodes[j]
 			}
 		}
 		if bestV == nil {

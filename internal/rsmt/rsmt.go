@@ -55,36 +55,23 @@ func WL(net *tree.Net) float64 { return Build(net).Wirelength() }
 
 // MST computes a minimum spanning tree over pts under Manhattan distance and
 // returns the parent index of each point, with parent[0] == -1 (point 0 is
-// the root). Below mstGridThreshold it runs the exhaustive O(n²) Prim, which
-// is exact and fast for clock-net sizes (tens of pins); above it the
-// grid-accelerated Prim takes over, returning the identical parent array
-// (see mstGrid) in near-linear time.
+// the root). It is the exhaustive O(n²) Prim scan, which is exact and fast
+// at clock-net sizes (tens of pins): the lowest-index unvisited point among
+// the minima is picked each round, and ties for a point's best tree
+// neighbor keep the earliest-added one.
 //
 // pure:
 func MST(pts []geom.Point) []int {
 	return MSTK(pts, nil)
 }
 
-// MSTK is MST with kernel-counter attribution: one MSTBuilds tick, the
-// point count into MSTPoints, and (on the grid path) the index's query
-// counters. Nil kern makes it exactly MST.
+// MSTK is MST with kernel-counter attribution: one MSTBuilds tick and the
+// point count into MSTPoints. Nil kern makes it exactly MST.
 func MSTK(pts []geom.Point, kern *obs.KernelCounters) []int {
 	if kern != nil {
 		kern.MSTBuilds.Add(1)
 		kern.MSTPoints.Add(int64(len(pts)))
 	}
-	if len(pts) < mstGridThreshold {
-		return mstExhaustive(pts)
-	}
-	return mstGrid(pts, kern)
-}
-
-// mstExhaustive is the O(n²) Prim scan MST runs below mstGridThreshold:
-// the lowest-index unvisited point among the minima is picked each round,
-// and ties for a point's best tree neighbor keep the earliest-added one.
-// MST's grid path is defined — and property-tested — as byte-identical to
-// this kernel at every size.
-func mstExhaustive(pts []geom.Point) []int {
 	n := len(pts)
 	parent := make([]int, n)
 	if n == 0 {
@@ -189,11 +176,9 @@ func treeFromParents(net *tree.Net, pts []geom.Point, parent []int) *tree.Tree {
 // length increases. The tree is modified in place.
 //
 // Both sink-parent legality and redundancy cleanup are preserved: Steiner
-// insertion only happens below nodes with >= 2 children.
-//
-// Below steinerQueueThreshold nodes the exhaustive per-move rescan runs;
-// above it a candidate priority queue applies the same greedy moves while
-// re-evaluating only pairs whose endpoints the last accepted move touched.
+// insertion only happens below nodes with >= 2 children. Every accepted
+// move comes from a full rescan (bestSteinerMove): cluster nets have tens of
+// pins, so the rescan stays cheap.
 func Steinerize(t *tree.Tree) {
 	SteinerizeK(t, nil)
 }
@@ -202,22 +187,6 @@ func Steinerize(t *tree.Tree) {
 // kern.SteinerInserts (nil kern: exactly Steinerize).
 func SteinerizeK(t *tree.Tree, kern *obs.KernelCounters) {
 	tree.LegalizeSinkLeaves(t)
-	if countNodes(t) >= steinerQueueThreshold {
-		steinerizeQueue(t, kern)
-		return
-	}
-	steinerizeScan(t, kern)
-}
-
-// countNodes counts tree nodes without materializing the slice t.Nodes()
-// would allocate — the dispatch above only needs the count.
-func countNodes(t *tree.Tree) int {
-	n := 0
-	t.Walk(func(*tree.Node) bool { n++; return true })
-	return n
-}
-
-func steinerizeScan(t *tree.Tree, kern *obs.KernelCounters) {
 	for {
 		n, a, b, gain := bestSteinerMove(t)
 		if gain <= geom.Eps {

@@ -243,3 +243,46 @@ func TestE2EStreamFollowsLiveJob(t *testing.T) {
 		t.Fatalf("live-followed stream never delivered the terminal state:\n%s", events)
 	}
 }
+
+// TestImpossibleFanoutJobFails: the decoder admits "fanout": 1, but no tree
+// can meet it, so the job must end failed with the flow's error naming the
+// constraint. The poll and the shutdown both run under deadlines: a runner
+// stuck in the flow fails the test instead of stalling the suite.
+func TestImpossibleFanoutJobFails(t *testing.T) {
+	lefSrc, defSrc := fixtureSources(300, 60, 3)
+
+	s := server.New(server.Config{QueueDepth: 2, Runners: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer func() {
+		closed := make(chan struct{})
+		go func() {
+			s.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Error("server did not shut down within 10 s: its runner is stuck in the flow")
+		}
+	}()
+
+	var st server.JobStatus
+	req := &server.JobRequest{LEF: lefSrc, DEF: defSrc, Options: server.JobOptions{Fanout: 1}}
+	if resp := postJob(t, ts.URL, req, &st); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /jobs = %d, want 202", resp.StatusCode)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st.State != server.StateDone && st.State != server.StateFailed && st.State != server.StateCancelled {
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 10 s", st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if code := getJSON(t, ts.URL+"/jobs/"+st.JobID, &st); code != http.StatusOK {
+			t.Fatalf("GET /jobs/%s = %d", st.JobID, code)
+		}
+	}
+	if st.State != server.StateFailed || !strings.Contains(st.Error, "fanout") {
+		t.Fatalf("job ended %s with error %q, want failed naming the fanout", st.State, st.Error)
+	}
+}

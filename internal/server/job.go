@@ -29,7 +29,7 @@ func (s State) terminal() bool {
 type Job struct {
 	id     string
 	req    *JobRequest
-	ctx    context.Context    // child of the server context; DELETE cancels it
+	ctx    context.Context // child of the server context; DELETE cancels it
 	cancel context.CancelFunc
 	events *eventLog
 	done   chan struct{} // closed exactly once, at the terminal transition
@@ -54,9 +54,9 @@ type JobStatus struct {
 	JobID       string `json:"job_id"`
 	State       State  `json:"state"`
 	Error       string `json:"error,omitempty"`
-	SubmittedNs int64  `json:"submitted_ns"`          // unit: ns
-	StartedNs   int64  `json:"started_ns,omitempty"`  // unit: ns
-	DoneNs      int64  `json:"done_ns,omitempty"`     // unit: ns
+	SubmittedNs int64  `json:"submitted_ns"`         // unit: ns
+	StartedNs   int64  `json:"started_ns,omitempty"` // unit: ns
+	DoneNs      int64  `json:"done_ns,omitempty"`    // unit: ns
 	Workers     int    `json:"workers,omitempty"`
 	Levels      int    `json:"levels,omitempty"`
 	Clusters    []int  `json:"clusters,omitempty"`
