@@ -132,6 +132,44 @@ func TestCacheWarmHitRates(t *testing.T) {
 	}
 }
 
+// TestCacheWarmReplayQoR pins what a warm replay reports: the store is
+// warmed with observability off, so every stored cluster and top-net entry
+// must still carry its net's QoR. Each level record of an observed replay
+// must then match an uncached observed run's (kernel counters aside:
+// nothing runs on a replay).
+func TestCacheWarmReplayQoR(t *testing.T) {
+	c, err := cache.New(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCacheFlow(t, cacheTestDesign(17), func(o *Options) { o.Cache = c })
+	prev := c.Stats()
+	warm := obs.New(obs.NewManualClock(1))
+	runCacheFlow(t, cacheTestDesign(17), func(o *Options) { o.Cache = c; o.Obs = warm })
+	if d := c.Stats().Sub(prev).Total(); d.Misses != 0 {
+		t.Fatalf("warm run missed %d times, want a full replay", d.Misses)
+	}
+	fresh := obs.New(obs.NewManualClock(1))
+	runCacheFlow(t, cacheTestDesign(17), func(o *Options) { o.Obs = fresh })
+
+	qor := func(q obs.LevelQoR) obs.LevelQoR {
+		return obs.LevelQoR{
+			Level: q.Level, Nodes: q.Nodes, Clusters: q.Clusters,
+			WL: q.WL, Skew: q.Skew, MaxLatency: q.MaxLatency, MaxClusterCap: q.MaxClusterCap,
+			Buffers: q.Buffers, BufArea: q.BufArea, AssignMethod: q.AssignMethod,
+		}
+	}
+	got, want := warm.Snapshot().Levels, fresh.Snapshot().Levels
+	if len(got) != len(want) {
+		t.Fatalf("replay reports %d levels, fresh run %d", len(got), len(want))
+	}
+	for i := range want {
+		if qor(got[i]) != qor(want[i]) {
+			t.Errorf("level %d QoR differs:\nreplay %+v\nfresh  %+v", i, qor(got[i]), qor(want[i]))
+		}
+	}
+}
+
 // TestCacheDiskWarm round-trips the flow through the on-disk tier: a second
 // Cache over the same directory (cold memory) must replay every stage from
 // disk and produce a byte-identical result.

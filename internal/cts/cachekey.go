@@ -117,8 +117,3 @@ func timingKey(base, topKey cache.Key) cache.Key {
 	h.Key(base).Str(stageTiming).Key(topKey)
 	return h.Sum()
 }
-
-// derivedID is the identity a cache-visible stage output carries forward:
-// the key that produced it. Content-addressing makes this sound — equal keys
-// imply byte-identical outputs for stagepure-verified stages.
-func derivedID(stageKey cache.Key) cache.Key { return stageKey }

@@ -214,11 +214,7 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 	if err := flat.Validate(); err != nil {
 		return nil, err
 	}
-	// All per-level construction memory comes from the flow's arenas (see
-	// levelScratch); the initial leaves go in nodeA[1] so level 0's reset of
-	// nodeA[0] cannot touch them.
-	var scratch levelScratch
-	nodes := scratch.nodeA[1].AllocN(len(flat.Sinks))
+	nodes := make([]clockNode, len(flat.Sinks))
 	for i, s := range flat.Sinks {
 		leaf := tree.NewNode(tree.Sink, s.Loc)
 		leaf.Name = s.Name
@@ -229,14 +225,12 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 
 	opts.Obs.SetMeta(d.Name, "sllt-cts", opts.Seed, opts.Workers)
 	// The cache driver sits outside the stages: sc keys each stage's inputs,
-	// replays stored results and records fresh ones. nil when caching is off —
-	// every consultation below is nil-safe, and Workers/Obs never reach a key,
-	// so a cache warmed under one configuration serves all the others.
+	// replays stored results and records fresh ones. It is nil when caching
+	// is off, and a nil sc misses every get and drops every put, so each
+	// stage below is one get-or-compute-then-put sequence either way.
+	// Workers/Obs never reach a key, so a cache warmed under one
+	// configuration serves all the others.
 	sc := newStageCache(opts, flat.Sinks)
-	var statsPrev cache.Stats
-	if sc.active() {
-		statsPrev = opts.Cache.Stats()
-	}
 	res := &Result{}
 	ins := buffering.NewInserter(opts.Lib, opts.Tech, opts.Cons.MaxCap)
 	ins.Margin = opts.BufferMargin
@@ -251,7 +245,7 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 		if err := ctxErr(opts.Ctx, "level", res.Levels); err != nil {
 			return nil, err
 		}
-		next, k, err := buildLevel(nodes, opts, ins, levelBound, res.Levels, sc, &scratch)
+		next, k, err := buildLevel(nodes, opts, ins, levelBound, res.Levels, sc)
 		if err != nil {
 			return nil, fmt.Errorf("cts level %d: %w", res.Levels, err)
 		}
@@ -266,70 +260,48 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 	if err := ctxErr(opts.Ctx, "top_net", -1); err != nil {
 		return nil, err
 	}
-	var top *tree.Tree
-	var topQ *obs.NetQoR
-	var topKey cache.Key
-	var err error
-	if sc.active() {
-		topKey = topNetKey(sc.base, d.ClockRoot.X, d.ClockRoot.Y, levelBound, nodes, sc.ids)
-		if v, ok := sc.getTopNet(topKey); ok {
-			opts.Obs.Begin("top_net").End()
-			top = &tree.Tree{Root: v.root}
-			q := v.qor
-			topQ = &q
-		} else {
-			// wantQ: a miss must store the net's QoR so warm replays report it.
-			top, topQ, err = buildTopNet(d.ClockRoot, nodes, opts, ins, levelBound, true)
-			if err == nil {
-				sc.putTopNet(topKey, topNetValue{root: top.Root, qor: *topQ})
-			}
-		}
+	topKey := sc.topNetKey(d.ClockRoot, levelBound, nodes)
+	top, ok := sc.getTopNet(topKey)
+	if ok {
+		opts.Obs.Begin("top_net").End()
 	} else {
-		top, topQ, err = buildTopNet(d.ClockRoot, nodes, opts, ins, levelBound, opts.Obs.Enabled())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("cts top net: %w", err)
+		var err error
+		if top, err = buildTopNet(d.ClockRoot, nodes, opts, ins, levelBound); err != nil {
+			return nil, fmt.Errorf("cts top net: %w", err)
+		}
+		sc.putTopNet(topKey, top)
 	}
 	res.Levels++
 	res.Clusters = append(res.Clusters, 1)
-	res.Tree = top
-	if topQ != nil {
-		opts.Obs.AddLevel(obs.LevelQoR{
-			Level:    res.Levels - 1,
-			Nodes:    len(nodes),
-			Clusters: 1,
-			WL:       topQ.WL,
-			Buffers:  topQ.Buffers,
-			BufArea:  topQ.BufArea,
-		})
-	}
+	res.Tree = &tree.Tree{Root: top.root}
+	opts.Obs.AddLevel(obs.LevelQoR{
+		Level:    res.Levels - 1,
+		Nodes:    len(nodes),
+		Clusters: 1,
+		WL:       top.qor.WL,
+		Buffers:  top.qor.Buffers,
+		BufArea:  top.qor.BufArea,
+	})
 
 	if err := ctxErr(opts.Ctx, "timing", -1); err != nil {
 		return nil, err
 	}
 	asp := opts.Obs.Begin("timing")
-	var rep *timing.Report
-	if sc.active() {
-		tkey := timingKey(sc.base, topKey)
-		var ok bool
-		if rep, ok = sc.getTiming(tkey); !ok {
-			rep, err = timing.Analyze(top, opts.Lib, opts.Tech, opts.SourceSlew)
-			if err == nil {
-				sc.putTiming(tkey, rep)
-			}
+	tkey := sc.timingKey(topKey)
+	rep, ok := sc.getTiming(tkey)
+	var err error
+	if !ok {
+		if rep, err = timing.Analyze(res.Tree, opts.Lib, opts.Tech, opts.SourceSlew); err == nil {
+			sc.putTiming(tkey, rep)
 		}
-	} else {
-		rep, err = timing.Analyze(top, opts.Lib, opts.Tech, opts.SourceSlew)
 	}
 	asp.End()
 	if err != nil {
 		return nil, err
 	}
 	res.Report = rep
-	if sc.active() && opts.Obs.Enabled() {
-		opts.Obs.SetCache(cacheReport(opts.Cache.Stats().Sub(statsPrev)))
-	}
 	if opts.Obs.Enabled() {
+		opts.Obs.SetCache(sc.report())
 		opts.Obs.SetTotals(obs.Totals{
 			WL:          rep.WL,
 			Skew:        rep.Skew,
@@ -384,13 +356,13 @@ func levelShare(skew float64, levelsLeft int) float64 {
 // partitionLevel is the paper's step (1): balanced k-means over the level's
 // balancing points (restarted and silhouette-scored when asked), min-cost
 // flow assignment under the fanout cap, and optional SA refinement. It
-// returns each node's cluster, the cluster count, the assignment method
-// that ran, and the SA stats when observability wants them — a pure
+// returns each node's cluster, the cluster count and the assignment method
+// that ran, plus the SA stats when observability wants them — a pure
 // function of (nodes, opts, level), which is what makes the partition stage
 // cacheable on that key.
 //
 // stage: partition
-func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) ([]int, int, string, *partition.SAStats, error) {
+func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (partitionValue, *partition.SAStats, error) {
 	pts := make([]geom.Point, len(nodes))
 	caps := make([]float64, len(nodes))
 	var capTotal float64
@@ -411,7 +383,7 @@ func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) ([
 	defer psp.End()
 	centers, err := bestClustering(pts, k, opts, level, psp)
 	if err != nil {
-		return nil, 0, "", nil, err
+		return partitionValue{}, nil, err
 	}
 	assign, method := partition.BalancedAssignK(pts, centers, opts.Cons.MaxFanout, opts.Obs.Kernel())
 	var saStats *partition.SAStats
@@ -434,193 +406,100 @@ func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) ([
 		}
 		assign = partition.RefineSA(pts, caps, k, assign, sa)
 	}
-	return assign, k, method, saStats, nil
+	return partitionValue{k: k, method: method, assign: assign}, saStats, nil
 }
 
 // buildLevel partitions the nodes, builds one buffered net per cluster and
-// returns the next level's nodes. When sc is active, the partition and each
-// cluster build consult the content-addressed store first; SA/k-means kernel
-// stats are zero for replayed stages (nothing ran), while QoR and latency
-// observations replay from the stored values.
+// returns the next level's nodes. The partition and each cluster build
+// consult the content-addressed store first (sc may be nil: every lookup
+// then misses); SA/k-means kernel stats are zero for replayed stages
+// (nothing ran), while QoR and latency observations replay from the stored
+// values.
 //
 // unit: levelBound ps ->
-func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64, level int, sc *stageCache, scratch *levelScratch) ([]clockNode, int, error) {
+func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64, level int, sc *stageCache) ([]clockNode, int, error) {
 	lv := opts.Obs.Begin("level")
 	defer lv.End()
 	kprev := opts.Obs.Kernel().Snapshot()
-	// The input nodes occupy the other node arena (previous level's output),
-	// so rewinding this level's arenas reclaims only dead memory.
-	na := scratch.nodesFor(level)
-	scratch.resetLevel()
 
-	var (
-		assign  []int
-		k       int
-		method  string
-		saStats *partition.SAStats
-		err     error
-	)
-	if sc.active() {
-		pkey := partitionKey(sc.base, level, nodes)
-		if v, ok := sc.getPartition(pkey, len(nodes)); ok {
-			lv.Begin("partition").End()
-			assign, k, method = v.assign, v.k, v.method
-		} else {
-			assign, k, method, saStats, err = partitionLevel(nodes, opts, level, lv)
-			if err != nil {
-				return nil, 0, err
-			}
-			sc.putPartition(pkey, partitionValue{k: k, method: method, assign: assign})
-		}
+	pkey := sc.partitionKey(level, nodes)
+	part, ok := sc.getPartition(pkey, len(nodes))
+	var saStats *partition.SAStats
+	if ok {
+		lv.Begin("partition").End()
 	} else {
-		assign, k, method, saStats, err = partitionLevel(nodes, opts, level, lv)
-		if err != nil {
+		var err error
+		if part, saStats, err = partitionLevel(nodes, opts, level, lv); err != nil {
 			return nil, 0, err
 		}
+		sc.putPartition(pkey, part)
 	}
 
-	// Bucket members per cluster with exact capacities (one counting pass)
-	// into a flattened, arena-backed index array, then carve each cluster's
-	// node slice out of a single arena-backed array — the hot-path
-	// allocation pattern BenchmarkBuildLevelAllocs guards. Bucket traversal
-	// (ascending cluster id, ascending node index within a cluster) matches
-	// the append-based bucketing this replaced, so cluster and member order
-	// — and therefore every downstream tree — is unchanged.
-	counts := scratch.intA.AllocN(k)
-	for _, a := range assign {
-		counts[a]++
+	// Bucket members per cluster: ascending cluster id, then ascending node
+	// index within a cluster. Cluster and member order fix every downstream
+	// tree, so this order is part of the byte-identity contract. Empty
+	// clusters build no net.
+	buckets := make([][]int, part.k)
+	for i, a := range part.assign {
+		buckets[a] = append(buckets[a], i)
 	}
-	offs := scratch.intA.AllocN(k + 1)
-	sum := 0
-	for j, c := range counts {
-		offs[j] = sum
-		sum += c
-	}
-	offs[k] = sum
-	fill := scratch.intA.AllocN(k)
-	memberIdx := scratch.intA.AllocN(len(assign))
-	for i, a := range assign {
-		memberIdx[offs[a]+fill[a]] = i
-		fill[a]++
-	}
-	backing := na.AllocN(len(nodes))
-	clusterHdrs := scratch.hdrA.AllocN(k)
-	nc := 0
-	off := 0
-	for j := 0; j < k; j++ {
-		mem := memberIdx[offs[j]:offs[j+1]]
+	var members [][]int
+	var clusters [][]clockNode
+	for _, mem := range buckets {
 		if len(mem) == 0 {
 			continue
 		}
-		cluster := backing[off : off : off+len(mem)]
-		off += len(mem)
-		for _, m := range mem {
-			cluster = append(cluster, nodes[m])
+		cluster := make([]clockNode, len(mem))
+		for i, m := range mem {
+			cluster[i] = nodes[m]
 		}
-		clusterHdrs[nc] = cluster
-		nc++
+		members = append(members, mem)
+		clusters = append(clusters, cluster)
 	}
-	clusters := clusterHdrs[:nc]
-
-	// Cluster keys are derived serially before the fan-out (the hasher is
-	// not concurrency-safe, and key order must not depend on scheduling):
-	// each key folds in the members' identities — sink ids at level 0, the
-	// producing cluster keys above — so dirtiness propagates up the hierarchy
-	// without re-hashing subtree contents.
-	var ckeys, nextIDs []cache.Key
-	if sc.active() {
-		ckeys = make([]cache.Key, len(clusters))
-		nextIDs = make([]cache.Key, len(clusters))
-		ci := 0
-		for j := 0; j < k; j++ {
-			mem := memberIdx[offs[j]:offs[j+1]]
-			if len(mem) == 0 {
-				continue
-			}
-			mids := make([]cache.Key, len(mem))
-			for i, m := range mem {
-				mids[i] = sc.ids[m]
-			}
-			ckeys[ci] = clusterKey(sc.base, levelBound, clusters[ci], mids)
-			nextIDs[ci] = derivedID(ckeys[ci])
-			ci++
-		}
-	}
+	ckeys := sc.clusterKeys(levelBound, clusters, members)
 
 	// The clusters are independent nets: each build touches only its own
 	// members' subtrees, the Inserter is read-only (see buffering.Inserter),
 	// and nothing in the build consumes shared randomness — so the loop fans
-	// out, with each task writing only next[ci] (and, when observability is
-	// on, its own qors[ci] slot; kernel counters and the latency histogram
-	// are atomic, hence order-independent).
+	// out, with each task writing only its own next[ci] and qors[ci] slots
+	// (kernel counters and the latency histogram are atomic, hence
+	// order-independent).
 	csp := lv.Begin("clusters")
 	latDist := opts.Obs.Dist("cts.cluster.latency", obs.UnitPs, latencyBounds)
-	var qors []obs.NetQoR
-	if opts.Obs.Enabled() {
-		qors = make([]obs.NetQoR, len(clusters))
-	}
-	// next is the following level's input; it lives in this level's node
-	// arena, which that level leaves untouched (it resets the other one).
-	next := na.AllocN(len(clusters))
-	err = parallel.ForEachSpanCtx(opts.Ctx, opts.Workers, len(clusters), csp, "cluster", func(ci int) error {
-		cluster := clusters[ci]
-		if sc.active() {
-			if v, ok := sc.getCluster(ckeys[ci]); ok {
-				if qors != nil {
-					qors[ci] = v.qor
-				}
-				latDist.Observe(v.delay)
-				next[ci] = clockNode{loc: v.loc, cap: v.cap, delay: v.delay, sub: v.driver}
-				return nil
+	qors := make([]obs.NetQoR, len(clusters))
+	next := make([]clockNode, len(clusters))
+	err := parallel.ForEachSpanCtx(opts.Ctx, opts.Workers, len(clusters), csp, "cluster", func(ci int) error {
+		v, ok := sc.getCluster(ckeys, ci)
+		if !ok {
+			cluster := clusters[ci]
+			sub, q, err := buildNet(centroidOf(cluster), cluster, opts, ins, levelBound)
+			if err != nil {
+				return err
 			}
+			// The cluster tree is rooted at a Source node at the centroid
+			// whose only child is the driver buffer; the driver is the next
+			// level's balancing point.
+			driver := sub.Root.Children[0]
+			driver.Detach()
+			est, err := estimateLatency(driver, opts)
+			if err != nil {
+				return err
+			}
+			v = clusterValue{driver: driver, loc: driver.Loc, cap: driver.PinCap, delay: est, qor: q}
+			sc.putCluster(ckeys, ci, v)
 		}
-		src := centroidOf(cluster)
-		var q *obs.NetQoR
-		if qors != nil {
-			q = &qors[ci]
-		}
-		// A miss must measure QoR even with observability off, so the stored
-		// entry replays the same per-level numbers an obs-on warm run reports.
-		var localQ obs.NetQoR
-		if sc.active() && q == nil {
-			q = &localQ
-		}
-		sub, err := buildNet(src, cluster, opts, ins, levelBound, false, q)
-		if err != nil {
-			return err
-		}
-		// The cluster tree is rooted at a Source node at the centroid whose
-		// only child is the driver buffer; the driver is the next level's
-		// balancing point.
-		driver := sub.Root.Children[0]
-		driver.Detach()
-		est, err := estimateLatency(driver, opts)
-		if err != nil {
-			return err
-		}
-		latDist.Observe(est)
-		next[ci] = clockNode{
-			loc:   driver.Loc,
-			cap:   driver.PinCap,
-			delay: est,
-			sub:   driver,
-		}
-		if sc.active() {
-			sc.putCluster(ckeys[ci], clusterValue{
-				driver: driver, loc: driver.Loc, cap: driver.PinCap, delay: est, qor: *q,
-			})
-		}
+		qors[ci] = v.qor
+		latDist.Observe(v.delay)
+		next[ci] = clockNode{loc: v.loc, cap: v.cap, delay: v.delay, sub: v.driver}
 		return nil
 	})
 	csp.End()
 	if err != nil {
 		return nil, 0, err
 	}
-	if sc.active() {
-		sc.ids = nextIDs
-	}
+	sc.nextLevel(ckeys)
 	if opts.Obs.Enabled() {
-		opts.Obs.AddLevel(levelQoR(level, nodes, clusters, next, qors, method, saStats, opts, kprev))
+		opts.Obs.AddLevel(levelQoR(level, nodes, clusters, next, qors, part.method, saStats, opts, kprev))
 	}
 	return next, len(clusters), nil
 }
@@ -742,25 +621,20 @@ func bestClustering(pts []geom.Point, k int, opts Options, level int, sp *obs.Sp
 
 // buildTopNet is the flow's final construction stage: one buffered net from
 // the clock source to the surviving cluster drivers. Returns the finished
-// tree and, when wantQ asks for it (observability on, or the cache driver
-// storing the stage's output), the net's own QoR (wire and buffers before
-// grafting pulls the lower levels in).
+// tree's root with the net's own QoR (wire and buffers before grafting
+// pulls the lower levels in).
 //
 // stage: top_net
 //
 // unit: levelBound ps ->
-func buildTopNet(root geom.Point, nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64, wantQ bool) (*tree.Tree, *obs.NetQoR, error) {
+func buildTopNet(root geom.Point, nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64) (topNetValue, error) {
 	tsp := opts.Obs.Begin("top_net")
 	defer tsp.End()
-	var topQ *obs.NetQoR
-	if wantQ {
-		topQ = &obs.NetQoR{}
-	}
-	top, err := buildNet(root, nodes, opts, ins, levelBound, true, topQ)
+	top, q, err := buildNet(root, nodes, opts, ins, levelBound)
 	if err != nil {
-		return nil, nil, err
+		return topNetValue{}, err
 	}
-	return top, topQ, nil
+	return topNetValue{root: top.Root, qor: q}, nil
 }
 
 // silhouetteSample deterministically subsamples points (stride sampling)
@@ -793,14 +667,15 @@ func centroidOf(nodes []clockNode) geom.Point {
 // buildNet constructs one buffered clock net: routing topology over the
 // nodes, driver + repeater insertion, buffered skew repair, and grafting of
 // the nodes' subtrees under the new net's leaves. The returned tree is
-// rooted at a Source node at src.
+// rooted at a Source node at src; the returned QoR is the net's own wire
+// and buffers, measured before grafting.
 //
 // stage: cluster_build
 //
 // unit: levelBound ps ->
 //
 //slltlint:ignore stagepure grafting is ownership transfer: nodes[i].sub becomes part of the returned tree (only Parent back-links are set), so caching the stage's full output remains sound
-func buildNet(src geom.Point, nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64, top bool, q *obs.NetQoR) (*tree.Tree, error) {
+func buildNet(src geom.Point, nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64) (*tree.Tree, obs.NetQoR, error) {
 	net := &tree.Net{Name: "lvl", Source: src}
 	for i := range nodes {
 		net.Sinks = append(net.Sinks, tree.PinSink{
@@ -828,7 +703,7 @@ func buildNet(src geom.Point, nodes []clockNode, opts Options, ins *buffering.In
 	}
 	t, err := opts.Build(net, dopts)
 	if err != nil {
-		return nil, err
+		return nil, obs.NetQoR{}, err
 	}
 	ins.BufferTree(t)
 	if opts.Est != EstNone {
@@ -843,13 +718,11 @@ func buildNet(src geom.Point, nodes []clockNode, opts Options, ins *buffering.In
 
 	// Measure the net's own resources before grafting pulls the lower
 	// levels' wire and buffers into the tree.
-	if q != nil {
-		q.WL = t.Wirelength()
-		for _, bn := range t.Buffers() {
-			q.Buffers++
-			if cell := opts.Lib.Cell(bn.BufCell); cell != nil {
-				q.BufArea += cell.Area
-			}
+	q := obs.NetQoR{WL: t.Wirelength()}
+	for _, bn := range t.Buffers() {
+		q.Buffers++
+		if cell := opts.Lib.Cell(bn.BufCell); cell != nil {
+			q.BufArea += cell.Area
 		}
 	}
 
@@ -857,7 +730,7 @@ func buildNet(src geom.Point, nodes []clockNode, opts Options, ins *buffering.In
 	for _, s := range t.Sinks() {
 		idx := s.SinkIdx
 		if idx < 0 || idx >= len(nodes) {
-			return nil, fmt.Errorf("cts: net leaf with invalid index %d", idx)
+			return nil, obs.NetQoR{}, fmt.Errorf("cts: net leaf with invalid index %d", idx)
 		}
 		sub := nodes[idx].sub
 		p := s.Parent
@@ -867,5 +740,5 @@ func buildNet(src geom.Point, nodes []clockNode, opts Options, ins *buffering.In
 		sub.EdgeLen = edge
 		p.Children = append(p.Children, sub)
 	}
-	return t, nil
+	return t, q, nil
 }

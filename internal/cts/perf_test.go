@@ -63,13 +63,12 @@ func TestStageTimingManualClock(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildLevelAllocs guards the hot-path allocation work: member
-// buckets sized by a counting pass, cluster slices carved from one backing
-// array, and the preallocated silhouette sample. Regressions show up in
-// the allocs/op column.
+// BenchmarkBuildLevelAllocs reports one uncached level-0 buildLevel's
+// allocations and bytes: partitioning, member bucketing, the cluster net
+// builds and latency estimation. Regressions show up in the allocs/op and
+// B/op columns.
 func BenchmarkBuildLevelAllocs(b *testing.B) {
 	nodes, opts, ins, bound := benchNodes(b, 2000, 480)
-	var scratch levelScratch // reused across iterations, as Run reuses it across levels
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,7 +85,7 @@ func BenchmarkBuildLevelAllocs(b *testing.B) {
 			fresh[j].sub = leaf
 		}
 		b.StartTimer()
-		if _, _, err := buildLevel(fresh, opts, ins, bound, 0, nil, &scratch); err != nil {
+		if _, _, err := buildLevel(fresh, opts, ins, bound, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the hierarchical CTS flow: a
-// span-based stage tracer, a typed metrics registry, and a run-report writer
-// that together turn every synthesis into a machine-readable account of
-// where wirelength, skew, latency, buffer area and wall-clock time were
-// created or lost — per level, per cluster, per kernel.
+// span-based stage tracer, kernel counters and distributions, and a
+// run-report writer that together turn every synthesis into a
+// machine-readable account of where wirelength, skew, latency, buffer area
+// and wall-clock time were created or lost — per level, per cluster, per
+// kernel.
 //
 // The package is deliberately zero-dependency (stdlib only) and inert by
 // default: the nil *Recorder is the disabled state, every method on every
@@ -26,13 +27,14 @@
 //
 // # Metrics
 //
-// The registry holds three metric kinds, all safe for concurrent use:
+// A report carries two metric kinds, both safe for concurrent use:
 //
-//   - Counter: monotonically increasing int64 (atomic adds are
-//     order-independent, so totals are identical for any schedule);
-//   - Gauge: a float64 set-last-wins value, written from serial code;
-//   - Dist: a fixed-bucket distribution (int64 bucket counts, count,
-//     min/max) for per-level populations such as cluster sizes.
+//   - counter: the KernelCounters block, monotonically increasing int64s
+//     the hot kernels bump directly (atomic adds are order-independent, so
+//     totals are identical for any schedule), reported as "kernel.*";
+//   - dist: a Dist registered by name, a fixed-bucket distribution (int64
+//     bucket counts, count, min/max) for per-level populations such as
+//     cluster latencies.
 //
 // Every metric carries a unit string from the same vocabulary the unitflow
 // analyzer checks on `// unit:` annotations (ps, fF, um, um^2, 1, ...);
@@ -79,9 +81,8 @@
 //	    "bytes_read": 0, "bytes_written": 0,
 //	    "evictions": 0, "disk_errors": 0
 //	  },
-//	  "metrics": [           // sorted by name
-//	    {"name": "...", "kind": "counter", "unit": "1", "value": 0},
-//	    {"name": "...", "kind": "gauge", "unit": "ps", "value": 0.0},
+//	  "metrics": [           // sorted by name; kind "counter" or "dist"
+//	    {"name": "kernel...", "kind": "counter", "unit": "1", "value": 0},
 //	    {"name": "...", "kind": "dist", "unit": "1", "count": 0,
 //	     "min": 0.0, "max": 0.0, "bounds": [...], "buckets": [...]},
 //	  ],

@@ -19,56 +19,6 @@ const (
 	UnitBytes = "B"
 )
 
-// Counter is a monotonically increasing int64 metric. Atomic adds commute,
-// so the total is identical for every worker count and schedule. All
-// methods are safe on nil (the disabled path).
-type Counter struct {
-	name string
-	unit string
-	v    atomic.Int64
-}
-
-// Add increments the counter. No-op on nil.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a set-last-wins float64 metric, written from serial code (the
-// level loop); concurrent writers would race semantically even though the
-// store itself is atomic.
-type Gauge struct {
-	name string
-	unit string
-	bits atomic.Uint64
-}
-
-// Set stores the gauge value. No-op on nil.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the gauge value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Dist is a fixed-bucket distribution: bucket i counts observations v with
 // v <= Bounds[i]; one overflow bucket counts the rest. Bucket counts, the
 // observation count and the min/max are all order-independent (atomic int
@@ -129,7 +79,7 @@ func (d *Dist) Count() int64 {
 // MetricJSON is one serialized metric (see the package doc's schema).
 type MetricJSON struct {
 	Name    string    `json:"name"`
-	Kind    string    `json:"kind"` // "counter" | "gauge" | "dist"
+	Kind    string    `json:"kind"` // "counter" | "dist"
 	Unit    string    `json:"unit"`
 	Value   float64   `json:"value,omitempty"`
 	Count   int64     `json:"count,omitempty"`
@@ -137,14 +87,6 @@ type MetricJSON struct {
 	Max     float64   `json:"max,omitempty"`
 	Bounds  []float64 `json:"bounds,omitempty"`
 	Buckets []int64   `json:"buckets,omitempty"`
-}
-
-func (c *Counter) snapshot() MetricJSON {
-	return MetricJSON{Name: c.name, Kind: "counter", Unit: c.unit, Value: float64(c.v.Load())}
-}
-
-func (g *Gauge) snapshot() MetricJSON {
-	return MetricJSON{Name: g.name, Kind: "gauge", Unit: g.unit, Value: g.Value()}
 }
 
 func (d *Dist) snapshot() MetricJSON {

@@ -16,26 +16,24 @@ const SchemaVersion = "sllt.obs.report/v1.1"
 // handles whose methods also no-op), allocating nothing — the flow's
 // default configuration pays one pointer test per instrumentation site.
 //
-// A Recorder is safe for concurrent use: spans and counters may be touched
-// from parallel cluster tasks; QoR records and gauges are written by the
-// serial level loop.
+// A Recorder is safe for concurrent use: spans, kernel counters and
+// distributions may be touched from parallel cluster tasks; QoR records are
+// written by the serial level loop.
 type Recorder struct {
 	clock  Clock
 	sink   Sink
 	root   *Span
 	kernel KernelCounters
 
-	mu       sync.Mutex
-	design   string
-	engine   string
-	seed     int64
-	workers  int
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	dists    map[string]*Dist
-	levels   []LevelQoR
-	totals   Totals
-	cache    *CacheJSON
+	mu      sync.Mutex
+	design  string
+	engine  string
+	seed    int64
+	workers int
+	dists   map[string]*Dist
+	levels  []LevelQoR
+	totals  Totals
+	cache   *CacheJSON
 }
 
 // New returns an enabled Recorder using the given clock (nil selects the
@@ -50,11 +48,9 @@ func NewWithSink(clock Clock, sink Sink) *Recorder {
 		clock = NewWallClock()
 	}
 	r := &Recorder{
-		clock:    clock,
-		sink:     sink,
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		dists:    make(map[string]*Dist),
+		clock: clock,
+		sink:  sink,
+		dists: make(map[string]*Dist),
 	}
 	r.root = &Span{rec: r, name: "run", task: -1, start: clock.Now()}
 	r.emit(Event{Kind: EventSpanBegin, Span: "run", Task: -1, AtNs: r.root.start})
@@ -121,37 +117,6 @@ func (r *Recorder) SetTotals(t Totals) {
 	r.mu.Unlock()
 }
 
-// Counter returns (registering on first use) the named counter. The unit
-// must come from the Unit* vocabulary; the first registration wins.
-func (r *Recorder) Counter(name, unit string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{name: name, unit: unit}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge returns (registering on first use) the named gauge.
-func (r *Recorder) Gauge(name, unit string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{name: name, unit: unit}
-	r.gauges[name] = g
-	return g
-}
-
 // Dist returns (registering on first use) the named distribution with the
 // given ascending bucket bounds. The first registration fixes the layout.
 func (r *Recorder) Dist(name, unit string, bounds []float64) *Dist {
@@ -170,7 +135,7 @@ func (r *Recorder) Dist(name, unit string, bounds []float64) *Dist {
 
 // Snapshot serializes the recorder into a canonical Report. The run root
 // span is closed as of the call; kernel counters appear as "kernel.*"
-// metrics alongside the registry's, sorted by name.
+// counter metrics alongside the distributions, sorted by name.
 func (r *Recorder) Snapshot() *Report {
 	if r == nil {
 		return nil
@@ -188,12 +153,6 @@ func (r *Recorder) Snapshot() *Report {
 		Levels:  append([]LevelQoR(nil), r.levels...),
 		Totals:  r.totals,
 		Cache:   r.cache,
-	}
-	for _, c := range r.counters {
-		rep.Metrics = append(rep.Metrics, c.snapshot())
-	}
-	for _, g := range r.gauges {
-		rep.Metrics = append(rep.Metrics, g.snapshot())
 	}
 	for _, d := range r.dists {
 		rep.Metrics = append(rep.Metrics, d.snapshot())

@@ -18,8 +18,6 @@ func TestDisabledPathAllocs(t *testing.T) {
 		task.End()
 		child.End()
 		sp.End()
-		rec.Counter("c", UnitNone).Add(1)
-		rec.Gauge("g", UnitPs).Set(1.5)
 		rec.Dist("d", UnitUm, []float64{1, 2}).Observe(1.0)
 		if k := rec.Kernel(); k != nil { // the increment-site idiom
 			k.MSTBuilds.Add(1)
@@ -46,14 +44,6 @@ func TestDisabledAccessors(t *testing.T) {
 	var sp *Span
 	if sp.Name() != "" || sp.Duration() != 0 {
 		t.Fatal("nil span accessors not zero")
-	}
-	var c *Counter
-	if c.Value() != 0 {
-		t.Fatal("nil counter value not zero")
-	}
-	var g *Gauge
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value not zero")
 	}
 	var d *Dist
 	if d.Count() != 0 {
@@ -117,20 +107,12 @@ func TestTaskSpanOrder(t *testing.T) {
 	}
 }
 
-func TestCounterGaugeDist(t *testing.T) {
+func TestDist(t *testing.T) {
 	rec := New(NewManualClock(1))
-	c := rec.Counter("builds", UnitNone)
-	c.Add(2)
-	rec.Counter("builds", UnitNone).Add(3) // same instance by name
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-	g := rec.Gauge("skew", UnitPs)
-	g.Set(4.25)
-	if g.Value() != 4.25 {
-		t.Fatalf("gauge = %v, want 4.25", g.Value())
-	}
 	d := rec.Dist("wl", UnitUm, []float64{10, 100})
+	if rec.Dist("wl", UnitUm, []float64{1}) != d {
+		t.Fatal("second registration by name returned a different dist")
+	}
 	for _, v := range []float64{5, 50, 500, 7} {
 		d.Observe(v)
 	}
@@ -190,8 +172,6 @@ func TestSnapshotValidates(t *testing.T) {
 	sp := rec.Begin("level")
 	sp.BeginTask(0, "cluster").End()
 	sp.End()
-	rec.Counter("nets", UnitNone).Add(1)
-	rec.Gauge("skew", UnitPs).Set(2)
 	rec.Dist("wl", UnitUm, []float64{10}).Observe(3)
 	rec.Kernel().DMEMerges.Add(7)
 	rec.AddLevel(LevelQoR{Level: 0, Nodes: 8, Clusters: 2, AssignMethod: "mcf"})
@@ -225,6 +205,11 @@ func TestValidateReportRejects(t *testing.T) {
 			"workers":1,"levels":[],"totals":{"wl_um":0,"skew_ps":0,"max_latency_ps":0,"buffers":0,
 			"buf_area_um2":0,"clock_cap_ff":0,"max_stage_cap_ff":0,"max_slew_ps":0},
 			"metrics":[{"name":"a","kind":"histogram","unit":"1"}],
+			"span":{"name":"run","task":-1,"start_ns":0,"dur_ns":1}}`,
+		"gauge metric kind": `{"schema":"sllt.obs.report/v1.1","design":"d","engine":"e","seed":1,
+			"workers":1,"levels":[],"totals":{"wl_um":0,"skew_ps":0,"max_latency_ps":0,"buffers":0,
+			"buf_area_um2":0,"clock_cap_ff":0,"max_stage_cap_ff":0,"max_slew_ps":0},
+			"metrics":[{"name":"a","kind":"gauge","unit":"ps","value":1}],
 			"span":{"name":"run","task":-1,"start_ns":0,"dur_ns":1}}`,
 		"unsorted metrics": `{"schema":"sllt.obs.report/v1.1","design":"d","engine":"e","seed":1,
 			"workers":1,"levels":[],"totals":{"wl_um":0,"skew_ps":0,"max_latency_ps":0,"buffers":0,

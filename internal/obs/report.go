@@ -161,7 +161,7 @@ func ValidateReport(data []byte) error {
 		if err := need(m, "unit", &unit); err != nil {
 			return fmt.Errorf("metrics[%d]: %w", i, err)
 		}
-		if kind != "counter" && kind != "gauge" && kind != "dist" {
+		if kind != "counter" && kind != "dist" {
 			return fmt.Errorf("metrics[%d] %s: bad kind %q", i, name, kind)
 		}
 		if name < prev {

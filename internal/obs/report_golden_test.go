@@ -12,7 +12,7 @@ var update = flag.Bool("update", false, "rewrite golden fixtures")
 
 // goldenRecorder builds a fully-populated recorder with the deterministic
 // clock, exercising every serialized feature: nested and task spans,
-// all three metric kinds, kernel counters, level QoR and totals.
+// a distribution, kernel counters, level QoR, totals and the cache section.
 func goldenRecorder() *Recorder {
 	rec := New(NewManualClock(100))
 	rec.SetMeta("golden16", "sllt-cts", 7, 4)
@@ -29,8 +29,6 @@ func goldenRecorder() *Recorder {
 	top := rec.Begin("top-net")
 	top.End()
 
-	rec.Counter("cts.nets_built", UnitNone).Add(4)
-	rec.Gauge("cts.final_skew", UnitPs).Set(12.5)
 	d := rec.Dist("cts.net_wl", UnitUm, []float64{100, 1000, 10000})
 	for _, v := range []float64{40, 250, 3000, 800} {
 		d.Observe(v)

@@ -24,29 +24,12 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 	if ctx == nil {
 		return ForEach(workers, n, fn)
 	}
-	if n <= 0 {
-		return nil
-	}
-	workers = Clamp(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := runTask(i, fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	// The claim-side check: a cancelled context reads as an error at the
 	// claimed index, which stops further dispatch exactly like a task
 	// failure. ForEach's lowest-index scan then prefers a genuine task error
 	// below the cancellation point; above it, nothing was dispatched, so
-	// ctx.Err() is exactly what the serial loop would have returned.
+	// ctx.Err() is exactly what the serial loop would have returned. The
+	// serial path runs the same wrapper, checking ctx before each task.
 	return ForEach(workers, n, func(i int) error {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr

@@ -51,7 +51,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	j, err := s.Submit(req)
+	st, err := s.Submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Load shedding: the queue is the backpressure signal. Tell the
@@ -66,7 +66,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

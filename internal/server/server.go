@@ -117,14 +117,27 @@ func New(cfg Config) *Server {
 
 // Submit admits a job or refuses it: ErrDraining while shutting down,
 // ErrQueueFull when the FIFO is at capacity (the load-shedding path — the
-// client backs off and retries). The send is non-blocking by construction,
-// so a full queue never stalls the HTTP handler.
-func (s *Server) Submit(req *JobRequest) (*Job, error) {
+// client backs off and retries). It returns the admitted job's status as of
+// admission, state queued.
+//
+// Everything a runner touches is set up before the job is published on the
+// queue: the job table entry, the pending count, the queued event and the
+// returned snapshot. A runner can claim the job the instant it is sent and
+// finish it at once, so any of these done after the send could land after
+// the job's terminal transition. Only Submit sends on the queue, and it
+// does so holding s.mu, so the free slot seen under the lock is still free
+// at the send: a full queue sheds before any set-up and the send never
+// blocks the HTTP handler.
+func (s *Server) Submit(req *JobRequest) (JobStatus, error) {
 	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, ErrDraining
+		return JobStatus{}, ErrDraining
+	}
+	if len(s.queue) == cap(s.queue) {
+		s.shed++
+		return JobStatus{}, ErrQueueFull
 	}
 	s.seq++
 	id := fmt.Sprintf("job-%06d", s.seq)
@@ -142,17 +155,12 @@ func (s *Server) Submit(req *JobRequest) (*Job, error) {
 		state:       StateQueued,
 		submittedNs: now,
 	}
-	select {
-	case s.queue <- j:
-	default:
-		s.shed++
-		cancel()
-		return nil, ErrQueueFull
-	}
 	s.jobs[id] = j
 	s.pending.Add(1)
 	j.events.appendState(id, StateQueued, "", now)
-	return j, nil
+	st := j.status()
+	s.queue <- j
+	return st, nil
 }
 
 // Job looks up a submitted job by ID.
