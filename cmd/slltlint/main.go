@@ -14,28 +14,21 @@
 //
 // Exit status:
 //
-//	0  no findings (after baseline filtering)
+//	0  no findings
 //	1  findings
 //	2  package load failure, type errors, or internal error
 //
-// Output defaults to one line per finding; -json emits a machine-readable
-// array, -sarif a SARIF 2.1.0 log for code-scanning upload, -fix a dry-run
-// diff of every suggested fix. Nothing is written back unless -fix -write
-// is given, which applies every suggested fix in place — and refuses to run
-// when the baseline filtered any findings, because rewriting files under a
-// stale baseline would desynchronize the two.
-//
-// A committed baseline (-baseline, default .slltlint-baseline.json) lists
-// accepted findings so only regressions gate; regenerate it after triage
-// with -write-baseline. Suppress an individual finding with a justified
-// directive on or above the flagged line, in either form:
+// Output defaults to one line per finding; -sarif emits a SARIF 2.1.0 log
+// for code-scanning upload instead. Suppress an individual finding with a
+// justified directive on or above the flagged line:
 //
 //	//slltlint:ignore maporder commutative reduction, order cannot leak
-//	//lint:ignore unitflow DBU conversion site, checked by hand
+//
+// The reason after the analyzer names is mandatory; a directive without
+// one suppresses nothing.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -54,11 +47,11 @@ func usage(fs *flag.FlagSet) func() {
 		fmt.Fprintf(fs.Output(),
 			`usage: slltlint [flags] [patterns...]
 
-Runs the repository's custom analyzers (determinism suite + unitflow) over
-the packages matched by the patterns (default ./...).
+Runs the repository's custom analyzers over the packages matched by the
+patterns (default ./...).
 
 Exit status:
-  0  no findings (after baseline filtering)
+  0  no findings
   1  findings
   2  package load failure, type errors, or internal error
 
@@ -78,23 +71,11 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("slltlint", flag.ExitOnError)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	verbose := fs.Bool("v", false, "print the packages as they are checked")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	fixOut := fs.Bool("fix", false, "print a dry-run diff of every suggested fix (no files are modified unless -write)")
-	writeFix := fs.Bool("write", false, "with -fix, apply the suggested fixes in place (refused when the baseline filtered findings)")
-	baselinePath := fs.String("baseline", ".slltlint-baseline.json",
-		"baseline file of accepted findings; only findings not in it gate (empty string disables)")
-	writeBaseline := fs.Bool("write-baseline", false,
-		"regenerate the baseline file from the current findings and exit")
 	escapeCheck := fs.Bool("escapecheck", false,
 		"cross-check hotpath findings against `go build -gcflags=-m` escape diagnostics: compiler-verified escapes inside // hot: alloc-free bodies become findings, compiler-cleared heuristics are dropped, the rest are confidence-tiered")
 	fs.Usage = usage(fs)
 	fs.Parse(args)
-
-	if *writeFix && !*fixOut {
-		fmt.Fprintln(os.Stderr, "slltlint: -write requires -fix")
-		return 2
-	}
 
 	if *list {
 		for _, az := range analyzers {
@@ -140,98 +121,14 @@ func run(args []string) int {
 		return 2
 	}
 
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "slltlint: -write-baseline needs a -baseline path")
-			return 2
-		}
-		b := analysis.NewBaseline(diags, root)
-		if err := analysis.WriteBaseline(*baselinePath, b); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "slltlint: wrote %d baseline entr(ies) to %s\n",
-			len(b.Findings), *baselinePath)
-		return 0
-	}
-
-	baselined := 0
-	if *baselinePath != "" {
-		b, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		before := len(diags)
-		diags = b.Filter(diags, root)
-		baselined = before - len(diags)
-	}
-
-	switch {
-	case *sarifOut:
+	if *sarifOut {
 		if err := analysis.WriteSARIF(os.Stdout, diags, analyzers, root); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-	case *jsonOut:
-		type finding struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := []finding{}
-		for _, d := range diags {
-			out = append(out, finding{
-				File:     analysis.RelPath(root, d.Position.Filename),
-				Line:     d.Position.Line,
-				Column:   d.Position.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
-		}
-	}
-	if *fixOut && len(pkgs) > 0 {
-		// All packages of one Load share a FileSet, so any package's fset
-		// resolves every fix position.
-		fset := pkgs[0].Fset
-		if *writeFix {
-			if baselined > 0 {
-				fmt.Fprintf(os.Stderr,
-					"slltlint: refusing -fix -write: the baseline filtered %d finding(s); rewriting files would desynchronize it (regenerate with -write-baseline first)\n",
-					baselined)
-				return 2
-			}
-			changed, err := analysis.ApplyFixes(fset, diags)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "slltlint: %v\n", err)
-				return 2
-			}
-			for _, f := range changed {
-				fmt.Fprintf(os.Stderr, "slltlint: rewrote %s\n", analysis.RelPath(root, f))
-			}
-		} else {
-			for _, d := range diags {
-				for _, f := range d.Fixes {
-					diff, err := analysis.RenderFix(fset, f)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "slltlint: %v\n", err)
-						continue
-					}
-					fmt.Print(diff)
-				}
-			}
 		}
 	}
 	if len(diags) > 0 {

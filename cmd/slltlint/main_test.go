@@ -1,37 +1,38 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-// brokenSrc carries one ctxguard finding with a mechanical suggested fix:
-// context.Background() inside a function that already has a ctx parameter.
-const brokenSrc = `package tmpfix
+// ctxSrc carries one ctxguard finding, context.Background() inside a
+// function that already has a ctx parameter; %s is the line above it.
+const ctxSrc = `package tmplint
 
 import "context"
 
 func lookup(ctx context.Context, key string) string { return key }
 
 func Handle(ctx context.Context, key string) string {
+	%s
 	return lookup(context.Background(), key)
 }
 `
 
-// tempModule materializes a one-file module and chdirs into it, restoring
-// the working directory when the test ends.
-func tempModule(t *testing.T, src string) string {
-	t.Helper()
+// TestExitStatus drives the CLI on a one-file temp module: a finding exits
+// 1 in text and SARIF mode, only a justified directive above it makes the
+// run exit 0, and a pattern that matches no package exits 2.
+func TestExitStatus(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module tmpfix\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
+	write := func(name, content string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	path := filepath.Join(dir, "fix.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	write("go.mod", "module tmplint\n\ngo 1.22\n")
 	old, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
@@ -40,69 +41,23 @@ func tempModule(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.Chdir(old) })
-	return path
-}
 
-// TestFixWriteRoundTrip drives the CLI end to end: dry-run -fix leaves the
-// file alone, -fix -write rewrites it, and a re-run comes back clean.
-func TestFixWriteRoundTrip(t *testing.T) {
-	path := tempModule(t, brokenSrc)
-
-	if code := run([]string{"-baseline", "", "-fix", "./..."}); code != 1 {
-		t.Fatalf("dry-run -fix exit = %d, want 1 (finding present)", code)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != brokenSrc {
-		t.Fatalf("dry-run -fix modified the file:\n%s", got)
-	}
-
-	if code := run([]string{"-baseline", "", "-fix", "-write", "./..."}); code != 1 {
-		t.Fatalf("-fix -write exit = %d, want 1 (the finding still gates this run)", code)
-	}
-	got, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(got), "lookup(ctx, key)") {
-		t.Fatalf("fix not applied:\n%s", got)
-	}
-	if strings.Contains(string(got), "context.Background") {
-		t.Fatalf("context.Background survived the rewrite:\n%s", got)
-	}
-
-	if code := run([]string{"-baseline", "", "./..."}); code != 0 {
-		t.Fatalf("post-fix lint exit = %d, want 0", code)
-	}
-}
-
-// TestFixWriteRefusesDirtyBaseline asserts -fix -write refuses to rewrite
-// files while a baseline is filtering findings: the rewrite would
-// desynchronize the two.
-func TestFixWriteRefusesDirtyBaseline(t *testing.T) {
-	path := tempModule(t, brokenSrc)
-
-	if code := run([]string{"-baseline", "lint-baseline.json", "-write-baseline", "./..."}); code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0", code)
-	}
-	if code := run([]string{"-baseline", "lint-baseline.json", "-fix", "-write", "./..."}); code != 2 {
-		t.Fatalf("-fix -write with dirty baseline exit = %d, want 2 (refusal)", code)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != brokenSrc {
-		t.Fatalf("file modified despite refusal:\n%s", got)
-	}
-}
-
-// TestWriteRequiresFix asserts the flag combination is validated before any
-// packages load.
-func TestWriteRequiresFix(t *testing.T) {
-	if code := run([]string{"-write"}); code != 2 {
-		t.Fatalf("-write without -fix exit = %d, want 2", code)
+	const reason = "//slltlint:ignore ctxguard the caller outlives this request on purpose"
+	for _, tc := range []struct {
+		above string
+		args  []string
+		want  int
+	}{
+		{"// no directive", []string{"./..."}, 1},
+		{"// no directive", []string{"-sarif", "./..."}, 1},
+		{"//slltlint:ignore ctxguard", []string{"./..."}, 1},
+		{reason, []string{"./..."}, 0},
+		{reason, []string{"-sarif", "./..."}, 0},
+		{"// no directive", []string{"./nosuchpkg"}, 2},
+	} {
+		write("lint.go", fmt.Sprintf(ctxSrc, tc.above))
+		if got := run(tc.args); got != tc.want {
+			t.Errorf("%q with %v: exit %d, want %d", tc.above, tc.args, got, tc.want)
+		}
 	}
 }

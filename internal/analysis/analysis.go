@@ -4,11 +4,13 @@
 // (`go list -export`), typechecks them from source against compiler export
 // data, and runs Analyzers over the typed syntax trees.
 //
-// The framework exists to machine-check the two properties every result in
-// this repository depends on: determinism (bit-identical trees for a given
-// seed) and structural validity. The concrete rules live in the analyzer
-// subpackages (maporder, floatcmp, seededrand, wallclock) and are driven by
-// cmd/slltlint.
+// The framework exists to machine-check the properties every result in this
+// repository depends on: determinism (bit-identical trees for a given seed),
+// unit coherence, cacheable stages, cancellable server loops and
+// allocation-free hot kernels. The nine rules live in the analyzer
+// subpackages (maporder, floatcmp, seededrand, wallclock, sharedstate,
+// unitflow, stagepure, ctxguard, hotpath), registry.All lists them, and
+// cmd/slltlint drives them.
 package analysis
 
 import (
@@ -62,27 +64,12 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// A TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
-	Pos, End token.Pos
-	NewText  string
-}
-
-// A SuggestedFix is one way to resolve a diagnostic, expressed as a set of
-// non-overlapping source edits. cmd/slltlint -fix renders fixes as dry-run
-// diffs; nothing in the framework rewrites files.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
 // A Diagnostic is a single finding.
 type Diagnostic struct {
 	Pos      token.Pos
 	Position token.Position // resolved from Pos at report time
 	Analyzer string
 	Message  string
-	Fixes    []SuggestedFix
 }
 
 // String formats the diagnostic in the conventional path:line:col form.
@@ -97,17 +84,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Position: p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportFix records a finding at pos carrying one suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pos,
-		Position: p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    []SuggestedFix{fix},
 	})
 }
 

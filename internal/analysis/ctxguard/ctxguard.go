@@ -3,8 +3,8 @@
 //
 //  1. A function that already receives a context.Context must thread it:
 //     calling context.Background() or context.TODO() inside such a function
-//     severs the cancellation chain. The finding carries a mechanical
-//     suggested fix replacing the call with the context parameter.
+//     severs the cancellation chain; the finding names the parameter to
+//     pass instead.
 //
 //  2. An infinite loop (for {}) in a context-carrying function that drives
 //     channel work or parallel.ForEach/ForEachSpan fan-out must observe the
@@ -108,10 +108,8 @@ func checkBackgroundCalls(pass *analysis.Pass, body *ast.BlockStmt, ctxName stri
 				fname)
 			return true
 		}
-		pass.ReportFix(call.Pos(), analysis.SuggestedFix{
-			Message: "thread the " + ctxName + " parameter",
-			Edits:   []analysis.TextEdit{{Pos: call.Pos(), End: call.End(), NewText: ctxName}},
-		}, "context.%s() severs the cancellation chain; thread it instead of context.%s (function already has context parameter %q)",
+		pass.Reportf(call.Pos(),
+			"context.%s() severs the cancellation chain; thread it instead of context.%s (function already has context parameter %q)",
 			fname, fname, ctxName)
 		return true
 	})

@@ -11,10 +11,7 @@
 package floatcmp
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 
@@ -71,22 +68,9 @@ func checkBinary(pass *analysis.Pass, be *ast.BinaryExpr) {
 	if be.Op == token.NEQ {
 		helper = "!geom.AlmostEqual"
 	}
-	msg := fmt.Sprintf(
+	pass.Reportf(be.OpPos,
 		"exact float comparison (%s) on inexact quantities; use %s (or geom.Sign for zero tests)",
 		be.Op, helper)
-	var x, y bytes.Buffer
-	if printer.Fprint(&x, pass.Fset, be.X) == nil && printer.Fprint(&y, pass.Fset, be.Y) == nil {
-		pass.ReportFix(be.OpPos, analysis.SuggestedFix{
-			Message: "replace with " + helper,
-			Edits: []analysis.TextEdit{{
-				Pos:     be.Pos(),
-				End:     be.End(),
-				NewText: fmt.Sprintf("%s(%s, %s)", helper, x.String(), y.String()),
-			}},
-		}, "%s", msg)
-		return
-	}
-	pass.Reportf(be.OpPos, "%s", msg)
 }
 
 // checkSwitchTag flags `switch x { case y: }` with a floating-point tag:

@@ -54,7 +54,7 @@ const (
 // funcAnn is one annotated function: the machine-checked contract site.
 type funcAnn struct {
 	tier annTier
-	key  string // symbol key, see symKey
+	key  string // symbol key, see analysis.SymKey
 	name string // display name (Recv.Name or Name)
 	pos  token.Pos
 	pkg  string // defining package import path
@@ -94,47 +94,6 @@ func newRegistry() *registry {
 
 func (r *registry) report(pkg string, pos token.Pos, format string, args ...any) {
 	r.diags[pkg] = append(r.diags[pkg], annDiag{pos, fmt.Sprintf(format, args...)})
-}
-
-// symKey builds the registry key of a function declaration:
-// "pkg/path.Name" for package functions, "pkg/path.Recv.Name" for methods.
-func symKey(path string, fd *ast.FuncDecl) string {
-	key := path + "."
-	if name := recvName(fd); name != "" {
-		key += name + "."
-	}
-	return key + fd.Name.Name
-}
-
-// recvName returns the receiver type name of a method declaration.
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.ParenExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-func displayName(fd *ast.FuncDecl) string {
-	if r := recvName(fd); r != "" {
-		return r + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }
 
 // directiveIn extracts the first hot: directive from the comment group. The
@@ -183,9 +142,10 @@ func collectAnnotations(pkg *analysis.Package, reg *registry) {
 				continue
 			}
 			tf := pkg.Fset.File(fd.Pos())
-			reg.funcs[symKey(path, fd)] = &funcAnn{
-				tier: tier, key: symKey(path, fd),
-				name: displayName(fd), pos: fd.Name.Pos(), pkg: path,
+			key := analysis.SymKey(path, fd)
+			reg.funcs[key] = &funcAnn{
+				tier: tier, key: key,
+				name: analysis.DisplayName(fd), pos: fd.Name.Pos(), pkg: path,
 				file:      tf,
 				startLine: pkg.Fset.Position(fd.Pos()).Line,
 				endLine:   pkg.Fset.Position(fd.End()).Line,

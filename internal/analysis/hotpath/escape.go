@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"sllt/internal/analysis"
 )
 
 // escapeCheck enables the compiler cross-check. Off by default: the static
@@ -36,7 +38,7 @@ func runEscapeAnalysis(reg *registry) error {
 		return nil
 	}
 	paths := map[string]bool{}
-	for _, k := range sortedKeys(reg.funcs) {
+	for _, k := range analysis.SortedKeys(reg.funcs) {
 		if ann := reg.funcs[k]; ann.tier == tierAllocFree {
 			paths[ann.pkg] = true
 		}
@@ -44,7 +46,7 @@ func runEscapeAnalysis(reg *registry) error {
 	if len(paths) == 0 {
 		return nil
 	}
-	args := append([]string{"build", "-gcflags=-m"}, sortedKeys(paths)...)
+	args := append([]string{"build", "-gcflags=-m"}, analysis.SortedKeys(paths)...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = reg.modDir
 	out, err := cmd.CombinedOutput()

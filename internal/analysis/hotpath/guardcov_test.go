@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"sllt/internal/analysis"
 )
 
 // TestGuardCoverage walks the module source and cross-checks the alloc-free
@@ -54,7 +56,7 @@ func TestGuardCoverage(t *testing.T) {
 				if annotated[dir] == nil {
 					annotated[dir] = map[string]bool{}
 				}
-				annotated[dir][displayName(fd)] = true
+				annotated[dir][analysis.DisplayName(fd)] = true
 			}
 		}
 		return nil

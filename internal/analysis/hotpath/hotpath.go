@@ -5,8 +5,8 @@
 // function in the batch, runs a cleanliness fixpoint over the call graph
 // (a function is allocation-free iff its own body has no allocation sources
 // and every resolved callee is annotated alloc-free or proven clean), and
-// reports each violation at the allocating site so //lint:ignore directives
-// stay local to the line they justify.
+// reports each violation at the allocating site so //slltlint:ignore
+// directives stay local to the line they justify.
 //
 // With escape checking enabled (slltlint -escapecheck), the analyzer also
 // runs `go build -gcflags=-m` over every package containing an alloc-free
@@ -49,7 +49,7 @@ func prepare(pkgs []*analysis.Package) error {
 		reg.batch[p.ImportPath] = true
 	}
 	if len(pkgs) > 0 {
-		reg.modPrefix = modulePrefix(pkgs[0].ImportPath)
+		reg.modPrefix = analysis.ModulePrefix(pkgs[0].ImportPath)
 		reg.modDir = pkgs[0].ModDir
 	}
 	for _, p := range pkgs {
@@ -75,16 +75,6 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// modulePrefix derives the module path prefix from an import path: calls to
-// module packages outside the lint batch cannot be verified and are
-// reported as such.
-func modulePrefix(path string) string {
-	if i := strings.IndexByte(path, '/'); i >= 0 {
-		return path[:i+1]
-	}
-	return path + "/"
-}
-
 // ---- cleanliness fixpoint + reporting ----
 
 // dirtCause explains why a function is not allocation-free: the rendered
@@ -98,7 +88,7 @@ type dirtCause struct {
 // annotation, reconciling them against compiler escape diagnostics when
 // escape checking is on.
 func finalize(reg *registry) {
-	keys := sortedKeys(reg.sums)
+	keys := analysis.SortedKeys(reg.sums)
 	dirty := map[string]*dirtCause{}
 
 	// Seed: any cleanliness-relevant site in a function's own body makes it
@@ -149,7 +139,7 @@ func finalize(reg *registry) {
 		}
 	}
 
-	for _, k := range sortedKeys(reg.funcs) {
+	for _, k := range analysis.SortedKeys(reg.funcs) {
 		ann := reg.funcs[k]
 		s := reg.sums[k]
 		if s == nil {

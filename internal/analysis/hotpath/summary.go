@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"sllt/internal/analysis"
@@ -145,8 +144,8 @@ func collectSummaries(pkg *analysis.Package, reg *registry) {
 				reg: reg,
 				fd:  fd,
 				sum: &summary{
-					key:  symKey(pkg.ImportPath, fd),
-					name: displayName(fd),
+					key:  analysis.SymKey(pkg.ImportPath, fd),
+					name: analysis.DisplayName(fd),
 					pkg:  pkg.ImportPath,
 					pos:  fd.Name.Pos(),
 				},
@@ -192,7 +191,7 @@ func (c *fctx) loopRanges(body *ast.BlockStmt) {
 			c.loops = append(c.loops, posRange{s.Body.Pos(), s.Body.End()})
 		case *ast.CallExpr:
 			for _, arg := range s.Args {
-				if fl, ok := unparen(arg).(*ast.FuncLit); ok {
+				if fl, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 					c.loops = append(c.loops, posRange{fl.Body.Pos(), fl.Body.End()})
 				}
 			}
@@ -212,7 +211,7 @@ func (c *fctx) provenancePass(body *ast.BlockStmt) {
 				return true
 			}
 			for i, lhs := range s.Lhs {
-				id, ok := unparen(lhs).(*ast.Ident)
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
 				if !ok || id.Name == "_" {
 					continue
 				}
@@ -245,7 +244,7 @@ func (c *fctx) provenancePass(body *ast.BlockStmt) {
 // length or capacity). Appends onto such backing are amortized-free; the
 // AllocsPerRun guards catch residual growth at runtime.
 func (c *fctx) provenanceOf(e ast.Expr) bool {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.SliceExpr:
 		return true // reslicing shares existing backing
 	case *ast.StarExpr:
@@ -262,7 +261,7 @@ func (c *fctx) provenanceOf(e ast.Expr) bool {
 		// h.buf and deeper selections: provenance of the root object.
 		root := e.X
 		for {
-			switch x := unparen(root).(type) {
+			switch x := ast.Unparen(root).(type) {
 			case *ast.SelectorExpr:
 				root = x.X
 				continue
@@ -272,14 +271,14 @@ func (c *fctx) provenanceOf(e ast.Expr) bool {
 			}
 			break
 		}
-		if id, ok := unparen(root).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(root).(*ast.Ident); ok {
 			if obj := c.objOf(id); obj != nil {
 				return c.params[obj] || c.provCap[obj]
 			}
 		}
 		return false
 	case *ast.CallExpr:
-		fun := unparen(e.Fun)
+		fun := ast.Unparen(e.Fun)
 		if id, ok := fun.(*ast.Ident); ok {
 			if b, ok := c.pkg.TypesInfo.Uses[id].(*types.Builtin); ok {
 				switch b.Name() {
@@ -292,7 +291,7 @@ func (c *fctx) provenanceOf(e ast.Expr) bool {
 					// the effective capacity is a literal zero.
 					if len(e.Args) >= 2 {
 						capArg := e.Args[len(e.Args)-1]
-						if lit, ok := unparen(capArg).(*ast.BasicLit); ok && lit.Value == "0" {
+						if lit, ok := ast.Unparen(capArg).(*ast.BasicLit); ok && lit.Value == "0" {
 							return false
 						}
 						return true
@@ -328,7 +327,7 @@ func (c *fctx) sitePass(body *ast.BlockStmt) {
 			c.handleCall(s)
 		case *ast.UnaryExpr:
 			if s.Op == token.AND {
-				if cl, ok := unparen(s.X).(*ast.CompositeLit); ok {
+				if cl, ok := ast.Unparen(s.X).(*ast.CompositeLit); ok {
 					handledLit[cl] = true
 					c.site(siteLit, s.Pos(), "&"+c.typeStr(c.p.TypeOf(cl))+"{…}")
 				}
@@ -394,7 +393,7 @@ func (c *fctx) captures(fl *ast.FuncLit) (string, bool) {
 
 // resolvedFunc resolves a call/reference expression to its *types.Func.
 func (c *fctx) resolvedFunc(fun ast.Expr) *types.Func {
-	switch f := unparen(fun).(type) {
+	switch f := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		fn, _ := c.pkg.TypesInfo.Uses[f].(*types.Func)
 		return fn
@@ -407,7 +406,7 @@ func (c *fctx) resolvedFunc(fun ast.Expr) *types.Func {
 
 // handleCall classifies one call expression.
 func (c *fctx) handleCall(call *ast.CallExpr) {
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 
 	// Conversions: string <-> []byte/[]rune copy their payload.
 	if tv, ok := c.pkg.TypesInfo.Types[fun]; ok && tv.IsType() {
@@ -459,7 +458,7 @@ func (c *fctx) handleCall(call *ast.CallExpr) {
 	switch {
 	case c.reg.batch[path]:
 		c.sum.callees = append(c.sum.callees, callEdge{
-			key: typesFuncKey(fn, sig), pos: fun.Pos(), inLoop: c.inLoop(fun.Pos()),
+			key: analysis.FuncKey(fn), pos: fun.Pos(), inLoop: c.inLoop(fun.Pos()),
 		})
 	case strings.HasPrefix(path, c.reg.modPrefix):
 		c.site(siteModule, fun.Pos(), display)
@@ -552,35 +551,26 @@ func isByteOrRuneSlice(t types.Type) bool {
 // was summarized where it was created — the parallel.ForEach shape); only
 // package-level func values are unverifiable.
 func (c *fctx) dynamicCall(fun ast.Expr) {
-	root := unparen(fun)
+	root := ast.Unparen(fun)
 	for {
 		switch x := root.(type) {
 		case *ast.SelectorExpr:
-			root = unparen(x.X)
+			root = ast.Unparen(x.X)
 			continue
 		case *ast.IndexExpr:
-			root = unparen(x.X)
+			root = ast.Unparen(x.X)
 			continue
 		case *ast.StarExpr:
-			root = unparen(x.X)
+			root = ast.Unparen(x.X)
 			continue
 		}
 		break
 	}
 	if id, ok := root.(*ast.Ident); ok {
-		if key := globalKey(c.objOf(id)); key != "" {
+		if key := analysis.GlobalKey(c.objOf(id)); key != "" {
 			c.site(siteDynamic, fun.Pos(), key)
 		}
 	}
-}
-
-// globalKey returns the registry key of a package-level variable, or "".
-func globalKey(obj types.Object) string {
-	v, ok := obj.(*types.Var)
-	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return ""
-	}
-	return v.Pkg().Path() + "." + v.Name()
 }
 
 func (c *fctx) objOf(id *ast.Ident) types.Object {
@@ -588,16 +578,6 @@ func (c *fctx) objOf(id *ast.Ident) types.Object {
 		return o
 	}
 	return c.pkg.TypesInfo.Defs[id]
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 func typeString(t types.Type) string {
@@ -613,31 +593,6 @@ func (c *fctx) typeStr(t types.Type) string {
 		return "?"
 	}
 	return types.TypeString(t, types.RelativeTo(c.pkg.Types))
-}
-
-// typesFuncKey builds the summary key of a resolved in-batch function.
-func typesFuncKey(fn *types.Func, sig *types.Signature) string {
-	key := fn.Pkg().Path() + "."
-	if sig != nil && sig.Recv() != nil {
-		if name := recvTypeName(sig.Recv().Type()); name != "" {
-			key += name + "."
-		}
-	}
-	return key + fn.Name()
-}
-
-// recvTypeName peels pointers down to the named receiver type's name.
-func recvTypeName(t types.Type) string {
-	for {
-		switch x := t.(type) {
-		case *types.Pointer:
-			t = x.Elem()
-		case *types.Named:
-			return x.Obj().Name()
-		default:
-			return ""
-		}
-	}
 }
 
 // ---- stdlib classification ----
@@ -717,14 +672,4 @@ func classifyStdlib(path, name string) stdClass {
 		return stdConstruct
 	}
 	return stdUnknown
-}
-
-// sortedKeys returns map keys in deterministic order.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -10,8 +10,8 @@ import (
 
 // TestRosterSuppressionContract loads a fixture package that violates every
 // registered analyzer in three parallel files — live.go (bare violations),
-// ignored.go (the same violations under both //slltlint:ignore and
-// //lint:ignore), gen.go (the same violations behind a Code generated
+// ignored.go (the same violations under justified //slltlint:ignore
+// directives), gen.go (the same violations behind a Code generated
 // marker) — and asserts the whole roster agrees on the suppression
 // contract: every analyzer fires on live.go, and nothing at all survives
 // from the other two files.

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// The violations of live.go again, each suppressed — alternating between
-// the //slltlint:ignore and //lint:ignore forms so both are exercised
-// against every analyzer.
+// The violations of live.go again, each suppressed by a justified
+// //slltlint:ignore directive, so the directive is exercised against every
+// analyzer.
 
 func RangeMapIgnored(m map[int]float64) float64 {
 	var total float64
@@ -20,7 +20,7 @@ func RangeMapIgnored(m map[int]float64) float64 {
 }
 
 func StampIgnored() time.Time {
-	//lint:ignore wallclock fixture: suppression must hold for every analyzer
+	//slltlint:ignore wallclock fixture: suppression must hold for every analyzer
 	return time.Now()
 }
 
@@ -30,7 +30,7 @@ func EqualCoordsIgnored(a, b float64) bool {
 }
 
 func DrawIgnored() int {
-	//lint:ignore seededrand fixture: suppression must hold for every analyzer
+	//slltlint:ignore seededrand fixture: suppression must hold for every analyzer
 	return rand.Intn(10)
 }
 
@@ -44,7 +44,7 @@ func FanIgnored(xs []float64) float64 {
 	done := make(chan struct{})
 	go func() {
 		for _, x := range xs {
-			//lint:ignore sharedstate fixture: suppression must hold for every analyzer
+			//slltlint:ignore sharedstate fixture: suppression must hold for every analyzer
 			total += x
 		}
 		close(done)
@@ -60,7 +60,7 @@ func BadSumIgnored(d, c float64) float64 {
 }
 
 // pure:
-//lint:ignore stagepure fixture: suppression must hold for every analyzer
+//slltlint:ignore stagepure fixture: suppression must hold for every analyzer
 func CountIgnored(n int) int {
 	counter += n
 	return counter

@@ -6,22 +6,15 @@ import (
 	"strings"
 )
 
-// IgnorePrefix is the legacy comment directive that suppresses diagnostics:
+// IgnorePrefix is the comment directive that suppresses diagnostics:
 //
 //	//slltlint:ignore maporder iteration feeds a commutative sum
 //
 // placed on the flagged line or the line directly above it. The analyzer
-// name list may contain several comma-separated names.
+// name list may contain several comma-separated names. The reason after the
+// names is mandatory: a directive without one suppresses nothing, so every
+// suppression is justified in place.
 const IgnorePrefix = "slltlint:ignore"
-
-// LintIgnorePrefix is the conventional suppression directive shared with
-// other Go linters:
-//
-//	//lint:ignore unitflow DBU-to-µm conversion site, checked by hand
-//
-// Same placement and name-list rules as IgnorePrefix; the reason text after
-// the names is required so every suppression is justified in place.
-const LintIgnorePrefix = "lint:ignore"
 
 // Run applies every analyzer to every package and returns the surviving
 // diagnostics sorted by position. Ignore directives are honored here so all
@@ -94,26 +87,20 @@ func (s ignoreSet) match(file string, line int, analyzer string) bool {
 	return false
 }
 
-// ignoresOf scans a package's comments for ignore directives, accepting
-// both the legacy //slltlint:ignore form and the conventional //lint:ignore.
+// ignoresOf scans a package's comments for justified ignore directives.
 func ignoresOf(pkg *Package) ignoreSet {
 	set := make(ignoreSet)
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				var rest string
-				switch {
-				case strings.HasPrefix(text, IgnorePrefix):
-					rest = strings.TrimPrefix(text, IgnorePrefix)
-				case strings.HasPrefix(text, LintIgnorePrefix):
-					rest = strings.TrimPrefix(text, LintIgnorePrefix)
-				default:
+				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				rest, ok := strings.CutPrefix(text, IgnorePrefix)
+				if !ok {
 					continue
 				}
-				names := strings.Fields(strings.TrimSpace(rest))
-				if len(names) == 0 {
+				// fields[0] is the analyzer list, the rest the mandatory reason.
+				fields := strings.Fields(rest)
+				if len(fields) < 2 {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
@@ -122,7 +109,7 @@ func ignoresOf(pkg *Package) ignoreSet {
 					byLine = make(map[int][]string)
 					set[pos.Filename] = byLine
 				}
-				for _, name := range strings.Split(names[0], ",") {
+				for _, name := range strings.Split(fields[0], ",") {
 					if name != "" {
 						byLine[pos.Line] = append(byLine[pos.Line], name)
 					}

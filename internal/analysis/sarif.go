@@ -110,7 +110,7 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, analyzers []*Analyzer, root str
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{
 					ArtifactLocation: sarifArtifact{
-						URI:       RelPath(root, d.Position.Filename),
+						URI:       relPath(root, d.Position.Filename),
 						URIBaseID: "%SRCROOT%",
 					},
 					Region: sarifRegion{
@@ -131,9 +131,9 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, analyzers []*Analyzer, root str
 	return enc.Encode(log)
 }
 
-// RelPath returns path relative to root in slash form, or the slashed
+// relPath returns path relative to root in slash form, or the slashed
 // absolute path when it does not sit under root (or root is empty).
-func RelPath(root, path string) string {
+func relPath(root, path string) string {
 	if root != "" {
 		if rel, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(rel, "..") {
 			return filepath.ToSlash(rel)

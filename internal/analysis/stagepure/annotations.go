@@ -49,7 +49,7 @@ const (
 type funcAnn struct {
 	kind  annKind
 	stage string // stage name, "" for pure
-	key   string // symbol key, see symKey
+	key   string // symbol key, see analysis.SymKey
 	name  string // display name (Recv.Name or Name)
 	pos   token.Pos
 	pkg   string // defining package import path
@@ -88,40 +88,6 @@ func newRegistry() *registry {
 
 func (r *registry) report(pkg string, pos token.Pos, format string, args ...any) {
 	r.diags[pkg] = append(r.diags[pkg], annDiag{pos, fmt.Sprintf(format, args...)})
-}
-
-// symKey builds the registry key of a function declaration:
-// "pkg/path.Name" for package functions, "pkg/path.Recv.Name" for methods.
-func symKey(path string, fd *ast.FuncDecl) string {
-	key := path + "."
-	if name := recvName(fd); name != "" {
-		key += name + "."
-	}
-	return key + fd.Name.Name
-}
-
-// recvName returns the receiver type name of a method declaration.
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.ParenExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
 }
 
 // directiveIn extracts the first stage:/pure: directive from the comment
@@ -174,13 +140,10 @@ func collectAnnotations(pkg *analysis.Package, reg *registry) {
 					reg.report(path, d.Name.Pos(), "%s annotation on bodyless declaration %s cannot be verified", annWord(kind), d.Name.Name)
 					continue
 				}
-				name := d.Name.Name
-				if r := recvName(d); r != "" {
-					name = r + "." + name
-				}
-				reg.funcs[symKey(path, d)] = &funcAnn{
-					kind: kind, stage: payload, key: symKey(path, d),
-					name: name, pos: d.Name.Pos(), pkg: path,
+				key := analysis.SymKey(path, d)
+				reg.funcs[key] = &funcAnn{
+					kind: kind, stage: payload, key: key,
+					name: analysis.DisplayName(d), pos: d.Name.Pos(), pkg: path,
 				}
 			case *ast.GenDecl:
 				if d.Tok != token.TYPE {

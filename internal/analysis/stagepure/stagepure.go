@@ -60,7 +60,7 @@ func prepare(pkgs []*analysis.Package) error {
 		reg.batch[p.ImportPath] = true
 	}
 	if len(pkgs) > 0 {
-		reg.modPrefix = modulePrefix(pkgs[0].ImportPath)
+		reg.modPrefix = analysis.ModulePrefix(pkgs[0].ImportPath)
 	}
 	for _, p := range pkgs {
 		collectAnnotations(p, reg)
@@ -83,16 +83,6 @@ func run(pass *analysis.Pass) error {
 		pass.Reportf(d.pos, "%s", d.msg)
 	}
 	return nil
-}
-
-// modulePrefix derives the module path prefix from an import path: calls to
-// module packages outside the lint batch cannot be verified and are
-// reported as such.
-func modulePrefix(path string) string {
-	if i := strings.IndexByte(path, '/'); i >= 0 {
-		return path[:i+1]
-	}
-	return path + "/"
 }
 
 // scanGlobalWrites records every package-level variable assigned outside
@@ -154,7 +144,7 @@ func writeTargetGlobal(pkg *analysis.Package, e ast.Expr) string {
 			// Qualified cross-package write pkg.Var = v.
 			if qual, ok := x.X.(*ast.Ident); ok {
 				if _, isPkg := pkg.TypesInfo.Uses[qual].(*types.PkgName); isPkg {
-					return globalKey(pkg.TypesInfo.Uses[x.Sel])
+					return analysis.GlobalKey(pkg.TypesInfo.Uses[x.Sel])
 				}
 			}
 			e = x.X
@@ -163,7 +153,7 @@ func writeTargetGlobal(pkg *analysis.Package, e ast.Expr) string {
 			if obj == nil {
 				obj = pkg.TypesInfo.Defs[x]
 			}
-			return globalKey(obj)
+			return analysis.GlobalKey(obj)
 		default:
 			return ""
 		}
@@ -176,7 +166,7 @@ func writeTargetGlobal(pkg *analysis.Package, e ast.Expr) string {
 // then walks the call graph from each annotated function and renders every
 // reachable impurity as a diagnostic at the annotation site.
 func finalize(reg *registry) {
-	keys := sortedKeys(reg.sums)
+	keys := analysis.SortedKeys(reg.sums)
 	for _, k := range keys {
 		s := reg.sums[k]
 		s.allMutates = make(map[mutKey]mutation, len(s.mutates))
@@ -227,7 +217,7 @@ func finalize(reg *registry) {
 		}
 	}
 
-	for _, k := range sortedKeys(reg.funcs) {
+	for _, k := range analysis.SortedKeys(reg.funcs) {
 		ann := reg.funcs[k]
 		s := reg.sums[k]
 		if s == nil {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"sllt/internal/analysis"
@@ -258,8 +257,8 @@ func collectSummaries(pkg *analysis.Package, reg *registry) {
 				p:   shim,
 				reg: reg,
 				sum: &summary{
-					key:     symKey(pkg.ImportPath, fd),
-					name:    displayName(fd),
+					key:     analysis.SymKey(pkg.ImportPath, fd),
+					name:    analysis.DisplayName(fd),
 					pkg:     pkg.ImportPath,
 					pos:     fd.Name.Pos(),
 					mutates: map[mutKey]mutation{},
@@ -278,13 +277,6 @@ func collectSummaries(pkg *analysis.Package, reg *registry) {
 			reg.sums[c.sum.key] = c.sum
 		}
 	}
-}
-
-func displayName(fd *ast.FuncDecl) string {
-	if r := recvName(fd); r != "" {
-		return r + "." + fd.Name.Name
-	}
-	return fd.Name.Name
 }
 
 // bindParams assigns flat indices (receiver first) and records names and
@@ -387,11 +379,11 @@ func (c *fctx) taintPass(body *ast.BlockStmt) {
 			for i, lhs := range s.Lhs {
 				// st.f = rhs on a tracked container updates that field's
 				// taint in place, preserving per-field provenance.
-				if sel, ok := unparen(lhs).(*ast.SelectorExpr); ok && s.Tok == token.ASSIGN {
+				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && s.Tok == token.ASSIGN {
 					c.assignField(sel, s, i)
 					continue
 				}
-				id, ok := unparen(lhs).(*ast.Ident)
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
 				if !ok || id.Name == "_" {
 					continue
 				}
@@ -423,7 +415,7 @@ func (c *fctx) taintPass(body *ast.BlockStmt) {
 				return true
 			}
 			base := c.taintOf(s.X)
-			if v, ok := unparen(s.Value).(*ast.Ident); ok && v.Name != "_" && !base.none() {
+			if v, ok := ast.Unparen(s.Value).(*ast.Ident); ok && v.Name != "_" && !base.none() {
 				if obj := c.pkg.TypesInfo.Defs[v]; obj != nil {
 					k := tValue
 					if refType(c.p.TypeOf(s.Value)) {
@@ -442,7 +434,7 @@ func (c *fctx) taintPass(body *ast.BlockStmt) {
 // those writes); deeper selectors (st.grid.Kernel = x) land in memory the
 // container already accounts for and are skipped.
 func (c *fctx) assignField(sel *ast.SelectorExpr, s *ast.AssignStmt, i int) {
-	id, ok := unparen(sel.X).(*ast.Ident)
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
 	if !ok {
 		return
 	}
@@ -489,7 +481,7 @@ func (c *fctx) taintOf(e ast.Expr) taint {
 		return c.taintOf(e.X)
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
-			if _, fresh := unparen(e.X).(*ast.CompositeLit); fresh {
+			if _, fresh := ast.Unparen(e.X).(*ast.CompositeLit); fresh {
 				// &T{...} is fresh memory carrying whatever its elements
 				// reference — value-level taint, not an alias.
 				return c.taintOf(e.X)
@@ -516,7 +508,7 @@ func (c *fctx) taintOf(e ast.Expr) taint {
 		// append can return its first argument's backing array; conversions
 		// pass the value through. Other calls' results are treated as fresh
 		// (functions returning aliases of their arguments are not tracked).
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
 			if b, ok := c.pkg.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "append" && len(e.Args) > 0 {
 				// The result may share the first argument's backing array;
 				// later arguments' elements are copied in. When the element
@@ -625,7 +617,7 @@ func (c *fctx) useTaint(obj types.Object) taint {
 		}
 		return taint{kind: k, params: bit(idx)}
 	}
-	if key := globalKey(obj); key != "" {
+	if key := analysis.GlobalKey(obj); key != "" {
 		k := tValue
 		if refType(obj.Type()) {
 			k = tAlias
@@ -638,30 +630,11 @@ func (c *fctx) useTaint(obj types.Object) taint {
 	return taint{}
 }
 
-// globalKey returns the registry key of a package-level variable, or "".
-func globalKey(obj types.Object) string {
-	v, ok := obj.(*types.Var)
-	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return ""
-	}
-	return v.Pkg().Path() + "." + v.Name()
-}
-
 func (c *fctx) objOf(id *ast.Ident) types.Object {
 	if o := c.pkg.TypesInfo.Uses[id]; o != nil {
 		return o
 	}
 	return c.pkg.TypesInfo.Defs[id]
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 // ---- effect pass ----
@@ -710,17 +683,17 @@ func (c *fctx) checkWriteTarget(lhs ast.Expr) {
 	if lhs == nil {
 		return
 	}
-	lhs = unparen(lhs)
+	lhs = ast.Unparen(lhs)
 	switch l := lhs.(type) {
 	case *ast.Ident:
 		c.skipIdents[l] = true
-		if key := globalKey(c.objOf(l)); key != "" {
+		if key := analysis.GlobalKey(c.objOf(l)); key != "" {
 			c.effect(effGlobalWrite, l.Pos(), key)
 		}
 	case *ast.SelectorExpr:
 		if c.p.ImportedPkgOf(l) != "" {
 			c.skipIdents[l.Sel] = true
-			if key := globalKey(c.pkg.TypesInfo.Uses[l.Sel]); key != "" {
+			if key := analysis.GlobalKey(c.pkg.TypesInfo.Uses[l.Sel]); key != "" {
 				c.effect(effGlobalWrite, l.Pos(), key)
 			}
 			return
@@ -784,7 +757,7 @@ func (c *fctx) checkUse(id *ast.Ident) {
 		c.funcRef(fn, nil, nil, id.Pos())
 		return
 	}
-	key := globalKey(obj)
+	key := analysis.GlobalKey(obj)
 	if key == "" {
 		return
 	}
@@ -803,7 +776,7 @@ func (c *fctx) checkUse(id *ast.Ident) {
 
 // handleCall classifies one call expression.
 func (c *fctx) handleCall(call *ast.CallExpr) {
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	// Conversions only pass values through.
 	if tv, ok := c.pkg.TypesInfo.Types[fun]; ok && tv.IsType() {
 		return
@@ -860,7 +833,7 @@ func (c *fctx) funcRef(fn *types.Func, recvExpr ast.Expr, call *ast.CallExpr, po
 		}
 	}
 	if c.reg.batch[path] {
-		key := typesFuncKey(fn, sig)
+		key := analysis.FuncKey(fn)
 		c.sum.callees = append(c.sum.callees, calleeEdge{key: key, pos: pos})
 		if call != nil {
 			c.recordFlows(key, sig, recvExpr, call)
@@ -915,7 +888,7 @@ func (c *fctx) flowArg(calleeKey string, calleeParam int, arg ast.Expr) {
 	if t.fields != nil {
 		// A tracked container: one edge per field, so only callee mutations
 		// of that field implicate the field's origins.
-		for _, f := range sortedKeys(t.fields) {
+		for _, f := range analysis.SortedKeys(t.fields) {
 			c.flowEdges(calleeKey, calleeParam, f, flatten(t.fields[f]), arg.Pos())
 		}
 		rest := t
@@ -994,33 +967,8 @@ func (c *fctx) interfaceCall(fn *types.Func, path string, pos token.Pos) {
 	}
 }
 
-// typesFuncKey builds the summary key of a resolved in-batch function.
-func typesFuncKey(fn *types.Func, sig *types.Signature) string {
-	key := fn.Pkg().Path() + "."
-	if sig != nil && sig.Recv() != nil {
-		if name := recvTypeName(sig.Recv().Type()); name != "" {
-			key += name + "."
-		}
-	}
-	return key + fn.Name()
-}
-
-// recvTypeName peels pointers down to the named receiver type's name.
-func recvTypeName(t types.Type) string {
-	for {
-		switch x := t.(type) {
-		case *types.Pointer:
-			t = x.Elem()
-		case *types.Named:
-			return x.Obj().Name()
-		default:
-			return ""
-		}
-	}
-}
-
 func exprName(e ast.Expr) string {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return e.Name
 	case *ast.SelectorExpr:
@@ -1133,14 +1081,4 @@ func stdlibMutatesArg0(path, name string) bool {
 		}
 	}
 	return false
-}
-
-// sortedKeys returns map keys in deterministic order.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -198,12 +198,7 @@ func collectFunc(pkg *analysis.Package, fd *ast.FuncDecl, path string, reg *regi
 		report(fd.Name.Pos(), "unit annotation declares %d results, %s has %d", len(fu.results), fd.Name.Name, nres)
 		return
 	}
-	key := path + "."
-	if name := astRecvName(fd); name != "" {
-		key += name + "."
-	}
-	key += fd.Name.Name
-	reg.funcs[key] = fu
+	reg.funcs[analysis.SymKey(path, fd)] = fu
 }
 
 // directiveIn extracts the first unit directive from the given comment
@@ -288,30 +283,6 @@ func numericCarrier(t types.Type) bool {
 	return false
 }
 
-// astRecvName returns the receiver type name of a method declaration.
-func astRecvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.ParenExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
 // Lookup helpers used by the dataflow pass. They key by the defining
 // package of the object, so cross-package references resolve as long as the
 // defining package was part of the Run batch.
@@ -331,7 +302,7 @@ func (r *registry) fieldUnit(field *types.Var, recv types.Type) (Unit, bool) {
 	if field == nil || field.Pkg() == nil {
 		return nil, false
 	}
-	name := recvTypeName(recv)
+	name := analysis.RecvTypeName(recv)
 	if name == "" {
 		return nil, false
 	}
@@ -346,7 +317,7 @@ func (r *registry) funcUnitsOf(fn *types.Func) (funcUnits, bool) {
 	}
 	key := fn.Pkg().Path() + "."
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		name := recvTypeName(sig.Recv().Type())
+		name := analysis.RecvTypeName(sig.Recv().Type())
 		if name == "" {
 			return funcUnits{}, false
 		}
@@ -355,19 +326,4 @@ func (r *registry) funcUnitsOf(fn *types.Func) (funcUnits, bool) {
 	key += fn.Name()
 	fu, ok := r.funcs[key]
 	return fu, ok
-}
-
-// recvTypeName peels pointers and type parameters down to the named
-// receiver type's name.
-func recvTypeName(t types.Type) string {
-	for {
-		switch x := t.(type) {
-		case *types.Pointer:
-			t = x.Elem()
-		case *types.Named:
-			return x.Obj().Name()
-		default:
-			return ""
-		}
-	}
 }

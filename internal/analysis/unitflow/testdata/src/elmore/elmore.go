@@ -143,7 +143,7 @@ func BadLocal(length float64) float64 {
 // diagnostic.
 // unit: d ps, c fF -> ps
 func Suppressed(d, c float64) float64 {
-	//lint:ignore unitflow deliberate mixed-unit fixture
+	//slltlint:ignore unitflow deliberate mixed-unit fixture
 	return d + c
 }
 

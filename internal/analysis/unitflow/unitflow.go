@@ -254,7 +254,7 @@ func (c *checker) rangeStmt(s *ast.RangeStmt) {
 		if e == nil {
 			return
 		}
-		if id, ok := skipParens(e).(*ast.Ident); ok && s.Tok == token.DEFINE {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok && s.Tok == token.DEFINE {
 			c.bindDefine(id, v)
 			return
 		}
@@ -277,7 +277,7 @@ func (c *checker) ret(s *ast.ReturnStmt) {
 	}
 	var vals []uval
 	if len(s.Results) == 1 && len(want) > 1 {
-		call, ok := skipParens(s.Results[0]).(*ast.CallExpr)
+		call, ok := ast.Unparen(s.Results[0]).(*ast.CallExpr)
 		if !ok {
 			c.expr(s.Results[0])
 			return
@@ -320,7 +320,7 @@ func (c *checker) valueSpec(vs *ast.ValueSpec, topLevel bool) {
 	}
 	if len(vs.Values) == 1 && len(vs.Names) > 1 {
 		var vals []uval
-		if call, ok := skipParens(vs.Values[0]).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(vs.Values[0]).(*ast.CallExpr); ok {
 			vals = c.call(call)
 		} else {
 			c.expr(vs.Values[0])
@@ -380,7 +380,7 @@ func (c *checker) assign(as *ast.AssignStmt) {
 				if i < len(vals) {
 					v = vals[i]
 				}
-				if id, ok := skipParens(lhs).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 					c.bindDefine(id, v)
 				}
 			}
@@ -391,7 +391,7 @@ func (c *checker) assign(as *ast.AssignStmt) {
 			if i < len(as.Rhs) {
 				v = c.expr(as.Rhs[i])
 			}
-			if id, ok := skipParens(lhs).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 				c.bindDefine(id, v)
 			}
 		}
@@ -427,7 +427,7 @@ func (c *checker) assign(as *ast.AssignStmt) {
 		// An accumulator initialized from a bare literal (s := 0.0) learns
 		// its unit from the first dimensioned += so later uses are checked.
 		if t.k != vKnown && merged.k == vKnown {
-			if id, ok := skipParens(as.Lhs[0]).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident); ok {
 				if obj := c.objOf(id); obj != nil {
 					if _, ann := c.reg.valUnit(obj); !ann {
 						c.env[obj] = merged
@@ -453,7 +453,7 @@ func (c *checker) assign(as *ast.AssignStmt) {
 // multiValue evaluates the single rhs of a tuple assignment, returning
 // per-position units when it is an annotated call.
 func (c *checker) multiValue(rhs ast.Expr) []uval {
-	if call, ok := skipParens(rhs).(*ast.CallExpr); ok {
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
 		return c.call(call)
 	}
 	c.expr(rhs)
@@ -484,7 +484,7 @@ func (c *checker) bindDefine(id *ast.Ident, v uval) {
 // idents are rebound, and an indexed store into a unit-less local container
 // teaches the container its element unit.
 func (c *checker) store(lhs ast.Expr, v uval, pos token.Pos) {
-	switch l := skipParens(lhs).(type) {
+	switch l := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if l.Name == "_" {
 			return
@@ -514,7 +514,7 @@ func (c *checker) store(lhs ast.Expr, v uval, pos token.Pos) {
 			c.checkStore(pos, v, cur.u, lvalueName(l.X))
 			return
 		}
-		if id, ok := skipParens(l.X).(*ast.Ident); ok && v.k != vUnknown {
+		if id, ok := ast.Unparen(l.X).(*ast.Ident); ok && v.k != vUnknown {
 			if obj := c.objOf(id); obj != nil {
 				if _, ann := c.reg.valUnit(obj); !ann {
 					if _, exists := c.env[obj]; !exists {
@@ -716,18 +716,18 @@ func (c *checker) call(call *ast.CallExpr) []uval {
 		}
 	}
 	// Builtins.
-	if id, ok := skipParens(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 			return c.builtin(b.Name(), call)
 		}
 	}
 	// math.* gets dimensional treatment.
-	if sel, ok := skipParens(call.Fun).(*ast.SelectorExpr); ok && c.pass.ImportedPkgOf(sel) == "math" {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && c.pass.ImportedPkgOf(sel) == "math" {
 		return c.mathCall(sel.Sel.Name, call)
 	}
 	// Resolve the callee and evaluate the callee expression's own parts.
 	var fn *types.Func
-	switch f := skipParens(call.Fun).(type) {
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ = c.pass.TypesInfo.Uses[f].(*types.Func)
 	case *ast.SelectorExpr:
@@ -920,18 +920,8 @@ func (c *checker) objOf(id *ast.Ident) types.Object {
 	return c.pass.TypesInfo.Defs[id]
 }
 
-func skipParens(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 func lvalueName(e ast.Expr) string {
-	switch e := skipParens(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return e.Name
 	case *ast.SelectorExpr:

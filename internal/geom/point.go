@@ -32,17 +32,9 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p translated by -q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p with both coordinates multiplied by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // Dist returns the Manhattan (L1) distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
-// DistEuclid returns the Euclidean (L2) distance between p and q.
-func (p Point) DistEuclid(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
 // Eq reports whether p and q coincide within Eps.

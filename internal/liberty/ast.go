@@ -98,33 +98,17 @@ type tokenSource interface {
 }
 
 type parser struct {
-	lx   tokenSource
-	tok  token
-	peek *token
+	lx  tokenSource
+	tok token
 }
 
 func (p *parser) advance() error {
-	if p.peek != nil {
-		p.tok, p.peek = *p.peek, nil
-		return nil
-	}
 	t, err := p.lx.next()
 	if err != nil {
 		return err
 	}
 	p.tok = t
 	return nil
-}
-
-func (p *parser) peekTok() (token, error) {
-	if p.peek == nil {
-		t, err := p.lx.next()
-		if err != nil {
-			return token{}, err
-		}
-		p.peek = &t
-	}
-	return *p.peek, nil
 }
 
 // ParseAST parses Liberty source into its top-level group (usually

@@ -11,12 +11,9 @@ import (
 // they take no `// unit:` directive — the directives go on the quantities
 // registered under them).
 const (
-	UnitNone  = "1" // dimensionless counts and ratios
-	UnitPs    = "ps"
-	UnitFF    = "fF"
-	UnitUm    = "um"
-	UnitUm2   = "um^2"
-	UnitBytes = "B"
+	UnitNone = "1" // dimensionless counts and ratios
+	UnitPs   = "ps"
+	UnitUm   = "um"
 )
 
 // Dist is a fixed-bucket distribution: bucket i counts observations v with

@@ -296,7 +296,7 @@ func SilhouetteP(pts []geom.Point, assign []int, k, workers int) float64 {
 		chunks = n
 	}
 	parallel.ForEach(workers, chunks, func(c int) error {
-		//lint:ignore hotpath per-chunk scoring scratch: two k-sized slices per chunk, amortized over n/chunks points
+		//slltlint:ignore hotpath per-chunk scoring scratch: two k-sized slices per chunk, amortized over n/chunks points
 		sum, cnt := make([]float64, k), make([]int, k)
 		for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
 			scores[i] = silhouetteOf(pts, assign, k, i, sum, cnt)

@@ -29,7 +29,7 @@ func (n *Net) Validate() error {
 	}
 	// Sink locations come verbatim from the design description, never from
 	// arithmetic, so duplicate detection wants exact-bit equality.
-	//lint:ignore floatcmp exact-bit duplicate detection on verbatim input coordinates
+	//slltlint:ignore floatcmp exact-bit duplicate detection on verbatim input coordinates
 	seen := make(map[geom.Point]string, len(n.Sinks))
 	for _, s := range n.Sinks {
 		if prev, dup := seen[s.Loc]; dup {
