@@ -34,7 +34,6 @@ import (
 	"os"
 
 	"sllt/internal/analysis"
-	"sllt/internal/analysis/hotpath"
 	"sllt/internal/analysis/registry"
 )
 
@@ -72,8 +71,6 @@ func run(args []string) int {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	verbose := fs.Bool("v", false, "print the packages as they are checked")
 	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	escapeCheck := fs.Bool("escapecheck", false,
-		"cross-check hotpath findings against `go build -gcflags=-m` escape diagnostics: compiler-verified escapes inside // hot: alloc-free bodies become findings, compiler-cleared heuristics are dropped, the rest are confidence-tiered")
 	fs.Usage = usage(fs)
 	fs.Parse(args)
 
@@ -114,7 +111,6 @@ func run(args []string) int {
 		return 2
 	}
 
-	hotpath.SetEscapeCheck(*escapeCheck)
 	diags, err := analysis.Run(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -6,11 +6,12 @@
 //
 // The framework exists to machine-check the properties every result in this
 // repository depends on: determinism (bit-identical trees for a given seed),
-// unit coherence, cacheable stages, cancellable server loops and
-// allocation-free hot kernels. The nine rules live in the analyzer
-// subpackages (maporder, floatcmp, seededrand, wallclock, sharedstate,
-// unitflow, stagepure, ctxguard, hotpath), registry.All lists them, and
-// cmd/slltlint drives them.
+// unit coherence, cacheable stages and cancellable server loops. The eight
+// rules live in the analyzer subpackages (maporder, floatcmp, seededrand,
+// wallclock, sharedstate, unitflow, stagepure, ctxguard), registry.All lists
+// them, and cmd/slltlint drives them. Allocation-free kernels are not a lint
+// rule: the AllocsPerRun guards in each kernel package's hot_guard_test.go
+// measure them.
 package analysis
 
 import (

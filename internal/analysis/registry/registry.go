@@ -8,7 +8,6 @@ import (
 	"sllt/internal/analysis"
 	"sllt/internal/analysis/ctxguard"
 	"sllt/internal/analysis/floatcmp"
-	"sllt/internal/analysis/hotpath"
 	"sllt/internal/analysis/maporder"
 	"sllt/internal/analysis/seededrand"
 	"sllt/internal/analysis/sharedstate"
@@ -23,7 +22,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxguard.Analyzer,
 		floatcmp.Analyzer,
-		hotpath.Analyzer,
 		maporder.Analyzer,
 		seededrand.Analyzer,
 		sharedstate.Analyzer,

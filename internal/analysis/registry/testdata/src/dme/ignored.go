@@ -65,9 +65,3 @@ func CountIgnored(n int) int {
 	counter += n
 	return counter
 }
-
-// hot: alloc-free
-func ScratchIgnored(n int) []int {
-	//slltlint:ignore hotpath fixture: suppression must hold for every analyzer
-	return make([]int, n)
-}

@@ -1,8 +1,9 @@
 // Package dme is a roster fixture shaped like an algorithm package: its
 // basename puts it in scope of every package-scoped rule, and each function
 // below violates exactly one registered analyzer. ignored.go repeats the
-// violations under both ignore-directive forms, gen.go behind a generated
-// marker; the registry test asserts findings come from this file only.
+// violations under justified //slltlint:ignore directives, gen.go behind a
+// generated marker; the registry test asserts findings come from this file
+// only.
 package dme
 
 import (
@@ -75,11 +76,4 @@ var counter int
 func Count(n int) int {
 	counter += n
 	return counter
-}
-
-// Scratch trips hotpath.
-//
-// hot: alloc-free
-func Scratch(n int) []int {
-	return make([]int, n)
 }

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Symbol keys shared by the interprocedural analyzers (hotpath, stagepure,
+// Symbol keys shared by the interprocedural analyzers (stagepure and
 // unitflow): a declaration and a resolved reference to it must build the
 // same key, "pkg/path.Name" for package-level names and
 // "pkg/path.Recv.Name" for methods.

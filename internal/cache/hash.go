@@ -39,8 +39,6 @@ func NewHasher(salt string) *Hasher {
 }
 
 // u64 appends v big-endian; every framed write below funnels through it.
-//
-// hot: alloc-free
 func (h *Hasher) u64(v uint64) {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
@@ -48,8 +46,6 @@ func (h *Hasher) u64(v uint64) {
 }
 
 // Str appends a length-prefixed string field.
-//
-// hot: alloc-free
 func (h *Hasher) Str(s string) *Hasher {
 	h.buf = append(h.buf, tagString)
 	h.u64(uint64(len(s)))
@@ -58,8 +54,6 @@ func (h *Hasher) Str(s string) *Hasher {
 }
 
 // Bytes appends a length-prefixed raw byte field.
-//
-// hot: alloc-free
 func (h *Hasher) Bytes(b []byte) *Hasher {
 	h.buf = append(h.buf, tagBytes)
 	h.u64(uint64(len(b)))
@@ -68,8 +62,6 @@ func (h *Hasher) Bytes(b []byte) *Hasher {
 }
 
 // I64 appends a signed integer field.
-//
-// hot: alloc-free
 func (h *Hasher) I64(v int64) *Hasher {
 	h.buf = append(h.buf, tagI64)
 	h.u64(uint64(v))
@@ -77,13 +69,9 @@ func (h *Hasher) I64(v int64) *Hasher {
 }
 
 // Int appends an int field.
-//
-// hot: alloc-free
 func (h *Hasher) Int(v int) *Hasher { return h.I64(int64(v)) }
 
 // F64 appends a float field by bit pattern.
-//
-// hot: alloc-free
 func (h *Hasher) F64(v float64) *Hasher {
 	h.buf = append(h.buf, tagF64)
 	h.u64(math.Float64bits(v))
@@ -91,8 +79,6 @@ func (h *Hasher) F64(v float64) *Hasher {
 }
 
 // Bool appends a boolean field.
-//
-// hot: alloc-free
 func (h *Hasher) Bool(v bool) *Hasher {
 	h.buf = append(h.buf, tagBool)
 	if v {
@@ -106,8 +92,6 @@ func (h *Hasher) Bool(v bool) *Hasher {
 // Key appends another content address (hierarchical keying: a stage input
 // that is itself the output of a keyed stage contributes its producer's key,
 // not its bytes).
-//
-// hot: alloc-free
 func (h *Hasher) Key(k Key) *Hasher {
 	h.buf = append(h.buf, tagKey)
 	h.buf = append(h.buf, k[:]...)
@@ -116,8 +100,6 @@ func (h *Hasher) Key(k Key) *Hasher {
 
 // List appends a list header with the element count; callers then write the
 // elements. The explicit count keeps adjacent lists from merging.
-//
-// hot: alloc-free
 func (h *Hasher) List(n int) *Hasher {
 	h.buf = append(h.buf, tagList)
 	h.u64(uint64(n))
@@ -126,15 +108,11 @@ func (h *Hasher) List(n int) *Hasher {
 
 // Sum finalizes the accumulated encoding into a Key. The Hasher remains
 // usable (further writes extend the same encoding).
-//
-// hot: alloc-free
 func (h *Hasher) Sum() Key { return Key(sha256.Sum256(h.buf)) }
 
 // Reset truncates the accumulated encoding in place — keeping the backing
 // buffer — and re-seeds it with salt, so one Hasher can key many records
 // without reallocating.
-//
-// hot: alloc-free
 func (h *Hasher) Reset(salt string) *Hasher {
 	h.buf = h.buf[:0]
 	return h.Str(salt)

@@ -28,8 +28,6 @@ const minNodeBytes = 8 * 8
 // child order. Every byte lands in the encoder's growing buffer; the warm
 // path re-encodes whole level trees per run, so the walk itself stays
 // allocation-free.
-//
-// hot:
 func encodeNode(e *cache.Enc, n *tree.Node) {
 	e.Int(int(n.Kind))
 	e.Str(n.Name)
@@ -91,7 +89,6 @@ type partitionValue struct {
 	assign []int
 }
 
-// hot:
 func encodePartitionValue(v partitionValue) []byte {
 	e := cache.NewEnc(8*len(v.assign) + 64)
 	e.Int(v.k)
@@ -143,7 +140,6 @@ type clusterValue struct {
 	qor    obs.NetQoR
 }
 
-// hot:
 func encodeClusterValue(v clusterValue) []byte {
 	e := cache.NewEnc(1024)
 	e.F64(v.loc.X)
@@ -186,7 +182,6 @@ type topNetValue struct {
 	qor  obs.NetQoR
 }
 
-// hot:
 func encodeTopNetValue(v topNetValue) []byte {
 	e := cache.NewEnc(4096)
 	e.F64(v.qor.WL)
@@ -213,7 +208,6 @@ func decodeTopNetValue(data []byte) (topNetValue, error) {
 	return v, nil
 }
 
-// hot:
 func encodeTimingReport(r *timing.Report) []byte {
 	e := cache.NewEnc(512 + 16*len(r.SinkLatency))
 	e.F64(r.MaxLatency)

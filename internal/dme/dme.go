@@ -147,8 +147,6 @@ func Build(net *tree.Net, topo *tree.Topo, opts Options) (*tree.Tree, error) {
 }
 
 // bottomUp computes merging regions recursively.
-//
-// hot:
 func bottomUp(net *tree.Net, tn *tree.TopoNode, opts Options) (*mnode, error) {
 	if tn.IsLeaf() {
 		s := net.Sinks[tn.SinkIdx]
@@ -241,8 +239,6 @@ func topDown(net *tree.Net, root *mnode) *tree.Tree {
 // units (µm for Linear, ps for Elmore), so it stays unannotated.
 //
 // unit: length um, subCap fF -> _
-//
-// hot: alloc-free
 func (o Options) delayAdd(length, subCap float64) float64 {
 	if o.Model == Linear {
 		return length
@@ -254,8 +250,6 @@ func (o Options) delayAdd(length, subCap float64) float64 {
 // (>= 0, in model units) into a subtree with the given capacitance.
 //
 // unit: subCap fF -> um
-//
-// hot: alloc-free
 func (o Options) invDelayAdd(target, subCap float64) float64 {
 	if target <= 0 {
 		return 0
@@ -283,8 +277,6 @@ func (o Options) invDelayAdd(target, subCap float64) float64 {
 // window the delay budget allows (scaled by Options.RegionGreed) — a convex
 // octilinear region, per Cong et al. — and the stored interval covers every
 // embedding in it. Infeasible merges snake exactly one side.
-//
-// hot:
 func merge(a, b *mnode, opts Options) (*mnode, error) {
 	d := a.ms.Dist(b.ms)
 	B := opts.SkewBound
@@ -451,8 +443,6 @@ func unionRegion(A, B geom.Octagon, d, tlo, thi float64) geom.Octagon {
 // intersects [0, d]; otherwise exactly one side must be snaked.
 //
 // unit: d um -> um, um
-//
-// hot: alloc-free
 func linearSplit(a, b *mnode, d, B float64) (ea, eb float64) {
 	tlo := (b.hi - a.lo + d - B) / 2
 	thi := (B - a.hi + b.lo + d) / 2
@@ -473,8 +463,6 @@ func linearSplit(a, b *mnode, d, B float64) (ea, eb float64) {
 }
 
 // clampF clamps x into [lo, hi].
-//
-// hot: alloc-free
 func clampF(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo
@@ -536,8 +524,6 @@ func elmoreSplit(a, b *mnode, d, B float64, opts Options) (ea, eb float64) {
 // Greedy-Merge topology generator's O(n³) pair scan.
 //
 // unit: -> um
-//
-// hot: alloc-free
 func linearMergeCost(a, b *mnode, B float64) float64 {
 	d := a.ms.Dist(b.ms)
 	ea, eb := linearSplit(a, b, d, B)
@@ -548,8 +534,6 @@ func linearMergeCost(a, b *mnode, B float64) float64 {
 // where capacitance never enters the delay model.
 //
 // unit: length um -> fF
-//
-// hot: alloc-free
 func (o Options) wireCap(length float64) float64 {
 	if o.Model == Linear {
 		return 0

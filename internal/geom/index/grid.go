@@ -10,7 +10,8 @@
 // "Determinism & invariants").
 //
 // Queries allocate nothing in steady state — the ring walk touches only
-// prebuilt cell slices — which the AllocsPerRun guard in grid_test.go pins.
+// prebuilt cell slices — which the AllocsPerRun guards in hot_guard_test.go
+// pin.
 package index
 
 import (
@@ -123,8 +124,6 @@ func (g *Grid) coords(p geom.Point) (int, int) {
 // Returns (-1, 0) when no point qualifies.
 //
 // unit: -> _, um
-//
-// hot: alloc-free
 func (g *Grid) Nearest(q geom.Point, skip func(int) bool) (int, float64) {
 	if len(g.pts) == 0 {
 		return -1, 0
@@ -201,8 +200,6 @@ func (g *Grid) Nearest(q geom.Point, skip func(int) bool) (int, float64) {
 }
 
 // scanCell folds cell ci's points into the (best, bestD) incumbent.
-//
-// hot: alloc-free
 func (g *Grid) scanCell(q geom.Point, ci int, skip func(int) bool, best int, bestD float64) (int, float64) {
 	for _, i32 := range g.cells[ci] {
 		i := int(i32)

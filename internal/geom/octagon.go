@@ -153,8 +153,6 @@ func (o Octagon) Vertices() []Point {
 // suffice and the whole computation stays on the caller's stack — this is
 // the zero-allocation core behind Vertices, Nearest, and Dist, which the
 // DME merge loop calls per candidate pair.
-//
-// hot: alloc-free
 func (o Octagon) verticesInto(buf *[8]Point) int {
 	if o.Empty() {
 		return 0
@@ -199,8 +197,6 @@ func (o Octagon) verticesInto(buf *[8]Point) int {
 // a·u+b·v <= c, writing the result into out and returning its vertex count.
 // Clipping a convex polygon by one half-plane adds at most one vertex, so
 // out never needs more than 8 slots along the verticesInto chain.
-//
-// hot: alloc-free
 func clipUVInto(in *[8][2]float64, n int, a, b, c float64, out *[8][2]float64) int {
 	m := 0
 	for i := 0; i < n; i++ {
@@ -222,8 +218,6 @@ func clipUVInto(in *[8][2]float64, n int, a, b, c float64, out *[8][2]float64) i
 
 // Nearest returns the point of the region with minimum Manhattan distance
 // to p.
-//
-// hot: alloc-free
 func (o Octagon) Nearest(p Point) Point {
 	if o.Contains(p) {
 		return p
@@ -251,8 +245,6 @@ func (o Octagon) DistPoint(p Point) float64 {
 // Dist returns the minimum Manhattan distance between two octagons (0 when
 // they intersect). Computed over vertex-edge pairs, which is exact for
 // convex polygons under any norm.
-//
-// hot: alloc-free
 func (o Octagon) Dist(p Octagon) float64 {
 	if !o.Intersect(p).Empty() {
 		return 0
@@ -293,8 +285,6 @@ func (o Octagon) AnyPoint() Point {
 // distance to p. The distance along the segment is piecewise linear in the
 // parameter, so the minimum is at one of at most six breakpoints, collected
 // in a fixed stack buffer.
-//
-// hot: alloc-free
 func nearestOnSegmentL1(a, b, p Point) Point {
 	dx, dy := b.X-a.X, b.Y-a.Y
 	var cands [6]float64

@@ -164,8 +164,6 @@ func (s *Scanner) fill() {
 // '\r' inside a comment stays commented, exactly like the line-splitting
 // legacy tokenizer. Multi-byte space runes (NBSP, NEL) are decoded so the
 // token boundaries match strings.Fields byte for byte.
-//
-// hot: alloc-free
 func skipBlanks(data []byte, inComment, atEOF bool) (n int, stillComment, needMore bool) {
 	i := 0
 	for i < len(data) {
@@ -208,8 +206,6 @@ func skipBlanks(data []byte, inComment, atEOF bool) (n int, stillComment, needMo
 // atEOF) and n is the verified prefix length — the caller passes it back as
 // start after refilling so a token spanning many reads is scanned once, not
 // quadratically.
-//
-// hot: alloc-free
 func scanToken(data []byte, atEOF bool, start int) (n int, complete bool) {
 	if start == 0 {
 		if c := data[0]; c == '(' || c == ')' || c == ';' {

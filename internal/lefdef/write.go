@@ -48,8 +48,6 @@ func (e *emitter) scaled(v, s float64) { e.buf = appendScaled(e.buf, v, s) }
 func (e *emitter) fixed4(v float64)    { e.buf = appendFixed4(e.buf, v) }
 
 // appendInt formats v exactly like fmt's %d.
-//
-// hot: alloc-free
 func appendInt(dst []byte, v int) []byte {
 	return strconv.AppendInt(dst, int64(v), 10)
 }
@@ -57,15 +55,11 @@ func appendInt(dst []byte, v int) []byte {
 // appendScaled formats int(v*scale) exactly like the legacy writers'
 // fmt.Fprintf("%d", int(v*scale)) — same float-to-int truncation, same
 // decimal rendering.
-//
-// hot: alloc-free
 func appendScaled(dst []byte, v, scale float64) []byte {
 	return strconv.AppendInt(dst, int64(int(v*scale)), 10)
 }
 
 // appendFixed4 formats v exactly like fmt's %.4f.
-//
-// hot: alloc-free
 func appendFixed4(dst []byte, v float64) []byte {
 	return strconv.AppendFloat(dst, v, 'f', 4, 64)
 }

@@ -139,8 +139,6 @@ func assignPoints(pts []geom.Point, centers []geom.Point, assign []int, workers 
 
 // assignPointsK is assignPoints with optional kernel-counter attribution on
 // the center grid's queries.
-//
-// hot:
 func assignPointsK(pts []geom.Point, centers []geom.Point, assign []int, workers int, kern *obs.KernelCounters) bool {
 	n := len(pts)
 	workers = parallel.Clamp(workers)
@@ -176,8 +174,6 @@ func assignPointsK(pts []geom.Point, centers []geom.Point, assign []int, workers
 
 // assignRange is the serial kernel of the assignment pass over pts[lo:hi].
 // With a grid it queries the center index; without it, the ascending scan.
-//
-// hot: alloc-free
 func assignRange(pts []geom.Point, centers []geom.Point, assign []int, lo, hi int, g *index.Grid) bool {
 	changed := false
 	for i := lo; i < hi; i++ {
@@ -247,8 +243,6 @@ func seedCenters(pts []geom.Point, k int, rng *rand.Rand) []geom.Point {
 
 // farthestPoint returns the point farthest from its assigned center, the
 // re-seeding probe for emptied clusters.
-//
-// hot: alloc-free
 func farthestPoint(pts []geom.Point, assign []int, centers []geom.Point) geom.Point {
 	best, bd := 0, -1.0
 	for i, p := range pts {
@@ -276,8 +270,6 @@ func Silhouette(pts []geom.Point, assign []int, k int) float64 {
 // callers bound n (cts subsamples to 2500 points first).
 //
 // pure:
-//
-// hot:
 func SilhouetteP(pts []geom.Point, assign []int, k, workers int) float64 {
 	n := len(pts)
 	if n == 0 || k < 2 {
@@ -296,7 +288,6 @@ func SilhouetteP(pts []geom.Point, assign []int, k, workers int) float64 {
 		chunks = n
 	}
 	parallel.ForEach(workers, chunks, func(c int) error {
-		//slltlint:ignore hotpath per-chunk scoring scratch: two k-sized slices per chunk, amortized over n/chunks points
 		sum, cnt := make([]float64, k), make([]int, k)
 		for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
 			scores[i] = silhouetteOf(pts, assign, k, i, sum, cnt)
@@ -322,8 +313,6 @@ func SilhouetteP(pts []geom.Point, assign []int, k, workers int) float64 {
 // sentinel when it is undefined (singleton cluster, no other cluster, or a
 // degenerate zero denominator). sum and cnt are caller-provided k-sized
 // scratch, reinitialized here so reuse across points cannot leak state.
-//
-// hot: alloc-free
 func silhouetteOf(pts []geom.Point, assign []int, k, i int, sum []float64, cnt []int) float64 {
 	for j := 0; j < k; j++ {
 		sum[j], cnt[j] = 0, 0

@@ -227,15 +227,11 @@ func bestSteinerMove(t *tree.Tree) (n, a, b *tree.Node, gain float64) {
 
 // median3 returns the component-wise median of three points: the unique
 // point minimizing total Manhattan distance to all three.
-//
-// hot: alloc-free
 func median3(a, b, c geom.Point) geom.Point {
 	return geom.Pt(median(a.X, b.X, c.X), median(a.Y, b.Y, c.Y))
 }
 
 // median returns the middle of three values.
-//
-// hot: alloc-free
 func median(a, b, c float64) float64 {
 	return math.Max(math.Min(a, b), math.Min(math.Max(a, b), c))
 }

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -164,5 +165,18 @@ func TestCancelNoGoroutineLeak(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestRunFlowCancelled drives the production flow, not a stub, with a
+// context cancelled before the call: RunFlow must hand the request's
+// context to cts.Run, which stops at its first stage boundary.
+func TestRunFlowCancelled(t *testing.T) {
+	lefSrc, defSrc := fixtureSources(600, 120, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := server.RunFlow(ctx, &server.JobRequest{LEF: lefSrc, DEF: defSrc}, 1, nil, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunFlow with a cancelled context returned %v, want context.Canceled", err)
 	}
 }
