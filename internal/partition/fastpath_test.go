@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -107,8 +109,14 @@ func TestNearestOtherNetGridMatchesScan(t *testing.T) {
 	}
 }
 
-// TestRefineSALargeDeterministic: with the grid, hull memo and radius memo
-// active, same-seed refinement must still be reproducible and well-formed.
+// refineSALargeDigest is the SHA-256 of TestRefineSALargeDeterministic's
+// refined assignment (fmt.Sprint of the slice). A change that moves it on
+// purpose updates it and says why in CHANGES.md.
+const refineSALargeDigest = "0d01213671ff343d902059ca6091128e2d4f238ae5357ac6f0c8d0aa41291503"
+
+// TestRefineSALargeDeterministic: with the grid, the hull memo and the
+// incremental cost terms active, same-seed refinement must be reproducible,
+// well-formed and equal to the pinned result.
 func TestRefineSALargeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	n := saGridThreshold + 200
@@ -133,5 +141,8 @@ func TestRefineSALargeDeterministic(t *testing.T) {
 		if a[i] < 0 || a[i] >= k {
 			t.Fatalf("assign[%d]=%d out of range", i, a[i])
 		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(a)))); got != refineSALargeDigest {
+		t.Errorf("refined assignment digest %s, want %s", got, refineSALargeDigest)
 	}
 }

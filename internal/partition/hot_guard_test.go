@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand"
 	"testing"
 
 	"sllt/internal/geom"
@@ -10,9 +11,11 @@ import (
 // Guard fixtures: a 16-point set split evenly between two centers (and a
 // grid over those centers), three-point sets shaped for silhouetteOf's
 // early exits (a singleton cluster, one cluster only, all points
-// coincident), caller scratch, and sinks that keep the compiler from
-// discarding the guarded calls. None of them is built by a guarded kernel,
-// so only the guard inputs themselves execute kernel statements.
+// coincident), annealing states over the 16 points (three clusters, the
+// middle one empty) and over no points, caller scratch, and sinks that keep
+// the compiler from discarding the guarded calls. None of them is built by
+// a guarded kernel, so only the guard inputs themselves execute kernel
+// statements.
 var (
 	guardPts         = latticePoints(16, 4)
 	guardCenters     = []geom.Point{geom.Pt(2, 2), geom.Pt(30, 14)}
@@ -25,8 +28,13 @@ var (
 	guardTrioOneClus = []int{0, 0, 0}
 	guardSum         = make([]float64, 2)
 	guardCnt         = make([]int, 2)
+	guardSA          = newSAState(guardPts, make([]float64, len(guardPts)), 3,
+		[]int{0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2}, DefaultSAOptions(1))
+	guardSANone = newSAState(nil, nil, 2, nil, DefaultSAOptions(1))
+	guardRng    = rand.New(rand.NewSource(1))
 
 	guardSinkB bool
+	guardSinkI int
 	guardSinkP geom.Point
 	guardSinkF float64
 )
@@ -69,6 +77,20 @@ var allocFreeGuards = map[string][]func(){
 		func() { guardSinkF = silhouetteOf(guardTrio, guardTrioOneClus, 2, 0, guardSum, guardCnt) },
 		// Both mean distances are zero.
 		func() { guardSinkF = silhouetteOf(guardTrioSame, guardTrioSplit, 2, 0, guardSum, guardCnt) },
+	},
+	"saState.Cost": {
+		func() { guardSinkF = guardSA.Cost() },
+		func() { guardSinkF = guardSANone.Cost() },
+	},
+	// guardSA's draws land on net 0 or, past the empty net 1, on the last
+	// net; over a guard's 101 runs both occur. guardSANone has no weight.
+	"saState.pickCostlyNet": {
+		func() { guardSinkI = guardSA.pickCostlyNet(guardRng) },
+		func() { guardSinkI = guardSANone.pickCostlyNet(guardRng) },
+	},
+	// A move and its undo: the steady state of an annealing step.
+	"saState.move": {
+		func() { guardSA.move(3, 0, 2); guardSA.move(3, 2, 0) },
 	},
 }
 

@@ -361,8 +361,9 @@ func BalancedAssign(pts []geom.Point, centers []geom.Point, cap int) []int {
 }
 
 // BalancedAssignK is BalancedAssign with run-report attribution: it also
-// returns which solver ran ("mcf" or "greedy"), and the flow solver bumps
-// kern.MCFAugments per augmenting path when kern is non-nil.
+// returns which solver ran ("mcf" or "greedy"), the flow solver bumps
+// kern.MCFAugments per augmenting path, and the greedy solver's center
+// grid reports its query counts, when kern is non-nil.
 //
 // pure:
 func BalancedAssignK(pts []geom.Point, centers []geom.Point, cap int, kern *obs.KernelCounters) ([]int, string) {
@@ -372,52 +373,82 @@ func BalancedAssignK(pts []geom.Point, centers []geom.Point, cap int, kern *obs.
 	if len(pts)*len(centers) <= 200_000 {
 		return assignMCF(pts, centers, cap, kern), "mcf"
 	}
-	return assignGreedyRepair(pts, centers, cap), "greedy"
+	return assignGreedyRepair(pts, centers, cap, kern), "greedy"
 }
 
 // assignGreedyRepair assigns each point to its nearest center, then drains
-// over-capacity clusters by moving their lowest-regret members (smallest
-// extra cost to go elsewhere) to the nearest cluster with slack.
-func assignGreedyRepair(pts []geom.Point, centers []geom.Point, cap int) []int {
+// each over-capacity cluster j, in ascending j, one member at a time: the
+// member with the lowest regret (the extra distance to its nearest other
+// center with slack) moves to that center.
+//
+// Only the cluster being drained loses members and only clusters with
+// slack gain them, so a cluster over capacity at its turn holds exactly its
+// nearest-pass members, and while it drains the set of centers with slack
+// only shrinks. Each member's nearest center with slack is therefore
+// computed once and recomputed only after that center fills; a cached
+// choice that still has slack stays the lowest-index nearest one. The
+// candidates reach the (unstable) sort in ascending member order, the order
+// a scan over all points produces, so the same member moves.
+func assignGreedyRepair(pts []geom.Point, centers []geom.Point, cap int, kern *obs.KernelCounters) []int {
 	n, k := len(pts), len(centers)
+	// Both passes query one grid over the centers. Its lowest-index tie
+	// rule is the ascending scan's, so each answer is the scan's.
+	g := index.New(centers)
+	g.Kernel = kern
 	assign := make([]int, n)
-	load := make([]int, k)
-	for i, p := range pts {
-		best, bd := 0, math.Inf(1)
-		for j, c := range centers {
-			if d := p.Dist(c); d < bd {
-				best, bd = j, d
-			}
-		}
-		assign[i] = best
-		load[best]++
+	assignRange(pts, centers, assign, 0, n, g)
+	// Bucket the points by cluster, ascending within each bucket.
+	start := make([]int, k+1)
+	for _, a := range assign {
+		start[a+1]++
 	}
-	for j := 0; j < k; j++ {
+	for j := range k {
+		start[j+1] += start[j]
+	}
+	load := make([]int, k)
+	members := make([]int, n)
+	for i, a := range assign {
+		members[start[a]+load[a]] = i
+		load[a]++
+	}
+
+	type cand struct {
+		idx    int
+		regret float64
+		to     int
+	}
+	var (
+		to     []int     // per member of j: nearest center with slack, or -1
+		regret []float64 // per member of j: the extra distance of going there
+		cands  []cand
+		j      int
+	)
+	noSlack := func(jj int) bool { return jj == j || load[jj] >= cap }
+	for j = range k {
+		if load[j] <= cap {
+			continue
+		}
+		mem := members[start[j]:start[j+1]]
+		to, regret = to[:0], regret[:0]
+		for _, i := range mem {
+			t, bd := g.Nearest(pts[i], noSlack)
+			to = append(to, t)
+			regret = append(regret, bd-pts[i].Dist(centers[j]))
+		}
 		for load[j] > cap {
-			// Members of j, ordered by regret ascending.
-			type cand struct {
-				idx    int
-				regret float64
-				to     int
-			}
-			var cands []cand
-			for i, p := range pts {
-				if assign[i] != j {
+			cands = cands[:0]
+			for m, i := range mem {
+				if assign[i] != j || to[m] < 0 {
 					continue
 				}
-				// Cheapest alternative with slack.
-				bestTo, bd := -1, math.Inf(1)
-				for jj, c := range centers {
-					if jj == j || load[jj] >= cap {
+				if load[to[m]] >= cap {
+					var bd float64
+					if to[m], bd = g.Nearest(pts[i], noSlack); to[m] < 0 {
 						continue
 					}
-					if d := p.Dist(c); d < bd {
-						bestTo, bd = jj, d
-					}
+					regret[m] = bd - pts[i].Dist(centers[j])
 				}
-				if bestTo >= 0 {
-					cands = append(cands, cand{i, bd - p.Dist(centers[j]), bestTo})
-				}
+				cands = append(cands, cand{i, regret[m], to[m]})
 			}
 			if len(cands) == 0 {
 				break // nowhere to move; give up on strict balance

@@ -112,7 +112,7 @@ func TestMCFBeatsGreedy(t *testing.T) {
 			return c
 		}
 		mcf := assignMCF(pts, centers, cap, nil)
-		greedy := assignGreedyRepair(pts, centers, cap)
+		greedy := assignGreedyRepair(pts, centers, cap, nil)
 		if cost(mcf) > cost(greedy)+1e-6 {
 			t.Fatalf("trial %d: MCF cost %.2f worse than greedy %.2f", trial, cost(mcf), cost(greedy))
 		}

@@ -12,20 +12,18 @@ import (
 
 // saGridThreshold is the instance count at which the annealer's
 // nearest-other-net query switches from the all-members scan to a grid
-// expanding-ring query. Below it (every level the golden-path designs
-// produce) the scan runs unchanged; above it the grid keeps each move
-// near-O(1) instead of O(n). The two resolve exact distance ties
+// expanding-ring query. Below it (the golden DEFs, the smoke digest and
+// every s38584 level) the scan runs; above it (ethernet's level 0 in
+// cmd/benchtab's TestFlowDigests, and every larger design) the grid keeps
+// each move near-O(1) instead of O(n). The two resolve exact distance ties
 // differently (scan: lowest cluster then member order; grid: lowest
-// instance index), which is why the fast path sits behind the threshold.
+// instance index), which is why the grid sits behind the threshold.
 const saGridThreshold = 2048
 
 // SAOptions configures simulated-annealing partition refinement.
 type SAOptions struct {
 	Iters int
 	Seed  int64
-	// P and Q weight the capacitance and delay variances in the paper's
-	// Cost = p·σ(Cap) + q·σ(T) metric.
-	P, Q float64
 	// CPerUm converts estimated net wirelength to capacitance, making
 	// capacitance the unified violation metric (§3.2).
 	CPerUm float64
@@ -34,9 +32,6 @@ type SAOptions struct {
 	MaxCap    float64
 	MaxWL     float64
 	MaxFanout int
-	// InitTemp is the starting temperature; 0 picks a default from the
-	// initial cost.
-	InitTemp float64
 	// Stats, when non-nil, receives the run's move counts. RefineSA is
 	// called from the serial level loop, so plain ints suffice.
 	Stats *SAStats
@@ -56,7 +51,6 @@ type SAStats struct {
 func DefaultSAOptions(seed int64) SAOptions {
 	return SAOptions{
 		Iters: 400, Seed: seed,
-		P: 1, Q: 1,
 		CPerUm: 0.12, MaxCap: 150, MaxWL: 300, MaxFanout: 32,
 	}
 }
@@ -74,12 +68,10 @@ type clusterState struct {
 	bbox    geom.Rect
 	cx, cy  float64 // coordinate sums for the centroid
 
-	// Memoized per-cluster geometry, recomputed lazily from the member set
-	// after a membership change. Both derive deterministically from the
-	// sorted members, so a cached value is bit-identical to a recompute —
-	// the caches change wall clock, never results.
-	hull   []geom.Point // convex hull of member locations; nil when stale
-	radius float64      // unit: um // netDelayProxy value; < 0 when stale
+	// hull is the convex hull of the member locations, rebuilt lazily from
+	// the sorted members after a membership change (nil when stale), so the
+	// cached value is bit-identical to a recompute.
+	hull []geom.Point
 }
 
 // insert adds i to the sorted member set (no-op if present).
@@ -91,7 +83,7 @@ func (c *clusterState) insert(i int) {
 	c.members = append(c.members, 0)
 	copy(c.members[pos+1:], c.members[pos:])
 	c.members[pos] = i
-	c.hull, c.radius = nil, -1
+	c.hull = nil
 }
 
 // remove deletes i from the sorted member set (no-op if absent).
@@ -101,7 +93,30 @@ func (c *clusterState) remove(i int) {
 		return
 	}
 	c.members = append(c.members[:pos], c.members[pos+1:]...)
-	c.hull, c.radius = nil, -1
+	c.hull = nil
+}
+
+// netTerms are one cluster's contributions to Cost and pickCostlyNet. An
+// empty cluster's terms are all zero, and adding a zero to a running sum
+// leaves it unchanged, so sums over every cluster equal the sums over the
+// non-empty clusters that the cost is defined on.
+type netTerms struct {
+	size  int     // member count
+	cap   float64 // unit: fF // netCap
+	delay float64 // unit: um // netDelayProxy
+	// viol holds the capacitance-unified cap, WL and fanout violations, in
+	// the order Cost adds them; a term is 0 where its bound holds.
+	viol [3]float64 // unit: fF
+	sq   float64    // squared per-net cost: pickCostlyNet's sampling weight
+}
+
+// termRuns are the running sums of netTerms over clusters 0..j, accumulated
+// in ascending j: the addition order, and so the rounding, of a full pass.
+type termRuns struct {
+	cap   float64 // unit: fF
+	delay float64 // unit: um
+	viol  float64 // unit: fF
+	sq    float64
 }
 
 // saState is the annealing state over a whole partition.
@@ -115,17 +130,30 @@ type saState struct {
 	// large levels; nil below saGridThreshold. Moves change only assign, so
 	// the index never needs rebuilding.
 	grid *index.Grid
+	// terms[j] caches cluster j's cost terms and runs[j] the running sums
+	// of terms[0..j]. move refreshes the terms of the two clusters it
+	// touches and the sums from the lower of them up, so Cost and
+	// pickCostlyNet read every cluster without recomputing any.
+	terms []netTerms
+	runs  []termRuns
+	used  int // non-empty clusters
 }
 
 func newSAState(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptions) *saState {
 	st := &saState{pts: pts, caps: caps, assign: append([]int(nil), assign...), opt: opt}
 	st.clusters = make([]*clusterState, k)
 	for j := range st.clusters {
-		st.clusters[j] = &clusterState{bbox: geom.EmptyRect(), radius: -1}
+		st.clusters[j] = &clusterState{bbox: geom.EmptyRect()}
 	}
 	for i := range pts {
 		st.addTo(assign[i], i)
 	}
+	st.terms = make([]netTerms, k)
+	st.runs = make([]termRuns, k)
+	for j := range st.terms {
+		st.refreshTerms(j)
+	}
+	st.rebuildRuns(0)
 	if len(pts) >= saGridThreshold {
 		st.grid = index.New(pts)
 		st.grid.Kernel = opt.Kernel
@@ -170,19 +198,11 @@ func (st *saState) netWL(j int) float64 {
 }
 
 // netDelayProxy is the T_j term: the cluster radius (max member distance
-// from the centroid), which tracks the net's max driver-to-sink delay. The
-// value is memoized on the cluster: Cost() evaluates every cluster each
-// annealing move, but only the two clusters the move touched changed.
+// from the centroid), which tracks the net's max driver-to-sink delay.
+// Cluster j must have members.
 func (st *saState) netDelayProxy(j int) float64 {
 	c := st.clusters[j]
-	if c.radius >= 0 {
-		return c.radius
-	}
 	n := len(c.members)
-	if n == 0 {
-		c.radius = 0
-		return 0
-	}
 	ctr := geom.Pt(c.cx/float64(n), c.cy/float64(n))
 	var r float64
 	for _, m := range c.members {
@@ -190,65 +210,92 @@ func (st *saState) netDelayProxy(j int) float64 {
 			r = d
 		}
 	}
-	c.radius = r
 	return r
 }
 
-// Cost evaluates the paper's partition metric over the current state:
-// p·σ(Cap) + q·σ(T) plus capacitance-unified constraint violations.
+// refreshTerms recomputes cluster j's cost terms from its current members.
+// The per-net cost that pickCostlyNet squares is the net's own cap plus
+// violations: netCap + CPerUm·netWL, plus 4× the cap overflow.
+func (st *saState) refreshTerms(j int) {
+	t := netTerms{size: len(st.clusters[j].members)}
+	if t.size > 0 {
+		nc, wl := st.netCap(j), st.netWL(j)
+		t.cap = nc
+		t.delay = st.netDelayProxy(j)
+		cost := nc + st.opt.CPerUm*wl
+		if nc > st.opt.MaxCap {
+			t.viol[0] = nc - st.opt.MaxCap
+			cost += 4 * (nc - st.opt.MaxCap)
+		}
+		if wl > st.opt.MaxWL {
+			t.viol[1] = st.opt.CPerUm * (wl - st.opt.MaxWL)
+		}
+		if st.opt.MaxFanout > 0 && t.size > st.opt.MaxFanout {
+			// Each extra sink charged at the mean pin cap.
+			t.viol[2] = float64(t.size-st.opt.MaxFanout) * 2
+		}
+		t.sq = cost * cost // square to sharpen sampling toward the worst nets
+	}
+	if st.terms[j].size > 0 {
+		st.used--
+	}
+	if t.size > 0 {
+		st.used++
+	}
+	st.terms[j] = t
+}
+
+// rebuildRuns recomputes the running sums from cluster lo up, continuing
+// from the sums through lo-1.
+func (st *saState) rebuildRuns(lo int) {
+	var r termRuns
+	if lo > 0 {
+		r = st.runs[lo-1]
+	}
+	for j := lo; j < len(st.terms); j++ {
+		t := &st.terms[j]
+		r.cap += t.cap
+		r.delay += t.delay
+		r.viol += t.viol[0]
+		r.viol += t.viol[1]
+		r.viol += t.viol[2]
+		r.sq += t.sq
+		st.runs[j] = r
+	}
+}
+
+// move reassigns instance i from cluster from to cluster to and refreshes
+// the cost terms and running sums the move changed.
+func (st *saState) move(i, from, to int) {
+	st.removeFrom(from, i)
+	st.addTo(to, i)
+	st.refreshTerms(from)
+	st.refreshTerms(to)
+	st.rebuildRuns(min(from, to))
+}
+
+// Cost evaluates the paper's partition metric over the current state,
+// p·σ(Cap) + q·σ(T) with p = q = 1 and σ the variance over non-empty
+// clusters, plus 4× the capacitance-unified constraint violations. Only
+// the variance pass around the means runs over the clusters; the sums come
+// from the running sums, so the result is bit-identical to a full pass.
 func (st *saState) Cost() float64 {
-	k := len(st.clusters)
-	capV := make([]float64, 0, k)
-	tV := make([]float64, 0, k)
-	var viol float64
-	for j := range st.clusters {
-		if len(st.clusters[j].members) == 0 {
+	if st.used == 0 {
+		return 0
+	}
+	n := float64(st.used)
+	all := st.runs[len(st.runs)-1]
+	capMean, delayMean := all.cap/n, all.delay/n
+	var capVar, delayVar float64
+	for j := range st.terms {
+		t := &st.terms[j]
+		if t.size == 0 {
 			continue
 		}
-		nc := st.netCap(j)
-		capV = append(capV, nc)
-		tV = append(tV, st.netDelayProxy(j))
-		if nc > st.opt.MaxCap {
-			viol += nc - st.opt.MaxCap
-		}
-		if wl := st.netWL(j); wl > st.opt.MaxWL {
-			viol += st.opt.CPerUm * (wl - st.opt.MaxWL)
-		}
-		if st.opt.MaxFanout > 0 && len(st.clusters[j].members) > st.opt.MaxFanout {
-			// Each extra sink charged at the mean pin cap.
-			viol += float64(len(st.clusters[j].members)-st.opt.MaxFanout) * 2
-		}
+		capVar += (t.cap - capMean) * (t.cap - capMean)
+		delayVar += (t.delay - delayMean) * (t.delay - delayMean)
 	}
-	return st.opt.P*variance(capV) + st.opt.Q*variance(tV) + 4*viol
-}
-
-func variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var mean float64
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	var v float64
-	for _, x := range xs {
-		v += (x - mean) * (x - mean)
-	}
-	return v / float64(len(xs))
-}
-
-// perNetCost ranks nets for move selection: their own cap plus violations.
-func (st *saState) perNetCost(j int) float64 {
-	c := st.clusters[j]
-	if len(c.members) == 0 {
-		return 0
-	}
-	cost := st.netCap(j) + st.opt.CPerUm*st.netWL(j)
-	if nc := st.netCap(j); nc > st.opt.MaxCap {
-		cost += 4 * (nc - st.opt.MaxCap)
-	}
-	return cost
+	return capVar/n + delayVar/n + 4*all.viol
 }
 
 // RefineSA improves a balanced-k-means partition with the Fig. 4 local
@@ -269,10 +316,7 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 	best := cur
 	bestAssign := append([]int(nil), st.assign...)
 
-	temp := opt.InitTemp
-	if temp <= 0 {
-		temp = math.Max(cur*0.05, 1e-6)
-	}
+	temp := math.Max(cur*0.05, 1e-6)
 	cool := math.Pow(1e-3, 1/float64(opt.Iters)) // reach 0.1% of T0 at the end
 
 	for it := 0; it < opt.Iters; it++ {
@@ -294,8 +338,7 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 		if opt.Kernel != nil {
 			opt.Kernel.SAProposed.Add(1)
 		}
-		st.removeFrom(j, i)
-		st.addTo(to, i)
+		st.move(i, j, to)
 		next := st.Cost()
 		delta := next - cur
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
@@ -312,37 +355,32 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 			}
 		} else {
 			// Reject: undo.
-			st.removeFrom(to, i)
-			st.addTo(j, i)
+			st.move(i, to, j)
 		}
 		temp *= cool
 	}
 	return bestAssign
 }
 
-// pickCostlyNet samples nets with probability weighted by cost (greedy in
-// expectation — the paper's observation that descending net cost order
-// reduces global cost efficiently — but still stochastic for annealing).
+// pickCostlyNet samples nets with probability weighted by their squared
+// per-net cost (greedy in expectation — the paper's observation that
+// descending net cost order reduces global cost efficiently — but still
+// stochastic for annealing). The draw subtracts the weights in ascending
+// order, so it picks the net a pass over all weights would.
 func (st *saState) pickCostlyNet(rng *rand.Rand) int {
-	var total float64
-	costs := make([]float64, len(st.clusters))
-	for j := range st.clusters {
-		c := st.perNetCost(j)
-		// Square to sharpen toward the worst nets.
-		costs[j] = c * c
-		total += costs[j]
-	}
+	last := len(st.terms) - 1
+	total := st.runs[last].sq
 	if total <= 0 {
 		return -1
 	}
 	r := rng.Float64() * total
-	for j, c := range costs {
-		r -= c
+	for j := range last {
+		r -= st.terms[j].sq
 		if r <= 0 {
 			return j
 		}
 	}
-	return len(st.clusters) - 1
+	return last
 }
 
 // pickHullInstance returns a member of net j lying on the cluster's convex
