@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand"
 	"testing"
 
 	"sllt/internal/geom"
@@ -51,5 +52,37 @@ func BenchmarkSARefine(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		benchSink = RefineSA(pts, caps, len(centers), assign, opt)
+	}
+}
+
+// clustered returns n points in blobs of about 60 µm across, their centers
+// scattered over a 1 mm square.
+func clustered(n, blobs int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	hubs := make([]geom.Point, blobs)
+	for b := range hubs {
+		hubs[b] = geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+	}
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		h := hubs[rng.Intn(blobs)]
+		pts[i] = geom.Pt(h.X+rng.NormFloat64()*30, h.Y+rng.NormFloat64()*30)
+	}
+	return pts
+}
+
+// BenchmarkAssignMCF times the min-cost-flow assignment at salsa20's
+// level-0 shape: 2,375 clustered points, the flow's fanout-32 cluster count
+// of k-means centers (k = 75) and capacity 32, n·k = 178,125.
+func BenchmarkAssignMCF(b *testing.B) {
+	pts := clustered(2375, 40, 43)
+	centers, _ := KMeansP(pts, len(pts)/32+1, 20, 1, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		var method string
+		if benchSink, method = BalancedAssignK(pts, centers, 32, nil); method != "mcf" {
+			b.Fatalf("solver %q, want mcf", method)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"sllt/internal/geom"
 	"sllt/internal/geom/index"
+	"sllt/internal/obs"
 )
 
 // Guard fixtures: a 16-point set split evenly between two centers (and a
@@ -32,6 +33,13 @@ var (
 		[]int{0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2}, DefaultSAOptions(1))
 	guardSANone = newSAState(nil, nil, 2, nil, DefaultSAOptions(1))
 	guardRng    = rand.New(rand.NewSource(1))
+	// Min-cost-flow solvers over the 16 points: three centers with room
+	// for 18, where later points push earlier ones to another center, and
+	// guardCenters with room for 10, where the sink goes out of reach.
+	guardMCFCenters = []geom.Point{geom.Pt(10, 4), geom.Pt(28, 8), geom.Pt(40, 16)}
+	guardMCF        = newMCFSolver(guardPts, guardMCFCenters, 6)
+	guardMCFFull    = newMCFSolver(guardPts, guardCenters, 5)
+	guardKern       obs.KernelCounters
 
 	guardSinkB bool
 	guardSinkI int
@@ -91,6 +99,20 @@ var allocFreeGuards = map[string][]func(){
 	// A move and its undo: the steady state of an annealing step.
 	"saState.move": {
 		func() { guardSA.move(3, 0, 2); guardSA.move(3, 2, 0) },
+	},
+	// Each input solves from an empty flow. Over guardMCF's augmentations
+	// the Dijkstra skips stale heap entries, relaxes routed points' source
+	// edges, centers with members and with slack, and a sink pop while
+	// centers have load, and the augmenting paths move routed points on.
+	"mcfSolver.solve": {
+		func() { guardMCF.solve(&guardKern) },
+		func() { guardMCFFull.solve(nil) },
+	},
+	"mcfSolver.shortestPaths": {
+		func() { guardMCF.solve(nil) },
+	},
+	"mcfSolver.augment": {
+		func() { guardMCF.solve(nil) },
 	},
 }
 

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
@@ -143,6 +144,143 @@ func oracleGreedyRepair(pts []geom.Point, centers []geom.Point, cap int) []int {
 	return assign
 }
 
+// oracleAssignMCF is the assignment's min-cost flow on an explicit residual
+// edge list with a container/heap queue: the generic solver that mcfSolver
+// replaces, which relaxes the same edges in the same order.
+func oracleAssignMCF(pts []geom.Point, centers []geom.Point, cap int) []int {
+	n, k := len(pts), len(centers)
+	// Node ids: 0 = source, 1..n = points, n+1..n+k = centers, n+k+1 = sink.
+	src, snk := 0, n+k+1
+	g := newFlowGraph(n + k + 2)
+	for i, p := range pts {
+		g.addEdge(src, 1+i, 1, 0)
+		for j, c := range centers {
+			g.addEdge(1+i, 1+n+j, 1, p.Dist(c))
+		}
+	}
+	for j := 0; j < k; j++ {
+		g.addEdge(1+n+j, snk, cap, 0)
+	}
+	g.minCostFlow(src, snk, n)
+
+	assign := make([]int, n)
+	for i := 0; i < n; i++ {
+		assign[i] = 0
+		for _, eid := range g.adj[1+i] {
+			e := &g.edges[eid]
+			if e.to >= 1+n && e.to <= n+k && e.cap == 0 {
+				assign[i] = e.to - 1 - n
+				break
+			}
+		}
+	}
+	return assign
+}
+
+// flowGraph is a residual-edge min-cost max-flow structure.
+type flowGraph struct {
+	adj   [][]int // node -> edge ids
+	edges []flowEdge
+	pot   []float64 // Johnson potentials
+}
+
+type flowEdge struct {
+	to   int
+	cap  int
+	cost float64
+}
+
+func newFlowGraph(nodes int) *flowGraph {
+	return &flowGraph{adj: make([][]int, nodes), pot: make([]float64, nodes)}
+}
+
+// addEdge inserts a directed edge and its zero-capacity reverse.
+func (g *flowGraph) addEdge(from, to, cap int, cost float64) {
+	g.adj[from] = append(g.adj[from], len(g.edges))
+	g.edges = append(g.edges, flowEdge{to: to, cap: cap, cost: cost})
+	g.adj[to] = append(g.adj[to], len(g.edges))
+	g.edges = append(g.edges, flowEdge{to: from, cap: 0, cost: -cost})
+}
+
+// minCostFlow pushes up to want units from src to snk along successive
+// shortest paths.
+func (g *flowGraph) minCostFlow(src, snk, want int) {
+	sent := 0
+	dist := make([]float64, len(g.adj))
+	prevEdge := make([]int, len(g.adj))
+	for sent < want {
+		// Dijkstra on reduced costs.
+		for i := range dist {
+			dist[i] = math.Inf(1)
+			prevEdge[i] = -1
+		}
+		dist[src] = 0
+		pq := &nodePQ{{src, 0}}
+		for pq.Len() > 0 {
+			it := heap.Pop(pq).(nodeItem)
+			if it.d > dist[it.n] {
+				continue
+			}
+			for _, eid := range g.adj[it.n] {
+				e := &g.edges[eid]
+				if e.cap <= 0 {
+					continue
+				}
+				nd := it.d + e.cost + g.pot[it.n] - g.pot[e.to]
+				if nd < dist[e.to]-1e-12 {
+					dist[e.to] = nd
+					prevEdge[e.to] = eid
+					heap.Push(pq, nodeItem{e.to, nd})
+				}
+			}
+		}
+		if math.IsInf(dist[snk], 1) {
+			break // saturated
+		}
+		for i := range g.pot {
+			if !math.IsInf(dist[i], 1) {
+				g.pot[i] += dist[i]
+			}
+		}
+		// Augment one unit (all path capacities here are >= 1 and the
+		// bottleneck source edge has capacity 1).
+		aug := math.MaxInt32
+		for v := snk; v != src; {
+			e := &g.edges[prevEdge[v]]
+			if e.cap < aug {
+				aug = e.cap
+			}
+			v = g.edges[prevEdge[v]^1].to
+		}
+		for v := snk; v != src; {
+			eid := prevEdge[v]
+			g.edges[eid].cap -= aug
+			g.edges[eid^1].cap += aug
+			v = g.edges[eid^1].to
+		}
+		sent += aug
+	}
+}
+
+type nodeItem struct {
+	n int
+	d float64
+}
+
+type nodePQ []nodeItem
+
+func (q nodePQ) Len() int            { return len(q) }
+func (q nodePQ) Less(i, j int) bool  { return q[i].d < q[j].d }
+func (q nodePQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *nodePQ) Push(x interface{}) { *q = append(*q, x.(nodeItem)) }
+func (q *nodePQ) Pop() interface{} {
+	old := *q
+	n := len(old)
+	it := old[n-1]
+	*q = old[:n-1]
+	return it
+}
+
 // checkSAState compares the incremental cost, every per-net weight and a
 // net draw against the oracles under ==, and counts the clusters whose
 // cap, WL and fanout violation terms are positive.
@@ -252,6 +390,67 @@ func TestGreedyRepairMatchesOracle(t *testing.T) {
 							c.n, c.k, integer, cap, i, got[i], want[i])
 					}
 				}
+			}
+		}
+	}
+}
+
+// gridPts returns n points on the integer w×w grid, where exact distance
+// ties are common.
+func gridPts(n, w int, rng *rand.Rand) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(float64(rng.Intn(w)), float64(rng.Intn(w)))
+	}
+	return pts
+}
+
+// TestMCFMatchesOracle compares assignMCF with the edge-list solver element
+// for element on 300 instances: random floats at two scales, small integer
+// grids full of distance ties, saturated capacities (cap·k < n, where the
+// unrouted points fall to center 0), a single center, fewer points than
+// centers, and stacks of coincident points and centers.
+func TestMCFMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	for trial := range 300 {
+		n, k := 2+rng.Intn(60), 1+rng.Intn(10)
+		var pts, centers []geom.Point
+		kind := [...]string{"float", "grid", "saturated", "k=1", "n<k", "coincident"}[trial%6]
+		switch kind {
+		case "float":
+			if trial%12 == 0 {
+				n, k = 150+rng.Intn(100), 8+rng.Intn(8)
+			}
+			pts, centers = fastpathPts(n, rng, false), fastpathPts(k, rng, false)
+		case "grid", "saturated":
+			pts, centers = gridPts(n, 3+rng.Intn(6), rng), gridPts(k, 3+rng.Intn(6), rng)
+		case "k=1":
+			k = 1
+			pts, centers = gridPts(n, 5, rng), gridPts(k, 5, rng)
+		case "n<k":
+			k = 3 + rng.Intn(10)
+			n = 1 + rng.Intn(k-1)
+			pts, centers = gridPts(n, 4, rng), gridPts(k, 4, rng)
+		case "coincident":
+			spots := gridPts(1+rng.Intn(3), 10, rng)
+			pts, centers = make([]geom.Point, n), make([]geom.Point, k)
+			for i := range pts {
+				pts[i] = spots[rng.Intn(len(spots))]
+			}
+			for j := range centers {
+				centers[j] = spots[rng.Intn(len(spots))]
+			}
+		}
+		cap := (n+k-1)/k + rng.Intn(3)
+		if kind == "saturated" {
+			cap = (n - 1) / k
+		}
+		got := assignMCF(pts, centers, cap, nil)
+		want := oracleAssignMCF(pts, centers, cap)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (%s, n=%d k=%d cap=%d): assign[%d]=%d, oracle %d",
+					trial, kind, n, k, cap, i, got[i], want[i])
 			}
 		}
 	}
