@@ -10,24 +10,25 @@
 //	benchtab -table 7 -scale 0.25     # ysyx designs at quarter size (fast)
 //	benchtab -table all
 //	benchtab -table 6 -workers 8      # spread independent work over 8 cores
-//	benchtab -table smoke -workers 8  # print the flow's DEF digest (CI oracle)
+//	benchtab -table smoke -workers 8  # print the smoke flow's DEF digest
 //	benchtab -table 2 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	benchtab -table 6 -stages -cache  # per-stage wall clock + cache hit rates
-//	benchtab -table cachesmoke        # flow twice vs one store (CI oracle)
+//	benchtab -table cachesmoke        # smoke flow twice vs one store
 //
 // -workers parallelizes the independent units of each table (per-cluster
 // net builds inside a flow, per-cell net streams in Tables 2/3, the seven
 // builders of Table 1) without changing a single output byte; `-table
-// smoke` exists so CI can assert exactly that, by diffing the digest line
-// across worker counts.
+// smoke` prints the digest line that shows it, and TestSmokeDigest pins
+// that digest at one and eight workers.
 //
 // -cache attaches a content-addressed stage cache to the flow tables (6/7)
 // so repeated invocations replay instead of recompute; -cachedir adds the
 // on-disk tier so the warmth survives across processes. With -stages the
-// per-stage table gains hit-rate columns. `-table cachesmoke` is the CI
+// per-stage table gains hit-rate columns. `-table cachesmoke` is the
 // oracle for the cache itself: it runs the smoke flow twice against one
 // store and exits non-zero unless the second run's DEF is byte-identical
-// and its cluster-stage hit rate is at least 90%.
+// and its cluster-stage hit rate is at least 90%. TestCacheSmokeDigest
+// runs it on an on-disk store and pins its digest.
 //
 // Performance is not recorded here: cmd/slltbench is the repository's
 // benchmark (see BENCHMARK.json).
@@ -157,11 +158,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// cachesmoke is the cache's own CI oracle (also outside "all"): the same
+	// cachesmoke is the cache's own oracle (also outside "all"): the same
 	// flow runs twice against one store, and the process fails unless the
 	// replayed run is byte-identical with a >=90% cluster-stage hit rate.
 	if *table == "cachesmoke" {
-		if err := cacheSmoke(*seed, *workers, store); err != nil {
+		if _, err := cacheSmoke(*seed, *workers, store); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: cachesmoke: %v\n", err)
 			os.Exit(1)
 		}
@@ -179,9 +180,9 @@ func main() {
 	}
 }
 
-// smokeFlow runs the paper's flow on the CI oracles' design, a reduced
+// smokeFlow runs the paper's flow on the oracles' design, a reduced
 // s38584-class design, and returns the result with its exported DEF. smoke
-// and cacheSmoke share it, so CI can diff their digests.
+// and cacheSmoke share it, so their digests are comparable.
 func smokeFlow(seed int64, workers int, store *cache.Cache) (*cts.Result, string, error) {
 	// The oracles must exercise real goroutine interleaving even on small CI
 	// boxes, where GOMAXPROCS would otherwise clamp the fan-out.
@@ -215,17 +216,17 @@ func smoke(seed int64, workers int, store *cache.Cache) error {
 }
 
 // cacheSmoke runs the smoke flow twice against one store and asserts the
-// replay contract CI depends on: the second run's DEF must be byte-identical
-// to the first and its cluster-stage hit rate at least 90%. A store with a
-// disk tier (-cachedir) also exercises entry encode/decode. CI additionally
-// diffs the digest against the uncached smoke line — three-way transparency.
-func cacheSmoke(seed int64, workers int, store *cache.Cache) error {
+// replay contract: the second run's DEF must be byte-identical to the first
+// and its cluster-stage hit rate at least 90%. It returns the DEF's SHA-256,
+// which TestCacheSmokeDigest compares with the uncached smoke digest. A
+// store with a disk tier (-cachedir) also exercises entry encode/decode.
+func cacheSmoke(seed int64, workers int, store *cache.Cache) ([32]byte, error) {
 	var digests [2][32]byte
 	for pass := 0; pass < 2; pass++ {
 		prev := store.Stats()
 		_, def, err := smokeFlow(seed, workers, store)
 		if err != nil {
-			return err
+			return [32]byte{}, err
 		}
 		digests[pass] = sha256.Sum256([]byte(def))
 		cs := store.Stats().Sub(prev).Stages["cluster_build"]
@@ -233,14 +234,14 @@ func cacheSmoke(seed int64, workers int, store *cache.Cache) error {
 			pass+1, digests[pass], cs.Hits, cs.Misses, cs.HitRate())
 		if pass == 1 {
 			if digests[1] != digests[0] {
-				return fmt.Errorf("replayed DEF differs from cold run")
+				return [32]byte{}, fmt.Errorf("replayed DEF differs from cold run")
 			}
 			if cs.HitRate() < 0.90 {
-				return fmt.Errorf("cluster-stage hit rate %.3f below the 0.90 replay floor", cs.HitRate())
+				return [32]byte{}, fmt.Errorf("cluster-stage hit rate %.3f below the 0.90 replay floor", cs.HitRate())
 			}
 		}
 	}
-	return nil
+	return digests[0], nil
 }
 
 func scaleAll(specs []designgen.Spec, f float64) []designgen.Spec {

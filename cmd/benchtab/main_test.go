@@ -7,14 +7,15 @@ import (
 	"testing"
 
 	"sllt/internal/bench"
+	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
 	"sllt/internal/designgen"
 )
 
 // smokeDigest is the SHA-256 of the smoke flow's post-CTS DEF at seed 1.
-// A change that moves it on purpose updates this constant and says why in
-// CHANGES.md; any other change that moves it is a regression.
+// A change that moves it on purpose follows the contract-change rule in
+// DESIGN.md; any other change that moves it is a regression.
 const smokeDigest = "18f674c8190a392a9aefe4b0fc4f924df7b76e20cd370f9d7b950c94dea2ef8d"
 
 // TestSmokeDigest pins the smoke flow's DEF, serial and on eight workers,
@@ -32,15 +33,39 @@ func TestSmokeDigest(t *testing.T) {
 	}
 }
 
+// TestCacheSmokeDigest runs the smoke flow twice against one on-disk store
+// on eight workers: cacheSmoke fails unless the replay is byte-identical
+// with a cluster-stage hit rate of at least 90%, and the replayed DEF must
+// hash to the uncached smokeDigest.
+func TestCacheSmokeDigest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	store, err := cache.New(cache.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := cacheSmoke(1, 8, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", digest); got != smokeDigest {
+		t.Errorf("cached smoke DEF digest %s, want %s", got, smokeDigest)
+	}
+}
+
+// large100k is the benchmark's 100k-sink design shape (cmd/slltbench), the
+// one flowDigests design outside Table 4.
+var large100k = designgen.Spec{Name: "large100k", Insts: 200_000, FFs: 100_000, Util: 0.62}
+
 // flowDigests are the SHA-256 digests of the post-CTS DEF of every Table-6
-// row: the six designs generated at seed 1 and run under each flow of
-// bench.FlowOptions. Level 0 of s38584, s38417, s35932 and salsa20 runs
-// the min-cost-flow assignment, also at the OR. rows' fanout of 20 except
-// on salsa20; salsa20 under Ours and Com. is the largest such level
-// (n·k = 178,125). ethernet and vga_lcd are the designs whose level 0 runs
-// greedy assignment and the annealer's grid path (n·k > 200 000,
-// n ≥ 2048); the Com. rows run 30,000 annealing moves. The same update
-// rule as smokeDigest applies.
+// row and of the large100k design under Ours: the designs generated at
+// seed 1 and run under each flow of bench.FlowOptions. Level 0 of s38584,
+// s38417, s35932 and salsa20 runs the min-cost-flow assignment, also at the
+// OR. rows' fanout of 20 except on salsa20; salsa20 under Ours and Com. is
+// the largest such level (n·k = 178,125). ethernet and vga_lcd are the
+// designs whose level 0 runs greedy assignment and the annealer's grid
+// path (n·k > 200 000, n ≥ 2048); the Com. rows run 30,000 annealing
+// moves. large100k is the largest flow checked. A change that moves a
+// digest on purpose follows the contract-change rule in DESIGN.md.
 var flowDigests = []struct{ design, flow, digest string }{
 	{"s38584", "Ours", "b7e15dfa5e40fc348a52450058e74a4cc6627846dd93f9c181d91f1a9dbb6449"},
 	{"s38584", "Com.", "ba171ff9cafa5e2e05a5bee4da7f3c966dd50177e9ddfef415d3434ecfa8ec76"},
@@ -60,6 +85,7 @@ var flowDigests = []struct{ design, flow, digest string }{
 	{"vga_lcd", "Ours", "f68f3bff4d896c648af8a435201a7e52f9d3c7459b0dd82bacbe3eb61a9aa30a"},
 	{"vga_lcd", "Com.", "dd55c3e54ebc156b22a14b201e7232e061d50393e5b3f1e2b29d6aee27cb5700"},
 	{"vga_lcd", "OR.", "beb2ed254ca31b68f85f3d077dff639faa880d5dc1e79ebd4255ab4f5b3ec3a6"},
+	{"large100k", "Ours", "083ed8beab75c5e0310bea3ce2f3ec93893549a00ac7c17ee4bb5798b484841a"},
 }
 
 // TestFlowDigests pins the full flow's DEF for the rows of flowDigests.
@@ -70,6 +96,9 @@ func TestFlowDigests(t *testing.T) {
 		d, ok := designs[c.design]
 		if !ok {
 			spec, err := designgen.FindSpec(c.design)
+			if c.design == large100k.Name {
+				spec, err = large100k, nil
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,9 +16,9 @@ import (
 var citedTestName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9][A-Za-z0-9_]*`)
 
 // TestDocsCiteDeclaredTests: every Test…, Benchmark… or Fuzz… name that
-// DESIGN.md, EXPERIMENTS.md or README.md cites is a function declared in
-// some _test.go file of the repository, so a renamed or deleted test cannot
-// leave the docs pointing at nothing.
+// DESIGN.md, EXPERIMENTS.md, README.md, ROADMAP.md or the verify skill
+// cites is a function declared in some _test.go file of the repository, so
+// a renamed or deleted test cannot leave the docs pointing at nothing.
 func TestDocsCiteDeclaredTests(t *testing.T) {
 	declared := map[string]bool{}
 	fset := token.NewFileSet()
@@ -49,7 +49,7 @@ func TestDocsCiteDeclaredTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

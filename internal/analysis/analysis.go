@@ -6,12 +6,13 @@
 //
 // The framework exists to machine-check the properties every result in this
 // repository depends on: determinism (bit-identical trees for a given seed),
-// unit coherence, cacheable stages and cancellable server loops. The eight
-// rules live in the analyzer subpackages (maporder, floatcmp, seededrand,
-// wallclock, sharedstate, unitflow, stagepure, ctxguard), registry.All lists
-// them, and cmd/slltlint drives them. Allocation-free kernels are not a lint
-// rule: the AllocsPerRun guards in each kernel package's hot_guard_test.go
-// measure them.
+// unit coherence and cancellable server loops. The seven rules live in the
+// analyzer subpackages (maporder, floatcmp, seededrand, wallclock,
+// sharedstate, unitflow, ctxguard), registry.All lists them, and
+// cmd/slltlint drives them. Two contracts are not lint rules but runtime
+// tests: allocation-free kernels are measured by the AllocsPerRun guards in
+// each kernel package's hot_guard_test.go, and the purity of the cached flow
+// stages by the stage cache's replay tests in internal/cts.
 package analysis
 
 import (

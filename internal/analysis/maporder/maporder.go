@@ -15,8 +15,9 @@ import (
 )
 
 // AlgorithmPackages are the package basenames the rule applies to: the
-// packages that construct or transform clock trees and must be
-// byte-reproducible for a fixed seed.
+// packages that construct, transform or time clock trees, and every package
+// a cached flow stage calls into. Their results must be byte-reproducible
+// for a fixed seed, since the stage cache replays them by key.
 var AlgorithmPackages = map[string]bool{
 	"core":      true,
 	"dme":       true,
@@ -25,6 +26,12 @@ var AlgorithmPackages = map[string]bool{
 	"partition": true,
 	"buffering": true,
 	"rsmt":      true,
+	"timing":    true,
+	"geom":      true,
+	"index":     true,
+	"tree":      true,
+	"liberty":   true,
+	"tech":      true,
 }
 
 // Analyzer is the maporder rule.

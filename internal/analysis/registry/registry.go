@@ -11,7 +11,6 @@ import (
 	"sllt/internal/analysis/maporder"
 	"sllt/internal/analysis/seededrand"
 	"sllt/internal/analysis/sharedstate"
-	"sllt/internal/analysis/stagepure"
 	"sllt/internal/analysis/unitflow"
 	"sllt/internal/analysis/wallclock"
 )
@@ -25,7 +24,6 @@ func All() []*analysis.Analyzer {
 		maporder.Analyzer,
 		seededrand.Analyzer,
 		sharedstate.Analyzer,
-		stagepure.Analyzer,
 		unitflow.Analyzer,
 		wallclock.Analyzer,
 	}

@@ -52,9 +52,3 @@ func FanGen(xs []float64) float64 {
 func BadSumGen(d, c float64) float64 {
 	return d + c
 }
-
-// pure:
-func CountGen(n int) int {
-	counter += n
-	return counter
-}

@@ -58,10 +58,3 @@ func BadSumIgnored(d, c float64) float64 {
 	//slltlint:ignore unitflow fixture: suppression must hold for every analyzer
 	return d + c
 }
-
-// pure:
-//slltlint:ignore stagepure fixture: suppression must hold for every analyzer
-func CountIgnored(n int) int {
-	counter += n
-	return counter
-}

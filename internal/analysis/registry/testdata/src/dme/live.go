@@ -66,14 +66,3 @@ func Fan(xs []float64) float64 {
 func BadSum(d, c float64) float64 {
 	return d + c
 }
-
-// counter is package state for the stagepure violation.
-var counter int
-
-// Count trips stagepure.
-//
-// pure:
-func Count(n int) int {
-	counter += n
-	return counter
-}

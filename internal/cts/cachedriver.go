@@ -8,7 +8,7 @@ import (
 	"sllt/internal/tree"
 )
 
-// The cache driver makes each annotated stage individually replayable: every
+// The cache driver makes each flow stage individually replayable: every
 // stage result is addressed by a key over the stage's complete inputs (see
 // cachekey.go), stored as a canonical encoding (codec.go), and replayed on a
 // key match instead of recomputed. Dirtiness propagates hierarchically — a
@@ -18,10 +18,11 @@ import (
 //
 // The driver lives outside the stage functions (Run and buildLevel consult
 // it; partitionLevel, buildNet, buildTopNet and timing.Analyze never see it),
-// which keeps the stagepure admission gate meaningful: a stage is cacheable
-// because the analyzer proved it pure, and the cache package — like obs — is
-// exempt from the purity rules precisely because replaying a verified-pure
-// stage's bytes is observationally identical to recomputing them.
+// so a stage computes the same bytes whether or not a store is attached.
+// Replaying those bytes is sound only while each stage is a pure function of
+// its key; TestCacheByteIdentity checks that at runtime, requiring a warm
+// multi-level replay to hit every stage it consults and to export the
+// uncached run's DEF byte for byte.
 
 // stageCache is one run's cache view: the store, the run's base key, the
 // store's counters when the run began, and the current level's node
@@ -135,7 +136,7 @@ func (sc *stageCache) putCluster(keys []cache.Key, ci int, v clusterValue) {
 // nextLevel makes the level's cluster keys the next level's node
 // identities: a stage output carries forward the key that produced it.
 // Content-addressing makes this sound — equal keys imply byte-identical
-// outputs for stagepure-verified stages.
+// outputs for stages that are pure functions of their keys.
 func (sc *stageCache) nextLevel(clusterKeys []cache.Key) {
 	if sc == nil {
 		return

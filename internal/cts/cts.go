@@ -81,8 +81,6 @@ const (
 // Builders run inside cached stages, so every value of this type must be a
 // pure function of (net, dopts): no clock, no unseeded randomness, no
 // mutable package state, no mutation of the net.
-//
-// pure: contract
 type TopoBuilder func(net *tree.Net, dopts dme.Options) (*tree.Tree, error)
 
 // CBSBuilder returns the default engine: the paper's CBS construction.
@@ -201,11 +199,10 @@ type clockNode struct {
 }
 
 // Run synthesizes the clock tree for the design. The whole flow is a pure
-// function of (d, opts) — the contract ROADMAP's content-addressed stage
-// cache keys against; stagepure verifies it transitively, stopping at the
-// annotated stage boundaries below.
-//
-// stage: flow
+// function of (d, opts) — the contract the content-addressed stage cache
+// keys against. TestCacheByteIdentity checks it at runtime: a warm replay
+// of a multi-level flow must hit every stage it consults and export the
+// uncached run's DEF byte for byte.
 func Run(d *design.Design, opts Options) (*Result, error) {
 	if err := opts.Cons.validate(); err != nil {
 		return nil, err
@@ -360,8 +357,6 @@ func levelShare(skew float64, levelsLeft int) float64 {
 // that ran, plus the SA stats when observability wants them — a pure
 // function of (nodes, opts, level), which is what makes the partition stage
 // cacheable on that key.
-//
-// stage: partition
 func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (partitionValue, *partition.SAStats, error) {
 	pts := make([]geom.Point, len(nodes))
 	caps := make([]float64, len(nodes))
@@ -624,8 +619,6 @@ func bestClustering(pts []geom.Point, k int, opts Options, level int, sp *obs.Sp
 // tree's root with the net's own QoR (wire and buffers before grafting
 // pulls the lower levels in).
 //
-// stage: top_net
-//
 // unit: levelBound ps ->
 func buildTopNet(root geom.Point, nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64) (topNetValue, error) {
 	tsp := opts.Obs.Begin("top_net")
@@ -670,11 +663,7 @@ func centroidOf(nodes []clockNode) geom.Point {
 // rooted at a Source node at src; the returned QoR is the net's own wire
 // and buffers, measured before grafting.
 //
-// stage: cluster_build
-//
 // unit: levelBound ps ->
-//
-//slltlint:ignore stagepure grafting is ownership transfer: nodes[i].sub becomes part of the returned tree (only Parent back-links are set), so caching the stage's full output remains sound
 func buildNet(src geom.Point, nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64) (*tree.Tree, obs.NetQoR, error) {
 	net := &tree.Net{Name: "lvl", Source: src}
 	for i := range nodes {

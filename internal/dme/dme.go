@@ -49,8 +49,6 @@ func (m Model) String() string {
 // bottom-up merge, so any side effect or hidden input would leak into the
 // embedding; implementations must be pure functions of (i, s) and whatever
 // immutable data they close over.
-//
-// pure: contract
 type SinkFn func(i int, s tree.PinSink) float64
 
 // Options configures a DME run.
@@ -128,10 +126,9 @@ type mnode struct {
 // Build runs DME over the given merging topology and returns the embedded
 // clock tree rooted at the net's source. The topology must cover all sinks
 // of the net exactly once (tree.Topo.Validate). The result is a pure
-// function of (net, topo, opts): stagepure verifies the whole merge reaches
-// no clock, randomness or mutable package state.
-//
-// pure:
+// function of (net, topo, opts), with no clock, randomness or mutable
+// package state read, which the stage cache relies on when it replays the
+// cluster builds that call it.
 func Build(net *tree.Net, topo *tree.Topo, opts Options) (*tree.Tree, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err

@@ -49,8 +49,6 @@ var AllTopoMethods = []TopoMethod{GreedyDist, GreedyMerge, BiPartition, BiCluste
 // lengthSkewBudget is the path-length skew allowance used by the greedy
 // methods' cost model (pass the linear-model skew bound; for Elmore runs,
 // pass Options.LengthBudget).
-//
-// pure:
 func GenTopo(net *tree.Net, method TopoMethod, lengthSkewBudget float64) *tree.Topo {
 	n := len(net.Sinks)
 	if n == 0 {

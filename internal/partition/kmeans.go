@@ -62,8 +62,6 @@ func KMeansP(pts []geom.Point, k, iters int, seed int64, workers int) ([]geom.Po
 // bumps kern.KMeansIters and the assignment pass's grid reports its query
 // counts, when kern is non-nil. The counters never feed back into the
 // algorithm, so KMeansPK(… , nil) and KMeansP are the same function.
-//
-// pure:
 func KMeansPK(pts []geom.Point, k, iters int, seed int64, workers int, kern *obs.KernelCounters) ([]geom.Point, []int) {
 	n := len(pts)
 	if k < 1 {
@@ -268,8 +266,6 @@ func Silhouette(pts []geom.Point, assign []int, k int) float64 {
 // reduced serially in point order, giving the exact float result of the
 // serial loop for every workers value. The score is exact at every size;
 // callers bound n (cts subsamples to 2500 points first).
-//
-// pure:
 func SilhouetteP(pts []geom.Point, assign []int, k, workers int) float64 {
 	n := len(pts)
 	if n == 0 || k < 2 {
@@ -364,8 +360,6 @@ func BalancedAssign(pts []geom.Point, centers []geom.Point, cap int) []int {
 // returns which solver ran ("mcf" or "greedy"), the flow solver bumps
 // kern.MCFAugments per augmenting path, and the greedy solver's center
 // grid reports its query counts, when kern is non-nil.
-//
-// pure:
 func BalancedAssignK(pts []geom.Point, centers []geom.Point, cap int, kern *obs.KernelCounters) ([]int, string) {
 	if cap*len(centers) < len(pts) {
 		cap = (len(pts) + len(centers) - 1) / len(centers)

@@ -302,10 +302,6 @@ func (st *saState) Cost() float64 {
 // search: repeatedly pick a high-cost net, take an instance on its convex
 // hull, move it to the nearest other net, and accept by the annealing rule.
 // Returns the refined assignment (the input slice is not modified).
-//
-// pure:
-//
-//slltlint:ignore stagepure opt.Stats and opt.Kernel are write-only observability out-params that never feed back into the search; sa_determinism_test pins the returned assignment
 func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptions) []int {
 	if opt.Iters <= 0 || k < 2 {
 		return append([]int(nil), assign...)

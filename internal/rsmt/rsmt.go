@@ -29,8 +29,6 @@ func Build(net *tree.Net) *tree.Tree {
 // BuildK is Build with kernel-counter attribution (MST builds and points,
 // Steiner insertions, edge-swap moves). A nil kern makes it exactly Build;
 // the counters never feed back into any construction decision.
-//
-// pure:
 func BuildK(net *tree.Net, kern *obs.KernelCounters) *tree.Tree {
 	if len(net.Sinks)+1 <= hananThreshold {
 		t := buildSmall(net)
@@ -59,8 +57,6 @@ func WL(net *tree.Net) float64 { return Build(net).Wirelength() }
 // at clock-net sizes (tens of pins): the lowest-index unvisited point among
 // the minima is picked each round, and ties for a point's best tree
 // neighbor keep the earliest-added one.
-//
-// pure:
 func MST(pts []geom.Point) []int {
 	return MSTK(pts, nil)
 }

@@ -40,8 +40,6 @@ type Report struct {
 // Analyze is the flow's terminal stage: the report is a pure function of
 // the tree and the library, so a cached replay keyed on both is sound.
 //
-// stage: timing
-//
 // unit: sourceSlew ps -> _, _
 func Analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float64) (*Report, error) {
 	if t == nil || t.Root == nil {
