@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // ConvexHull returns the convex hull of pts in counter-clockwise order using
 // Andrew's monotone chain. Collinear boundary points are dropped. The input
@@ -15,12 +18,11 @@ func ConvexHull(pts []Point) []Point {
 	}
 	sorted := make([]Point, n)
 	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		//slltlint:ignore floatcmp exact tie-break keeps the sort comparator transitive
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
+	slices.SortFunc(sorted, func(a, b Point) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
 		}
-		return sorted[i].Y < sorted[j].Y
+		return cmp.Compare(a.Y, b.Y)
 	})
 	// Dedup.
 	uniq := sorted[:1]

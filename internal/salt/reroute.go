@@ -34,65 +34,61 @@ func Reroute(t *tree.Tree, eps float64) int {
 
 func rerouteOnce(t *tree.Tree, eps float64) int {
 	root := t.Root
+	// Preorder: v's subtree is nodes[x:last[x]] for v = nodes[x], so every
+	// table is indexed by preorder position.
 	nodes := t.Nodes()
-	pl := make(map[*tree.Node]float64, len(nodes))
-	for _, n := range nodes {
-		pl[n] = tree.PathLength(n)
+	pl := make([]float64, len(nodes))
+	for x, v := range nodes {
+		pl[x] = tree.PathLength(v)
 	}
-	// slack[v]: the largest uniform path increase the sinks below v (and v
-	// itself, if a sink) can absorb while staying within (1+eps)·MD. Nodes
-	// with no sinks below have unlimited slack.
-	slack := make(map[*tree.Node]float64, len(nodes))
-	var comp func(n *tree.Node) float64
-	comp = func(n *tree.Node) float64 {
+	// slack[x]: the largest uniform path increase the sinks below nodes[x]
+	// (and nodes[x] itself, if a sink) can absorb while staying within
+	// (1+eps)·MD. Nodes with no sinks below have unlimited slack.
+	slack := make([]float64, len(nodes))
+	last := make([]int, len(nodes))
+	next := 0
+	var number func(v *tree.Node) float64
+	number = func(v *tree.Node) float64 {
+		x := next
+		next++
 		s := 1e18
-		if n.Kind == tree.Sink {
-			md := root.Loc.Dist(n.Loc)
-			s = (1+eps)*md - pl[n]
+		if v.Kind == tree.Sink {
+			md := root.Loc.Dist(v.Loc)
+			s = (1+eps)*md - pl[x]
 		}
-		for _, c := range n.Children {
-			if cs := comp(c); cs < s {
+		for _, c := range v.Children {
+			if cs := number(c); cs < s {
 				s = cs
 			}
 		}
-		slack[n] = s
+		slack[x], last[x] = s, next
 		return s
 	}
-	comp(root)
-
-	// inSubtree via preorder intervals.
-	index := make(map[*tree.Node]int, len(nodes))
-	last := make(map[*tree.Node]int, len(nodes))
-	i := 0
-	var number func(n *tree.Node)
-	number = func(n *tree.Node) {
-		index[n] = i
-		i++
-		for _, c := range n.Children {
-			number(c)
-		}
-		last[n] = i
-	}
 	number(root)
-	inSub := func(w, v *tree.Node) bool { return index[w] >= index[v] && index[w] < last[v] }
 
-	moved := 0
-	for _, v := range nodes {
+	for xv, v := range nodes {
 		if v.Parent == nil {
 			continue
 		}
+		up := v.Parent.Loc.Dist(v.Loc)
 		bestGain := geom.Eps
 		var bestW *tree.Node
-		for _, w := range nodes {
-			if w == v.Parent || inSub(w, v) {
+		for xw := 0; xw < len(nodes); xw++ {
+			if xw == xv {
+				xw = last[xv] - 1 // skip v's subtree
 				continue
 			}
-			gain := v.Parent.Loc.Dist(v.Loc) - w.Loc.Dist(v.Loc)
+			w := nodes[xw]
+			if w == v.Parent {
+				continue
+			}
+			dw := w.Loc.Dist(v.Loc)
+			gain := up - dw
 			if gain <= bestGain {
 				continue
 			}
-			delta := pl[w] + w.Loc.Dist(v.Loc) - pl[v]
-			if delta > slack[v]+1e-9 && delta > 1e-9 {
+			delta := pl[xw] + dw - pl[xv]
+			if delta > slack[xv]+1e-9 && delta > 1e-9 {
 				continue // would overrun a sink's shallowness budget
 			}
 			bestGain, bestW = gain, w
@@ -102,9 +98,8 @@ func rerouteOnce(t *tree.Tree, eps float64) int {
 			bestW.AddChild(v)
 			// Conservative single-move-per-pass bookkeeping: recompute on
 			// the next pass rather than patching pl/slack incrementally.
-			moved++
-			return moved
+			return 1
 		}
 	}
-	return moved
+	return 0
 }
