@@ -16,7 +16,7 @@ import (
 // smokeDigest is the SHA-256 of the smoke flow's post-CTS DEF at seed 1.
 // A change that moves it on purpose follows the contract-change rule in
 // DESIGN.md; any other change that moves it is a regression.
-const smokeDigest = "18f674c8190a392a9aefe4b0fc4f924df7b76e20cd370f9d7b950c94dea2ef8d"
+const smokeDigest = "ae94c8016ab9c833a346f9a4dc6e89956790820efe102f0fec6d9fd6db2bbe4b"
 
 // TestSmokeDigest pins the smoke flow's DEF, serial and on eight workers,
 // to the known digest, not just to each other.
@@ -68,16 +68,16 @@ var large100k = designgen.Spec{Name: "large100k", Insts: 200_000, FFs: 100_000, 
 // digest on purpose follows the contract-change rule in DESIGN.md.
 var flowDigests = []struct{ design, flow, digest string }{
 	{"s38584", "Ours", "b7e15dfa5e40fc348a52450058e74a4cc6627846dd93f9c181d91f1a9dbb6449"},
-	{"s38584", "Com.", "ba171ff9cafa5e2e05a5bee4da7f3c966dd50177e9ddfef415d3434ecfa8ec76"},
-	{"s38584", "OR.", "7e164b68722c84985403396c32bc7c4c8645bd9c99bee323548f00c460bb3255"},
-	{"s38417", "Ours", "1e2c463ca11b5583733d5e0acadca47b43b92d7a77cd22432fe749fa2e8b1a17"},
-	{"s38417", "Com.", "d4e3c4a19927f41712a835dc53c77c4df552705759c8f0a6a8b93e8bb35ab7f9"},
-	{"s38417", "OR.", "f89f0683b850d77be8dba37fd3811fecb46e52ad1679ebabd5aafc8e6dff6288"},
-	{"s35932", "Ours", "91d97d0861547302f713e9b7569e16b4355f65dd5ecc5c89b39240b6a97d4625"},
-	{"s35932", "Com.", "a9a8817383f4e57432aeb9bf4e5c8e2fc29b6c62d3a5eb42c72372cc484135cf"},
-	{"s35932", "OR.", "e47f31e18d3b7c95e0468c4d7ffb0dbe81bd73be0574393e1cc3eac3adbcab60"},
-	{"salsa20", "Ours", "f89ca4ef5fa0593e87bdd6b49959b10367d3476a74da63e14e656efe158e9559"},
-	{"salsa20", "Com.", "53ce026686ccaff128e598da0fd466d19970a835bc171d3aae5acd4dc271e886"},
+	{"s38584", "Com.", "d2c7bced4a06714803f5e1cc97512ede1d62391374d4ea6e4feb47521461d1f2"},
+	{"s38584", "OR.", "8118f573a58f62a3ba245c1b7cada3da8ee49fa345609e36be1305328969a33d"},
+	{"s38417", "Ours", "6dcb98964d1a901812668be08f327fae3812adde873edffb722304183a888a49"},
+	{"s38417", "Com.", "4b076642735a190c10ec645632c7ffa24ab9a7cb03da2c22adac909e8ad85afd"},
+	{"s38417", "OR.", "c46638ae9ae5396bbb3d4a1ba17826549565980e563070066f5a5be85352e9c9"},
+	{"s35932", "Ours", "62078a2e16241c322683a41d5e7a090d5c8eb4eb5f95012ffa22b791ecaf2db5"},
+	{"s35932", "Com.", "9af15efd3cb16ab745dfe66362e10f3111cffe2c2cec4f9a6b3e60ed9bc51565"},
+	{"s35932", "OR.", "9657ffafdf5fbdf37c00f3d9be5aa98c0ea739a01799138563d67757286e6b64"},
+	{"salsa20", "Ours", "5c05d610fca5e7803dd5aeba1b3def70c2afecaac877b80bc9ef4ad574c9aaf4"},
+	{"salsa20", "Com.", "bc4034914af0ca011667f2c0e483e19293506f9c11563fb22618ca2fe6e52dc2"},
 	{"salsa20", "OR.", "f7be67c951609a3becb2d4eb26ac5d50ec9278be94f842b7e7ac21b10bdd7c91"},
 	{"ethernet", "Ours", "31a2e9e0fd4f97a7d86e1e58a6ea72a4bf2cdab9d6356af0be64c7234c8e8ce5"},
 	{"ethernet", "Com.", "46525360a5d616b6c00f34b0e4ff1aa047da87fb1dbfc1d1c49bae84cc360bb2"},

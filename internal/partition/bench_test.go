@@ -86,3 +86,18 @@ func BenchmarkAssignMCF(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAssignMCFWide times the min-cost-flow solver at the widest
+// Table-6-like shape the n·k ≤ 200,000 gate keeps on the greedy side: an
+// OpenROAD-like fanout of 20 over 2,000 clustered points, so k = 101,
+// capacity 20 and n·k = 202,000. It calls the solver directly, past the
+// gate, to size where the gate could move.
+func BenchmarkAssignMCFWide(b *testing.B) {
+	pts := clustered(2000, 40, 44)
+	centers, _ := KMeansP(pts, len(pts)/20+1, 20, 1, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		benchSink = assignMCF(pts, centers, 20, nil)
+	}
+}

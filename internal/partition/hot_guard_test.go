@@ -100,18 +100,20 @@ var allocFreeGuards = map[string][]func(){
 	"saState.move": {
 		func() { guardSA.move(3, 0, 2); guardSA.move(3, 2, 0) },
 	},
-	// Each input solves from an empty flow. Over guardMCF's augmentations
-	// the Dijkstra skips stale heap entries, relaxes routed points' source
-	// edges, centers with members and with slack, and a sink pop while
-	// centers have load, and the augmenting paths move routed points on.
-	"mcfSolver.solve": {
+	// Each input solves from an empty flow and so runs every per-path
+	// kernel. Over guardMCF's augmentations the Dijkstra skips routed
+	// points at the cursors, relaxes member moves and the sink from centers
+	// with and without slack and leaves centers unsettled behind the sink;
+	// the paths move routed points on, and the row refreshes meet members
+	// that beat the first.
+	"mcfSolver.dijkstra": {
 		func() { guardMCF.solve(&guardKern) },
 		func() { guardMCFFull.solve(nil) },
 	},
-	"mcfSolver.shortestPaths": {
+	"mcfSolver.augment": {
 		func() { guardMCF.solve(nil) },
 	},
-	"mcfSolver.augment": {
+	"mcfSolver.refresh": {
 		func() { guardMCF.solve(nil) },
 	},
 }

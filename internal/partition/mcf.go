@@ -2,16 +2,16 @@ package partition
 
 import (
 	"math"
+	"slices"
 
 	"sllt/internal/geom"
 	"sllt/internal/obs"
 )
 
 // assignMCF solves the capacitated assignment exactly as a min-cost
-// max-flow: source → point (cap 1) → center (cap 1, cost = Manhattan
-// distance) → sink (cap = cluster capacity). Successive shortest paths with
-// Johnson potentials keep every Dijkstra run on non-negative reduced costs.
-// A point the flow cannot route (cap·k < n) falls to center 0.
+// max-flow: source → point (cap 1) → center (cap 1, cost pairCosts) → sink
+// (cap = cluster capacity). A point the flow cannot route (cap·k < n)
+// falls to center 0.
 func assignMCF(pts []geom.Point, centers []geom.Point, cap int, kern *obs.KernelCounters) []int {
 	s := newMCFSolver(pts, centers, cap)
 	s.solve(kern)
@@ -23,60 +23,169 @@ func assignMCF(pts []geom.Point, centers []geom.Point, cap int, kern *obs.Kernel
 	return s.assign
 }
 
-// mcfSolver is assignMCF's flow network with an implicit residual graph.
-// Every unit of flow runs source → point → center → sink, so the flow is
-// the assignment: point i's source edge is saturated iff assign[i] ≥ 0,
-// its edge to center j iff assign[i] == j, and center j's sink edge carries
-// load[j] units. Node ids: 0 is the source, 1..n the points, n+1..n+k the
-// centers and n+k+1 the sink.
+// mcfCost is an assignment cost: d, the Manhattan distance in nm, then t,
+// a tie-break that only decides between assignments of equal total d.
+// Costs compare lexicographically and add component by component, so
+// path costs are exact. Two assignments tie only if their t sums are
+// equal, which the hash in t makes vanishingly unlikely: the optimum is
+// unique, and any exact solver returns it.
+type mcfCost struct{ d, t int64 }
+
+// mcfInf stands for a distance not reached yet.
+var mcfInf = mcfCost{math.MaxInt64, math.MaxInt64}
+
+func (a mcfCost) add(b mcfCost) mcfCost { return mcfCost{a.d + b.d, a.t + b.t} }
+func (a mcfCost) sub(b mcfCost) mcfCost { return mcfCost{a.d - b.d, a.t - b.t} }
+func (a mcfCost) less(b mcfCost) bool   { return a.d < b.d || a.d == b.d && a.t < b.t }
+
+// pairCosts fills cost, n×k row-major, with point i's cost at center j:
+//
+//	d = round(|p_i − c_j|₁ · 1000), the paper's assignment cost in nm;
+//	t = e<<32 | splitmix64(i·k + j)>>32, with
+//	e = ⌊|p_i − c_j|₂² / maxE2 · (2²⁰ − 1)⌋ and maxE2 the level's largest
+//	    squared Euclidean distance (e = 0 when it is 0).
+//
+// Manhattan assignment is massively degenerate: two points on the same
+// side of two centers in both axes swap between them at no cost. Squared
+// Euclidean distance, the objective k-means placed the centers by, picks
+// the compact member of each such family; the hash only separates what is
+// left, such as coincident points.
+//
+// Bounds: with coordinates within 10 m, d < 2·10¹⁰ < 2³⁵; e < 2²⁰, so
+// t < 2⁵². A shortest path crosses at most k+1 edges of the center graph
+// (source → center, center → center, center → sink), each worth at most
+// two pair costs of opposite sign, and BalancedAssignK's n·k ≤ 200 000
+// gate with k ≤ n keeps k+1 ≤ 448 < 2⁹. So distances and potentials stay
+// below 2⁶¹ in magnitude and every sum in the solver below 2⁶², far from
+// int64 overflow.
+func pairCosts(pts, centers []geom.Point, cost []mcfCost) {
+	k := len(centers)
+	var maxE2 float64
+	for _, p := range pts {
+		for _, c := range centers {
+			maxE2 = max(maxE2, sqDist(p, c))
+		}
+	}
+	for i, p := range pts {
+		row := cost[i*k:][:k]
+		for j, c := range centers {
+			var e int64
+			if maxE2 > 0 {
+				e = int64(sqDist(p, c) / maxE2 * (1<<20 - 1))
+			}
+			h := int64(splitmix64(uint64(i*k+j)) >> 32)
+			row[j] = mcfCost{int64(math.Round(p.Dist(c) * 1000)), e<<32 | h}
+		}
+	}
+}
+
+// sqDist is the squared Euclidean distance. The float64 conversions round
+// each square, so no platform fuses the sum into a multiply-add.
+func sqDist(p, c geom.Point) float64 {
+	dx, dy := p.X-c.X, p.Y-c.Y
+	return float64(dx*dx) + float64(dy*dy)
+}
+
+// splitmix64 is the reference SplitMix64 output function.
+func splitmix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
+// mcfSolver runs successive shortest paths on the residual graph
+// condensed to the k centers and the sink. Every unit of flow runs source
+// → point → center → sink, so the flow is the assignment, and the points
+// stay implicit: a residual path enters the centers from the source
+// through an unrouted point and moves between centers through routed
+// ones. Its edges are
+//
+//   - source → center j: the cheapest unrouted point's cost at j, read at
+//     a cursor into j's cost-sorted point order;
+//   - center a → center b: the least cost(i,b) − cost(i,a) over a's
+//     members i, and the member that achieves it, kept in a k×k matrix
+//     whose row a is refreshed whenever a's members change;
+//   - center j → sink: cost 0 while load[j] < cap.
+//
+// Each Dijkstra is dense O(k²) on Johnson potentials; the per-point work
+// is the presort, once per solver, and the row refreshes along each path.
 type mcfSolver struct {
 	n, k, cap int
-	cost      []float64 // n×k row-major: cost[i*k+j] = |point i − center j|
+	cost      []mcfCost // n×k row-major: cost[i*k+j] is point i's cost at center j
+	order     []int32   // k×n: order[j*n:][:n] is the points by ascending cost at j
+	next      []int     // per center: its order's cursor; only routed points lie before it
 	assign    []int     // per point: its center, -1 while unrouted
 	load      []int     // per center: its member count
 	slots     int       // member slots per center: min(cap, n)
-	mem       []int     // center j's members, ascending: mem[j*slots:][:load[j]]
-	dist      []float64 // per node: reduced distance from the source
-	pot       []float64 // per node: Johnson potential
-	prev      []int     // per node: predecessor on the shortest-path tree
-	heap      mcfHeap
+	mem       []int32   // center j's members: mem[j*slots:][:load[j]]
+	move      []mcfCost // k×k: move[a*k+b] is the least cost of moving a member of a to b
+	mover     []int32   // k×k: the member of a that achieves move[a*k+b]
+	dist      []mcfCost // per center, then the sink: reduced distance from the source
+	pot       []mcfCost // per center, then the sink: Johnson potential
+	prev      []int     // per center, then the sink: predecessor center, -1 for the source
+	done      []bool    // per center, then the sink: settled
 }
 
 func newMCFSolver(pts []geom.Point, centers []geom.Point, cap int) *mcfSolver {
 	n, k := len(pts), len(centers)
 	s := &mcfSolver{
 		n: n, k: k, cap: cap,
-		cost:   make([]float64, n*k),
+		cost:   make([]mcfCost, n*k),
+		order:  make([]int32, k*n),
+		next:   make([]int, k),
 		assign: make([]int, n),
 		load:   make([]int, k),
 		slots:  min(cap, n),
-		dist:   make([]float64, n+k+2),
-		pot:    make([]float64, n+k+2),
-		prev:   make([]int, n+k+2),
-		heap:   make(mcfHeap, 0, n+k+2),
+		move:   make([]mcfCost, k*k),
+		mover:  make([]int32, k*k),
+		dist:   make([]mcfCost, k+1),
+		pot:    make([]mcfCost, k+1),
+		prev:   make([]int, k+1),
+		done:   make([]bool, k+1),
 	}
-	s.mem = make([]int, k*s.slots)
-	for i, p := range pts {
-		for j, c := range centers {
-			s.cost[i*k+j] = p.Dist(c)
+	s.mem = make([]int32, k*s.slots)
+	pairCosts(pts, centers, s.cost)
+	// Sort each center's points by cost, equal costs by point index.
+	type key struct {
+		c mcfCost
+		i int32
+	}
+	keys := make([]key, n)
+	for j := range k {
+		for i := range keys {
+			keys[i] = key{s.cost[i*k+j], int32(i)}
+		}
+		slices.SortFunc(keys, func(a, b key) int {
+			switch {
+			case a.c.less(b.c):
+				return -1
+			case b.c.less(a.c):
+				return 1
+			}
+			return int(a.i) - int(b.i)
+		})
+		o := s.order[j*n:][:n]
+		for x, kv := range keys {
+			o[x] = kv.i
 		}
 	}
 	return s
 }
 
 // solve routes the points from an empty flow, one augmenting path per
-// unit, until every point is routed or the sink is out of reach.
+// unit. Every center is reachable from the source while a point is
+// unrouted, so the sink is out of reach exactly when every center is
+// full: the flow stops after min(n, cap·k) units.
 func (s *mcfSolver) solve(kern *obs.KernelCounters) {
 	for i := range s.assign {
 		s.assign[i] = -1
 	}
 	clear(s.load)
+	clear(s.next)
 	clear(s.pot)
-	for range s.n {
-		s.shortestPaths()
-		if math.IsInf(s.dist[s.n+s.k+1], 1) {
-			return // saturated
-		}
+	for range min(s.n, s.cap*s.k) {
+		s.dijkstra()
 		if kern != nil {
 			kern.MCFAugments.Add(1)
 		}
@@ -84,203 +193,112 @@ func (s *mcfSolver) solve(kern *obs.KernelCounters) {
 	}
 }
 
-// shortestPaths runs one Dijkstra from the source on reduced costs, filling
-// dist and prev. It takes the steps of a solver over an explicit residual
-// edge list (kept in the tests as oracleAssignMCF): each node relaxes its
-// residual edges in that solver's adjacency order, with the same float
-// expression, the same 1e-12 margin and the same heap order, so every pop,
-// tie and distance matches. That order is:
-//
-//   - the source: each unrouted point, ascending (cost +0);
-//   - point i: the source back if i is routed (cost −0), then every center
-//     but its own, ascending (cost = distance);
-//   - center j: its members, ascending (cost −distance), then the sink if
-//     load[j] < cap (cost +0);
-//   - the sink: each center with load, ascending (cost −0).
-//
-// The sink's pop relaxes too and the search runs until the heap is empty,
-// so the potentials take every finite distance; stopping at the sink would
-// change them, and with them how later exact ties resolve.
-func (s *mcfSolver) shortestPaths() {
+// dijkstra finds a shortest augmenting path over the centers, recording
+// it in prev, and stops when the sink settles. It then adds
+// min(dist, dist[sink]) to each potential, which keeps every residual
+// edge's reduced cost non-negative after the augmentation. The sink must
+// be reachable: some center has load < cap.
+func (s *mcfSolver) dijkstra() {
 	n, k := s.n, s.k
-	c0, snk := n+1, n+k+1
-	negZero := math.Copysign(0, -1)
-	dist := s.dist
-	for v := range dist {
-		dist[v] = math.Inf(1)
-		s.prev[v] = -1
-	}
-	dist[0] = 0
-	s.heap.push(0, 0)
-	for len(s.heap) > 0 {
-		u, d := s.heap.pop()
-		if d > dist[u] {
-			continue // stale entry
+	for j := range k {
+		o, x := s.order[j*n:][:n], s.next[j]
+		for s.assign[o[x]] >= 0 {
+			x++
 		}
-		switch {
-		case u == 0:
-			for i, a := range s.assign {
-				if a < 0 {
-					s.relax(u, 1+i, d, 0)
-				}
+		s.next[j] = x
+		s.dist[j] = s.cost[int(o[x])*k+j].sub(s.pot[j])
+		s.prev[j] = -1
+		s.done[j] = false
+	}
+	s.dist[k], s.done[k] = mcfInf, false
+	for {
+		u := -1
+		for v, d := range s.dist {
+			if !s.done[v] && (u < 0 || d.less(s.dist[u])) {
+				u = v
 			}
-		case u < c0:
-			i := u - 1
-			a := s.assign[i]
-			if a >= 0 {
-				s.relax(u, 0, d, negZero)
-			}
-			row := s.cost[i*k:][:k]
-			if a < 0 {
-				s.relaxRow(u, d, row, 0)
-			} else {
-				s.relaxRow(u, d, row[:a], 0)
-				s.relaxRow(u, d, row[a+1:], a+1)
-			}
-		case u < snk:
-			j := u - c0
-			for _, i := range s.members(j) {
-				s.relax(u, 1+i, d, -s.cost[i*k+j])
-			}
-			if s.load[j] < s.cap {
-				s.relax(u, snk, d, 0)
-			}
-		default:
-			for j, l := range s.load {
-				if l > 0 {
-					s.relax(u, c0+j, d, negZero)
+		}
+		s.done[u] = true
+		if u == k {
+			break
+		}
+		// base is u's distance on the original costs, so each relaxation
+		// adds one edge cost and subtracts one potential.
+		base := s.dist[u].add(s.pot[u])
+		if s.load[u] > 0 {
+			for v, c := range s.move[u*k:][:k] {
+				if nd := base.add(c).sub(s.pot[v]); !s.done[v] && nd.less(s.dist[v]) {
+					s.dist[v], s.prev[v] = nd, u
 				}
 			}
 		}
-	}
-}
-
-// relax offers node v the distance d through u over an edge of cost c.
-// Relaxations into the source go through here too: in exact arithmetic
-// they never improve a distance, but under float error they can, and the
-// edge-list solver takes those updates as well.
-func (s *mcfSolver) relax(u, v int, d, c float64) {
-	if nd := d + c + s.pot[u] - s.pot[v]; nd < s.dist[v]-1e-12 {
-		s.dist[v] = nd
-		s.prev[v] = u
-		s.heap.push(v, nd)
-	}
-}
-
-// relaxRow is relax over point u's edges to centers j0, j0+1, … at the
-// costs in row. The n·k point → center edges are the solver's hot loop, so
-// it walks one contiguous cost row in step with the centers' potentials
-// and distances.
-func (s *mcfSolver) relaxRow(u int, d float64, row []float64, j0 int) {
-	c0 := s.n + 1 + j0
-	pot, dist, pu := s.pot[c0:][:len(row)], s.dist[c0:][:len(row)], s.pot[u]
-	for j, c := range row {
-		if nd := d + c + pu - pot[j]; nd < dist[j]-1e-12 {
-			dist[j] = nd
-			s.prev[c0+j] = u
-			s.heap.push(c0+j, nd)
+		if nd := base.sub(s.pot[k]); s.load[u] < s.cap && nd.less(s.dist[k]) {
+			s.dist[k], s.prev[k] = nd, u
 		}
 	}
-}
-
-// augment adds every finite distance to the potentials and sends one unit
-// along the shortest path to the sink. Walking back from the sink, the
-// path alternates center ← point ← center … ← point ← source: each point
-// joins the center after it and leaves the center before it. So the last
-// center gains a member and every other center on the path keeps its load;
-// a center drops a member before it gains one, so its slots never
-// overflow.
-func (s *mcfSolver) augment() {
+	dk := s.dist[k]
 	for v, d := range s.dist {
-		if !math.IsInf(d, 1) {
-			s.pot[v] += d
+		if dk.less(d) {
+			d = dk
 		}
+		s.pot[v] = s.pot[v].add(d)
 	}
-	c0 := s.n + 1
-	for c := s.prev[s.n+s.k+1]; c != 0; {
-		p := s.prev[c]
-		s.insert(c-c0, p-1)
-		if c = s.prev[p]; c != 0 {
-			s.remove(c-c0, p-1)
+}
+
+// augment sends one unit along dijkstra's path. Walking back from the
+// sink, each center takes in a point: from its predecessor center, which
+// gives up the member its move entry names, or, for the first center, the
+// unrouted point at its cursor. A center on the path passes its member on
+// before it takes one in, so its slots never overflow, and its move row is
+// read before it is refreshed.
+func (s *mcfSolver) augment() {
+	v := s.prev[s.k]
+	for {
+		u := s.prev[v]
+		var i int32
+		if u < 0 {
+			i = s.order[v*s.n+s.next[v]]
+		} else {
+			i = s.mover[u*s.k+v]
+			s.remove(u, i)
+		}
+		s.mem[v*s.slots+s.load[v]] = i
+		s.load[v]++
+		s.assign[i] = v
+		s.refresh(v)
+		if u < 0 {
+			return
+		}
+		v = u
+	}
+}
+
+// refresh recomputes center a's row of move and mover from its members,
+// one contiguous cost row per member. The entry for a itself is never
+// read: a has settled before its row relaxes.
+func (s *mcfSolver) refresh(a int) {
+	k := s.k
+	move, mover := s.move[a*k:][:k], s.mover[a*k:][:k]
+	for x, i := range s.members(a) {
+		row := s.cost[int(i)*k:][:k]
+		ca := row[a]
+		for b, c := range row {
+			if d := c.sub(ca); x == 0 || d.less(move[b]) {
+				move[b], mover[b] = d, i
+			}
 		}
 	}
 }
 
-// members returns center j's members in ascending point order.
-func (s *mcfSolver) members(j int) []int {
+// members returns center j's members.
+func (s *mcfSolver) members(j int) []int32 {
 	return s.mem[j*s.slots:][:s.load[j]]
 }
 
-// insert routes point i to center j, keeping j's members ascending.
-func (s *mcfSolver) insert(j, i int) {
-	m := s.mem[j*s.slots:][:s.load[j]+1]
-	x := len(m) - 1
-	for ; x > 0 && m[x-1] > i; x-- {
-		m[x] = m[x-1]
-	}
-	m[x] = i
-	s.load[j]++
-	s.assign[i] = j
-}
-
 // remove takes point i out of center j's members; the caller routes it on.
-func (s *mcfSolver) remove(j, i int) {
+func (s *mcfSolver) remove(j int, i int32) {
 	m := s.members(j)
-	x := 0
-	for m[x] != i {
-		x++
-	}
-	copy(m[x:], m[x+1:])
+	x := slices.Index(m, i)
+	m[x] = m[len(m)-1]
 	s.load[j]--
-}
-
-// mcfHeap is a binary min-heap of (node, distance) entries on strict <. Its
-// sifts make container/heap's comparisons and leave its array, moving a
-// hole instead of swapping, so equal distances pop in the same order.
-type mcfHeap []mcfItem
-
-type mcfItem struct {
-	v int
-	d float64
-}
-
-func (h *mcfHeap) push(v int, d float64) {
-	q := append(*h, mcfItem{})
-	j := len(q) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(d < q[i].d) {
-			break
-		}
-		q[j] = q[i]
-		j = i
-	}
-	q[j] = mcfItem{v, d}
-	*h = q
-}
-
-// pop removes and returns the top entry. The last entry sifts down from
-// the root through the first n = len−1 slots; with n = 0 it lands in the
-// vacated slot, which the shrink then drops.
-func (h *mcfHeap) pop() (int, float64) {
-	q := *h
-	top, n := q[0], len(q)-1
-	x, i := q[n], 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j+1 < n && q[j+1].d < q[j].d {
-			j++
-		}
-		if !(q[j].d < x.d) {
-			break
-		}
-		q[i] = q[j]
-		i = j
-	}
-	q[i] = x
-	*h = q[:n]
-	return top.v, top.d
 }

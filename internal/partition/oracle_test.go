@@ -145,9 +145,164 @@ func oracleGreedyRepair(pts []geom.Point, centers []geom.Point, cap int) []int {
 }
 
 // oracleAssignMCF is the assignment's min-cost flow on an explicit residual
-// edge list with a container/heap queue: the generic solver that mcfSolver
-// replaces, which relaxes the same edges in the same order.
+// edge list over pairCosts, with a container/heap queue: successive
+// shortest paths, each a full Dijkstra on reduced costs with no margin.
+// The optimum is unique, so it must return what mcfSolver returns.
 func oracleAssignMCF(pts []geom.Point, centers []geom.Point, cap int) []int {
+	n, k := len(pts), len(centers)
+	cost := make([]mcfCost, n*k)
+	pairCosts(pts, centers, cost)
+	// Node ids: 0 = source, 1..n = points, n+1..n+k = centers, n+k+1 = sink.
+	src, snk := 0, n+k+1
+	g := &pairGraph{adj: make([][]int, n+k+2), pot: make([]mcfCost, n+k+2)}
+	for i := range n {
+		g.addEdge(src, 1+i, 1, mcfCost{})
+		for j := range k {
+			g.addEdge(1+i, 1+n+j, 1, cost[i*k+j])
+		}
+	}
+	for j := range k {
+		g.addEdge(1+n+j, snk, cap, mcfCost{})
+	}
+	g.minCostFlow(src, snk)
+	return g.assignment(n, k)
+}
+
+// pairGraph is a residual-edge min-cost max-flow structure over pair
+// costs.
+type pairGraph struct {
+	adj   [][]int // node -> edge ids
+	edges []pairEdge
+	pot   []mcfCost // Johnson potentials
+}
+
+type pairEdge struct {
+	to, cap int
+	cost    mcfCost
+}
+
+// addEdge inserts a directed edge and its zero-capacity reverse.
+func (g *pairGraph) addEdge(from, to, cap int, cost mcfCost) {
+	g.adj[from] = append(g.adj[from], len(g.edges))
+	g.edges = append(g.edges, pairEdge{to: to, cap: cap, cost: cost})
+	g.adj[to] = append(g.adj[to], len(g.edges))
+	g.edges = append(g.edges, pairEdge{to: from, cost: mcfCost{}.sub(cost)})
+}
+
+// minCostFlow pushes unit after unit along shortest paths until the sink
+// is out of reach.
+func (g *pairGraph) minCostFlow(src, snk int) {
+	dist := make([]mcfCost, len(g.adj))
+	prevEdge := make([]int, len(g.adj))
+	for {
+		for i := range dist {
+			dist[i] = mcfInf
+			prevEdge[i] = -1
+		}
+		dist[src] = mcfCost{}
+		pq := &pairPQ{{src, mcfCost{}}}
+		for pq.Len() > 0 {
+			it := pq.pop()
+			if dist[it.n].less(it.d) {
+				continue
+			}
+			for _, eid := range g.adj[it.n] {
+				e := &g.edges[eid]
+				if e.cap <= 0 {
+					continue
+				}
+				if nd := it.d.add(e.cost).add(g.pot[it.n]).sub(g.pot[e.to]); nd.less(dist[e.to]) {
+					dist[e.to] = nd
+					prevEdge[e.to] = eid
+					pq.push(pairItem{e.to, nd})
+				}
+			}
+		}
+		if dist[snk] == mcfInf {
+			return // saturated
+		}
+		for i := range g.pot {
+			if dist[i] != mcfInf {
+				g.pot[i] = g.pot[i].add(dist[i])
+			}
+		}
+		for v := snk; v != src; {
+			eid := prevEdge[v]
+			g.edges[eid].cap--
+			g.edges[eid^1].cap++
+			v = g.edges[eid^1].to
+		}
+	}
+}
+
+// assignment reads each point's center off its saturated edge; an
+// unrouted point falls to center 0.
+func (g *pairGraph) assignment(n, k int) []int {
+	assign := make([]int, n)
+	for i := range n {
+		for _, eid := range g.adj[1+i] {
+			if e := g.edges[eid]; e.to > n && e.to <= n+k && e.cap == 0 && eid%2 == 0 {
+				assign[i] = e.to - 1 - n
+				break
+			}
+		}
+	}
+	return assign
+}
+
+type pairItem struct {
+	n int
+	d mcfCost
+}
+
+// pairPQ is a binary min-heap of pairItems. It is typed rather than a
+// container/heap, whose interface boxing allocates on every push.
+type pairPQ []pairItem
+
+func (q pairPQ) Len() int { return len(q) }
+
+func (q *pairPQ) push(it pairItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h[j].d.less(h[i].d) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+func (q *pairPQ) pop() pairItem {
+	h := *q
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h[j+1].d.less(h[j].d) {
+			j++
+		}
+		if !h[j].d.less(h[i].d) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h
+	return top
+}
+
+// oracleFloatMCF is the float solver the integer one replaced: the same
+// edge-list min-cost flow over the Manhattan distances in µm, with the
+// 1e-12 margin its float potentials needed. At 3 mm scale the potentials'
+// rounding error outgrows that margin and the solver can run forever, so
+// it gives up after maxPops heap pops and reports whether it finished.
+func oracleFloatMCF(pts []geom.Point, centers []geom.Point, cap, maxPops int) ([]int, bool) {
 	n, k := len(pts), len(centers)
 	// Node ids: 0 = source, 1..n = points, n+1..n+k = centers, n+k+1 = sink.
 	src, snk := 0, n+k+1
@@ -161,7 +316,9 @@ func oracleAssignMCF(pts []geom.Point, centers []geom.Point, cap int) []int {
 	for j := 0; j < k; j++ {
 		g.addEdge(1+n+j, snk, cap, 0)
 	}
-	g.minCostFlow(src, snk, n)
+	if !g.minCostFlow(src, snk, n, maxPops) {
+		return nil, false
+	}
 
 	assign := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -174,7 +331,7 @@ func oracleAssignMCF(pts []geom.Point, centers []geom.Point, cap int) []int {
 			}
 		}
 	}
-	return assign
+	return assign, true
 }
 
 // flowGraph is a residual-edge min-cost max-flow structure.
@@ -203,8 +360,9 @@ func (g *flowGraph) addEdge(from, to, cap int, cost float64) {
 }
 
 // minCostFlow pushes up to want units from src to snk along successive
-// shortest paths.
-func (g *flowGraph) minCostFlow(src, snk, want int) {
+// shortest paths. It reports false if the Dijkstra runs took more than
+// maxPops heap pops in total.
+func (g *flowGraph) minCostFlow(src, snk, want, maxPops int) bool {
 	sent := 0
 	dist := make([]float64, len(g.adj))
 	prevEdge := make([]int, len(g.adj))
@@ -217,6 +375,9 @@ func (g *flowGraph) minCostFlow(src, snk, want int) {
 		dist[src] = 0
 		pq := &nodePQ{{src, 0}}
 		for pq.Len() > 0 {
+			if maxPops--; maxPops < 0 {
+				return false
+			}
 			it := heap.Pop(pq).(nodeItem)
 			if it.d > dist[it.n] {
 				continue
@@ -260,6 +421,7 @@ func (g *flowGraph) minCostFlow(src, snk, want int) {
 		}
 		sent += aug
 	}
+	return true
 }
 
 type nodeItem struct {
@@ -405,52 +567,58 @@ func gridPts(n, w int, rng *rand.Rand) []geom.Point {
 	return pts
 }
 
+// mcfInstance draws oracle instance trial from rng: random floats at two
+// scales, small integer grids full of distance ties, saturated capacities
+// (cap·k < n, where the unrouted points fall to center 0), a single
+// center, fewer points than centers, and stacks of coincident points and
+// centers.
+func mcfInstance(trial int, rng *rand.Rand) (kind string, pts, centers []geom.Point, cap int) {
+	n, k := 2+rng.Intn(60), 1+rng.Intn(10)
+	kind = [...]string{"float", "grid", "saturated", "k=1", "n<k", "coincident"}[trial%6]
+	switch kind {
+	case "float":
+		if trial%12 == 0 {
+			n, k = 150+rng.Intn(100), 8+rng.Intn(8)
+		}
+		pts, centers = fastpathPts(n, rng, false), fastpathPts(k, rng, false)
+	case "grid", "saturated":
+		pts, centers = gridPts(n, 3+rng.Intn(6), rng), gridPts(k, 3+rng.Intn(6), rng)
+	case "k=1":
+		k = 1
+		pts, centers = gridPts(n, 5, rng), gridPts(k, 5, rng)
+	case "n<k":
+		k = 3 + rng.Intn(10)
+		n = 1 + rng.Intn(k-1)
+		pts, centers = gridPts(n, 4, rng), gridPts(k, 4, rng)
+	case "coincident":
+		spots := gridPts(1+rng.Intn(3), 10, rng)
+		pts, centers = make([]geom.Point, n), make([]geom.Point, k)
+		for i := range pts {
+			pts[i] = spots[rng.Intn(len(spots))]
+		}
+		for j := range centers {
+			centers[j] = spots[rng.Intn(len(spots))]
+		}
+	}
+	cap = (n+k-1)/k + rng.Intn(3)
+	if kind == "saturated" {
+		cap = (n - 1) / k
+	}
+	return kind, pts, centers, cap
+}
+
 // TestMCFMatchesOracle compares assignMCF with the edge-list solver element
-// for element on 300 instances: random floats at two scales, small integer
-// grids full of distance ties, saturated capacities (cap·k < n, where the
-// unrouted points fall to center 0), a single center, fewer points than
-// centers, and stacks of coincident points and centers.
+// for element on 300 of mcfInstance's instances.
 func TestMCFMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	for trial := range 300 {
-		n, k := 2+rng.Intn(60), 1+rng.Intn(10)
-		var pts, centers []geom.Point
-		kind := [...]string{"float", "grid", "saturated", "k=1", "n<k", "coincident"}[trial%6]
-		switch kind {
-		case "float":
-			if trial%12 == 0 {
-				n, k = 150+rng.Intn(100), 8+rng.Intn(8)
-			}
-			pts, centers = fastpathPts(n, rng, false), fastpathPts(k, rng, false)
-		case "grid", "saturated":
-			pts, centers = gridPts(n, 3+rng.Intn(6), rng), gridPts(k, 3+rng.Intn(6), rng)
-		case "k=1":
-			k = 1
-			pts, centers = gridPts(n, 5, rng), gridPts(k, 5, rng)
-		case "n<k":
-			k = 3 + rng.Intn(10)
-			n = 1 + rng.Intn(k-1)
-			pts, centers = gridPts(n, 4, rng), gridPts(k, 4, rng)
-		case "coincident":
-			spots := gridPts(1+rng.Intn(3), 10, rng)
-			pts, centers = make([]geom.Point, n), make([]geom.Point, k)
-			for i := range pts {
-				pts[i] = spots[rng.Intn(len(spots))]
-			}
-			for j := range centers {
-				centers[j] = spots[rng.Intn(len(spots))]
-			}
-		}
-		cap := (n+k-1)/k + rng.Intn(3)
-		if kind == "saturated" {
-			cap = (n - 1) / k
-		}
+		kind, pts, centers, cap := mcfInstance(trial, rng)
 		got := assignMCF(pts, centers, cap, nil)
 		want := oracleAssignMCF(pts, centers, cap)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d (%s, n=%d k=%d cap=%d): assign[%d]=%d, oracle %d",
-					trial, kind, n, k, cap, i, got[i], want[i])
+					trial, kind, len(pts), len(centers), cap, i, got[i], want[i])
 			}
 		}
 	}
