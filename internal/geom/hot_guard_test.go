@@ -26,10 +26,26 @@ var (
 		SLo: 10, SHi: 20, WLo: math.Inf(-1), WHi: math.Inf(1),
 	}
 
+	// A square with a collinear run along its base, an interior point and
+	// a point within Eps of a corner, in (X, Y) order; and three points
+	// that merge into two.
+	guardHullSq   = []Point{Pt(0, 0), Pt(0, 4), Pt(1e-7, 4), Pt(1, 1), Pt(2, 0), Pt(4, 0), Pt(4, 4)}
+	guardHullPair = []Point{Pt(1, 1), Pt(1, 1+1e-7), Pt(3, 2)}
+
 	guardSinkP Point
 	guardSinkF float64
 	guardSinkN int
 )
+
+// sortedHullInput guards SortedHull on a fresh copy of pts, which it
+// merges in place, with a hull buffer of the documented capacity.
+func sortedHullInput(pts []Point) func() {
+	sorted, buf := make([]Point, len(pts)), make([]Point, 0, 2*len(pts))
+	return func() {
+		copy(sorted, pts)
+		guardSinkN = len(SortedHull(buf, sorted))
+	}
+}
 
 // verticesInput guards verticesInto on o, with the corner buffer on the
 // caller's stack as in Nearest and Dist.
@@ -67,6 +83,10 @@ var allocFreeGuards = map[string][]func(){
 	"Octagon.Dist": {
 		func() { guardSinkF = guardOctBox.Dist(guardOctPt) },
 		func() { guardSinkF = guardOctA.Dist(guardOctB) },
+	},
+	"SortedHull": {
+		sortedHullInput(guardHullSq),
+		sortedHullInput(guardHullPair),
 	},
 	"nearestOnSegmentL1": {
 		func() { guardSinkP = nearestOnSegmentL1(Pt(0, 0), Pt(10, 4), Pt(3, 9)) },

@@ -24,18 +24,26 @@ func ConvexHull(pts []Point) []Point {
 		}
 		return cmp.Compare(a.Y, b.Y)
 	})
-	// Dedup.
-	uniq := sorted[:1]
-	for _, p := range sorted[1:] {
-		if !p.Eq(uniq[len(uniq)-1]) {
+	return SortedHull(make([]Point, 0, 2*n), sorted)
+}
+
+// SortedHull is ConvexHull's merge and monotone chain on input already
+// ordered by X, then Y. Each run of points that coincide within Eps of its
+// first point is merged into that point, in place, so sorted is
+// overwritten. The hull is built in buf's storage, from buf[:0]; a buf with
+// capacity 2·len(sorted) is never outgrown. Unlike ConvexHull, two input
+// points that coincide are merged.
+func SortedHull(buf, sorted []Point) []Point {
+	uniq := sorted[:0]
+	for _, p := range sorted {
+		if len(uniq) == 0 || !p.Eq(uniq[len(uniq)-1]) {
 			uniq = append(uniq, p)
 		}
 	}
+	hull := buf[:0]
 	if len(uniq) <= 2 {
-		return uniq
+		return append(hull, uniq...)
 	}
-
-	hull := make([]Point, 0, 2*len(uniq))
 	// Lower hull.
 	for _, p := range uniq {
 		for len(hull) >= 2 && cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {

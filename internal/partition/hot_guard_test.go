@@ -13,10 +13,10 @@ import (
 // grid over those centers), three-point sets shaped for silhouetteOf's
 // early exits (a singleton cluster, one cluster only, all points
 // coincident), annealing states over the 16 points (three clusters, the
-// middle one empty) and over no points, caller scratch, and sinks that keep
-// the compiler from discarding the guarded calls. None of them is built by
-// a guarded kernel, so only the guard inputs themselves execute kernel
-// statements.
+// middle one empty), over two of them (one cluster) and over no points,
+// caller scratch, and sinks that keep the compiler from discarding the
+// guarded calls. None of them is built by a guarded kernel, so only the
+// guard inputs themselves execute kernel statements.
 var (
 	guardPts         = latticePoints(16, 4)
 	guardCenters     = []geom.Point{geom.Pt(2, 2), geom.Pt(30, 14)}
@@ -32,6 +32,7 @@ var (
 	guardSA          = newSAState(guardPts, make([]float64, len(guardPts)), 3,
 		[]int{0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2}, DefaultSAOptions(1))
 	guardSANone = newSAState(nil, nil, 2, nil, DefaultSAOptions(1))
+	guardSAPair = newSAState(guardPts[:2], make([]float64, 2), 2, []int{0, 0}, DefaultSAOptions(1))
 	guardRng    = rand.New(rand.NewSource(1))
 	// Min-cost-flow solvers over the 16 points: three centers with room
 	// for 18, where later points push earlier ones to another center, and
@@ -95,6 +96,11 @@ var allocFreeGuards = map[string][]func(){
 	"saState.pickCostlyNet": {
 		func() { guardSinkI = guardSA.pickCostlyNet(guardRng) },
 		func() { guardSinkI = guardSANone.pickCostlyNet(guardRng) },
+	},
+	// Eight members run the chain; two are returned as given.
+	"saState.rebuildHull": {
+		func() { guardSA.rebuildHull(guardSA.clusters[0]) },
+		func() { guardSAPair.rebuildHull(guardSAPair.clusters[0]) },
 	},
 	// A move and its undo: the steady state of an annealing step.
 	"saState.move": {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -516,6 +517,92 @@ func TestSAIncrementalMatchesOracle(t *testing.T) {
 			if c == 0 {
 				t.Errorf("n=%d: violation term %d never fired", n, v)
 			}
+		}
+	}
+}
+
+// hullPointClasses draw the point sets of TestHullMatchesConvexHull:
+// uniform floats; an 8×8 integer grid, full of coincident points and
+// collinear runs; a 4×4 grid of spacing 10 with each point offset by a
+// multiple of 0.4·geom.Eps in x and y, so pairs and chains of points closer
+// than Eps; and points on three lines.
+var hullPointClasses = []func(rng *rand.Rand, n int) []geom.Point{
+	func(rng *rand.Rand, n int) []geom.Point { return fastpathPts(n, rng, false) },
+	func(rng *rand.Rand, n int) []geom.Point {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(float64(rng.Intn(8)), float64(rng.Intn(8)))
+		}
+		return pts
+	},
+	func(rng *rand.Rand, n int) []geom.Point {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			dx, dy := float64(rng.Intn(4))*0.4*geom.Eps, float64(rng.Intn(4))*0.4*geom.Eps
+			pts[i] = geom.Pt(float64(rng.Intn(4))*10+dx, float64(rng.Intn(4))*10+dy)
+		}
+		return pts
+	},
+	func(rng *rand.Rand, n int) []geom.Point {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			s := float64(rng.Intn(12))
+			switch rng.Intn(3) {
+			case 0:
+				pts[i] = geom.Pt(s, 5)
+			case 1:
+				pts[i] = geom.Pt(3, s)
+			default:
+				pts[i] = geom.Pt(s, 2*s+1)
+			}
+		}
+		return pts
+	},
+}
+
+// TestHullMatchesConvexHull moves random instances between small clusters
+// (0 to about 10 members) and, after each move, draws a hull instance from
+// every cluster of two or more members, which rebuilds the hulls the move
+// made stale. Each cluster's hull must then equal geom.ConvexHull of its
+// member locations, taken in index order, element for element.
+func TestHullMatchesConvexHull(t *testing.T) {
+	const n, k = 60, 20
+	caps := make([]float64, n)
+	for class, gen := range hullPointClasses {
+		rng := rand.New(rand.NewSource(int64(class)))
+		pts := gen(rng, n)
+		assign := make([]int, n)
+		for i := range assign {
+			assign[i] = rng.Intn(k)
+		}
+		st := newSAState(pts, caps, k, assign, DefaultSAOptions(1))
+		sizes := map[int]bool{}
+		for it := range 400 {
+			i := rng.Intn(n)
+			from, to := st.assign[i], rng.Intn(k-1)
+			if to >= from {
+				to++
+			}
+			st.move(i, from, to)
+			for j, c := range st.clusters {
+				if len(c.members) < 2 {
+					continue
+				}
+				sizes[len(c.members)] = true
+				st.pickHullInstance(j, rng)
+				locs := make([]geom.Point, len(c.members))
+				for v, m := range c.members {
+					locs[v] = pts[m]
+				}
+				want := geom.ConvexHull(locs)
+				if !slices.Equal(c.hull, want) {
+					t.Fatalf("class %d, move %d, cluster %d %v: hull %v, geom.ConvexHull %v",
+						class, it, j, locs, c.hull, want)
+				}
+			}
+		}
+		if !sizes[2] || !sizes[3] {
+			t.Errorf("class %d: no cluster of two or three members was checked", class)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package partition
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"sllt/internal/geom"
 	"sllt/internal/geom/index"
@@ -57,43 +58,23 @@ func DefaultSAOptions(seed int64) SAOptions {
 
 // clusterState tracks incremental cluster statistics during annealing.
 //
-// Members are held as a sorted index slice, not a map: SA refinement walks
+// Members are held as sorted index slices, not a map: SA refinement walks
 // the membership when rebuilding bounding boxes, picking hull instances and
 // scanning for nearest nets, and map iteration order would make those walks
 // — and therefore the refined assignment — vary from run to run under the
 // same seed.
 type clusterState struct {
 	members []int // instance indices, sorted ascending
+	xy      []int // the same indices sorted by location, then index (cmpXY)
 	capSum  float64
 	bbox    geom.Rect
 	cx, cy  float64 // coordinate sums for the centroid
 
-	// hull is the convex hull of the member locations, rebuilt lazily from
-	// the sorted members after a membership change (nil when stale), so the
-	// cached value is bit-identical to a recompute.
+	// hull is the convex hull of the member locations, emptied by a
+	// membership change and rebuilt in place by the next pickHullInstance.
+	// A cluster of two or more members has a non-empty hull, so empty means
+	// stale.
 	hull []geom.Point
-}
-
-// insert adds i to the sorted member set (no-op if present).
-func (c *clusterState) insert(i int) {
-	pos := sort.SearchInts(c.members, i)
-	if pos < len(c.members) && c.members[pos] == i {
-		return
-	}
-	c.members = append(c.members, 0)
-	copy(c.members[pos+1:], c.members[pos:])
-	c.members[pos] = i
-	c.hull = nil
-}
-
-// remove deletes i from the sorted member set (no-op if absent).
-func (c *clusterState) remove(i int) {
-	pos := sort.SearchInts(c.members, i)
-	if pos >= len(c.members) || c.members[pos] != i {
-		return
-	}
-	c.members = append(c.members[:pos], c.members[pos+1:]...)
-	c.hull = nil
 }
 
 // netTerms are one cluster's contributions to Cost and pickCostlyNet. An
@@ -137,6 +118,8 @@ type saState struct {
 	terms []netTerms
 	runs  []termRuns
 	used  int // non-empty clusters
+	// hullLocs is rebuildHull's scratch for the sorted member locations.
+	hullLocs []geom.Point
 }
 
 func newSAState(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptions) *saState {
@@ -161,9 +144,26 @@ func newSAState(pts []geom.Point, caps []float64, k int, assign []int, opt SAOpt
 	return st
 }
 
+// cmpXY orders instances by location, X then Y, and then by index: the
+// order geom.SortedHull needs, made total so that it is one order.
+func (st *saState) cmpXY(a, b int) int {
+	pa, pb := st.pts[a], st.pts[b]
+	if c := cmp.Compare(pa.X, pb.X); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(pa.Y, pb.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
 func (st *saState) addTo(j, i int) {
 	c := st.clusters[j]
-	c.insert(i)
+	pos, _ := slices.BinarySearch(c.members, i)
+	c.members = slices.Insert(c.members, pos, i)
+	pos, _ = slices.BinarySearchFunc(c.xy, i, st.cmpXY)
+	c.xy = slices.Insert(c.xy, pos, i)
+	c.hull = c.hull[:0]
 	c.capSum += st.caps[i]
 	c.bbox = c.bbox.Grow(st.pts[i])
 	c.cx += st.pts[i].X
@@ -173,11 +173,23 @@ func (st *saState) addTo(j, i int) {
 
 func (st *saState) removeFrom(j, i int) {
 	c := st.clusters[j]
-	c.remove(i)
+	pos, _ := slices.BinarySearch(c.members, i)
+	c.members = slices.Delete(c.members, pos, pos+1)
+	pos, _ = slices.BinarySearchFunc(c.xy, i, st.cmpXY)
+	c.xy = slices.Delete(c.xy, pos, pos+1)
+	c.hull = c.hull[:0]
 	c.capSum -= st.caps[i]
-	c.cx -= st.pts[i].X
-	c.cy -= st.pts[i].Y
-	// bbox must be rebuilt after removal.
+	p := st.pts[i]
+	c.cx -= p.X
+	c.cy -= p.Y
+	// A point strictly inside the bbox is neither of its extremes in
+	// either axis, so other members attain all four and the bbox stands.
+	// Otherwise rebuild it; min and max are exact, so either way it equals
+	// the rebuild.
+	b := c.bbox
+	if p.X > b.XLo && p.X < b.XHi && p.Y > b.YLo && p.Y < b.YHi {
+		return
+	}
 	c.bbox = geom.EmptyRect()
 	for _, m := range c.members {
 		c.bbox = c.bbox.Grow(st.pts[m])
@@ -387,19 +399,13 @@ func (st *saState) pickHullInstance(j int, rng *rand.Rand) int {
 	if len(c.members) <= 1 {
 		return -1
 	}
-	if c.hull == nil {
-		locs := make([]geom.Point, len(c.members))
-		for idx, m := range c.members {
-			locs[idx] = st.pts[m]
-		}
-		c.hull = geom.ConvexHull(locs)
-	}
 	if len(c.hull) == 0 {
-		return -1
+		st.rebuildHull(c)
 	}
-	// The memoized hull is rebuilt from the same sorted member set the old
-	// code walked, so the rng.Intn stream and the chosen vertex are
-	// unchanged; co-located members still resolve to the lowest index.
+	// The hull equals geom.ConvexHull of the member locations in index
+	// order, vertex for vertex, so the rng.Intn stream and the chosen vertex
+	// follow from the member set alone; co-located members still resolve to
+	// the lowest index.
 	target := c.hull[rng.Intn(len(c.hull))]
 	for _, m := range c.members {
 		if st.pts[m].Eq(target) {
@@ -407,6 +413,26 @@ func (st *saState) pickHullInstance(j int, rng *rand.Rand) int {
 		}
 	}
 	return -1
+}
+
+// rebuildHull rebuilds c's hull in its own buffer from the members already
+// in (X, Y, index) order, so nothing is sorted or allocated in steady
+// state. geom.ConvexHull returns an input of two points as given, in input
+// order and unmerged, and so does this for a two-member cluster.
+func (st *saState) rebuildHull(c *clusterState) {
+	if len(c.members) <= 2 {
+		c.hull = c.hull[:0]
+		for _, m := range c.members {
+			c.hull = append(c.hull, st.pts[m])
+		}
+		return
+	}
+	locs := st.hullLocs[:0]
+	for _, m := range c.xy {
+		locs = append(locs, st.pts[m])
+	}
+	st.hullLocs = locs
+	c.hull = geom.SortedHull(c.hull, locs)
 }
 
 // nearestOtherNet returns the cluster (≠ from) whose nearest member is
