@@ -79,7 +79,7 @@ var flowDigests = []struct{ design, flow, digest string }{
 	{"salsa20", "Ours", "5c05d610fca5e7803dd5aeba1b3def70c2afecaac877b80bc9ef4ad574c9aaf4"},
 	{"salsa20", "Com.", "bc4034914af0ca011667f2c0e483e19293506f9c11563fb22618ca2fe6e52dc2"},
 	{"salsa20", "OR.", "f7be67c951609a3becb2d4eb26ac5d50ec9278be94f842b7e7ac21b10bdd7c91"},
-	{"ethernet", "Ours", "31a2e9e0fd4f97a7d86e1e58a6ea72a4bf2cdab9d6356af0be64c7234c8e8ce5"},
+	{"ethernet", "Ours", "f7f8aeee0e4656b082b1873685eadcfe516f838a672ec06328e59fd9ec7c47a9"},
 	{"ethernet", "Com.", "46525360a5d616b6c00f34b0e4ff1aa047da87fb1dbfc1d1c49bae84cc360bb2"},
 	{"ethernet", "OR.", "9da7c8446c3ac8b1e1671426dc58b9690a314b26be9a7edcc543d9d53a4162b8"},
 	{"vga_lcd", "Ours", "f68f3bff4d896c648af8a435201a7e52f9d3c7459b0dd82bacbe3eb61a9aa30a"},

@@ -13,7 +13,7 @@ import (
 // this deliberate: a key change without a salt bump fails the fixture test.
 // A change that moves a cached stage's output follows the contract-change
 // rule in DESIGN.md, which bumps this salt in the same commit.
-const cacheSalt = "sllt.cts.cache/v2"
+const cacheSalt = "sllt.cts.cache/v3"
 
 // Cached stage names, one per stage the driver consults the store for. A
 // stage may be cached only while it is a pure function of its key:

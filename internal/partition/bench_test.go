@@ -15,19 +15,19 @@ const benchN = 20_000
 // benchSink keeps the compiler from discarding the benchmarked calls.
 var benchSink []int
 
-// benchLevel returns a flow-shaped level: benchN points scattered over a
-// 1 mm square, the flow's fanout-32 cluster count of k-means centers, and
-// the balanced assignment at capacity 32.
-func benchLevel() (pts, centers []geom.Point, assign []int) {
-	pts = scatter(benchN, 41)
-	centers, _ = KMeansP(pts, benchN/32+1, 20, 1, 1)
+// benchLevel returns a flow-shaped level: n points scattered over a 1 mm
+// square, the flow's fanout-32 cluster count of k-means centers, and the
+// balanced assignment at capacity 32.
+func benchLevel(n int) (pts, centers []geom.Point, assign []int) {
+	pts = scatter(n, 41)
+	centers, _ = KMeansP(pts, n/32+1, 20, 1, 1)
 	return pts, centers, BalancedAssign(pts, centers, 32)
 }
 
 // BenchmarkBalancedAssignGreedy times the greedy assignment with overflow
 // repair on benchLevel's centers.
 func BenchmarkBalancedAssignGreedy(b *testing.B) {
-	pts, centers, _ := benchLevel()
+	pts, centers, _ := benchLevel(benchN)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
@@ -40,8 +40,15 @@ func BenchmarkBalancedAssignGreedy(b *testing.B) {
 
 // BenchmarkSARefine times RefineSA on benchLevel's assignment with the
 // flow's move budget of two moves per instance.
-func BenchmarkSARefine(b *testing.B) {
-	pts, centers, assign := benchLevel()
+func BenchmarkSARefine(b *testing.B) { benchSARefine(b, benchN) }
+
+// BenchmarkSARefineLarge is BenchmarkSARefine at large100k's level-0
+// shape: n = 100,000, k = 3,126 and 200,000 moves. A move's O(log k) cost
+// terms show against its O(cluster size) work here, not at k = 626.
+func BenchmarkSARefineLarge(b *testing.B) { benchSARefine(b, 100_000) }
+
+func benchSARefine(b *testing.B, n int) {
+	pts, centers, assign := benchLevel(n)
 	caps := make([]float64, len(pts))
 	for i := range caps {
 		caps[i] = 1

@@ -15,8 +15,11 @@ import (
 // coincident), annealing states over the 16 points (three clusters, the
 // middle one empty), over two of them (one cluster) and over no points,
 // caller scratch, and sinks that keep the compiler from discarding the
-// guarded calls. None of them is built by a guarded kernel, so only the
-// guard inputs themselves execute kernel statements.
+// guarded calls. Only refreshTerms runs while they are built, on every
+// cluster of each annealing state, so the coverage step cannot tell its
+// fixture statements from its inputs'; those inputs are chosen to reach
+// every statement on their own. Otherwise only the guard inputs execute
+// kernel statements.
 var (
 	guardPts         = latticePoints(16, 4)
 	guardCenters     = []geom.Point{geom.Pt(2, 2), geom.Pt(30, 14)}
@@ -30,7 +33,7 @@ var (
 	guardSum         = make([]float64, 2)
 	guardCnt         = make([]int, 2)
 	guardSA          = newSAState(guardPts, make([]float64, len(guardPts)), 3,
-		[]int{0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2}, DefaultSAOptions(1))
+		[]int{0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2}, guardSAOptions())
 	guardSANone = newSAState(nil, nil, 2, nil, DefaultSAOptions(1))
 	guardSAPair = newSAState(guardPts[:2], make([]float64, 2), 2, []int{0, 0}, DefaultSAOptions(1))
 	guardRng    = rand.New(rand.NewSource(1))
@@ -55,6 +58,15 @@ func latticePoints(n, w int) []geom.Point {
 		pts[i] = geom.Pt(float64(i%w)*9+float64(i), float64(i/w)*6)
 	}
 	return pts
+}
+
+// guardSAOptions returns the flow's annealing options with bounds that
+// guardSA's clusters (eight members, 5.76 fF of wire over a 48 µm WL
+// estimate) break, so each of the three violation terms is charged.
+func guardSAOptions() SAOptions {
+	opt := DefaultSAOptions(1)
+	opt.MaxCap, opt.MaxWL, opt.MaxFanout = 2, 10, 4
+	return opt
 }
 
 // guardAssignRange runs assignRange from a cleared assignment, so every run
@@ -91,11 +103,21 @@ var allocFreeGuards = map[string][]func(){
 		func() { guardSinkF = guardSA.Cost() },
 		func() { guardSinkF = guardSANone.Cost() },
 	},
-	// guardSA's draws land on net 0 or, past the empty net 1, on the last
-	// net; over a guard's 101 runs both occur. guardSANone has no weight.
+	// guardSANone has no weight.
 	"saState.pickCostlyNet": {
 		func() { guardSinkI = guardSA.pickCostlyNet(guardRng) },
 		func() { guardSinkI = guardSANone.pickCostlyNet(guardRng) },
+	},
+	// The first net's first weight unit and the last net's last: the
+	// descent takes no step, and then one.
+	"saState.netAt": {
+		func() { guardSinkI = guardSA.netAt(0) },
+		func() { guardSinkI = guardSA.netAt(guardSA.sumW - 1) },
+	},
+	// A cluster that breaks all three bounds, and an empty one.
+	"saState.refreshTerms": {
+		func() { guardSA.refreshTerms(0) },
+		func() { guardSA.refreshTerms(1) },
 	},
 	// Eight members run the chain; two are returned as given.
 	"saState.rebuildHull": {

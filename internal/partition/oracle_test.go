@@ -3,6 +3,7 @@ package partition
 import (
 	"container/heap"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sort"
@@ -11,10 +12,10 @@ import (
 	"sllt/internal/geom"
 )
 
-// oracleCost is the annealing cost recomputed from every cluster's members
-// in one pass: the full recompute that saState.Cost replaces with cached
-// terms and running sums.
-func oracleCost(st *saState) float64 {
+// oracleFloatCost is the annealing cost over float terms, recomputed from
+// every cluster's members in one pass: the cost before the terms were
+// quantized. It also returns its two variances.
+func oracleFloatCost(st *saState) (cost, capVar, delayVar float64) {
 	k := len(st.clusters)
 	capV := make([]float64, 0, k)
 	tV := make([]float64, 0, k)
@@ -36,7 +37,8 @@ func oracleCost(st *saState) float64 {
 			viol += float64(len(st.clusters[j].members)-st.opt.MaxFanout) * 2
 		}
 	}
-	return variance(capV) + variance(tV) + 4*viol
+	capVar, delayVar = variance(capV), variance(tV)
+	return capVar + delayVar + 4*viol, capVar, delayVar
 }
 
 func variance(xs []float64) float64 {
@@ -55,39 +57,117 @@ func variance(xs []float64) float64 {
 	return v / float64(len(xs))
 }
 
-// oraclePerNetCost is net j's unsquared sampling weight, recomputed.
-func oraclePerNetCost(st *saState, j int) float64 {
-	c := st.clusters[j]
-	if len(c.members) == 0 {
-		return 0
+// oracleTerms recomputes cluster j's quantized terms from its members and
+// reports which of its cap, WL and fanout violations are positive.
+func oracleTerms(st *saState, j int) (netTerms, [3]bool) {
+	n := len(st.clusters[j].members)
+	if n == 0 {
+		return netTerms{}, [3]bool{}
 	}
-	cost := st.netCap(j) + st.opt.CPerUm*st.netWL(j)
-	if nc := st.netCap(j); nc > st.opt.MaxCap {
+	nc, wl := st.netCap(j), st.netWL(j)
+	cost := nc + st.opt.CPerUm*wl
+	var viol [3]float64
+	if nc > st.opt.MaxCap {
+		viol[0] = nc - st.opt.MaxCap
 		cost += 4 * (nc - st.opt.MaxCap)
 	}
-	return cost
+	if wl > st.opt.MaxWL {
+		viol[1] = st.opt.CPerUm * (wl - st.opt.MaxWL)
+	}
+	if st.opt.MaxFanout > 0 && n > st.opt.MaxFanout {
+		viol[2] = float64(n-st.opt.MaxFanout) * 2
+	}
+	return netTerms{
+		size:  n,
+		cap:   int64(math.Round(nc * saQuantum)),
+		delay: int64(math.Round(st.netDelayProxy(j) * saQuantum)),
+		viol:  int64(math.Round((viol[0] + viol[1] + viol[2]) * saQuantum)),
+		w:     min(uint64(math.Round(cost*cost*256)), math.MaxUint64/uint64(len(st.clusters))),
+	}, [3]bool{viol[0] > 0, viol[1] > 0, viol[2] > 0}
 }
 
-// oraclePickCostlyNet draws a net from freshly recomputed weights.
-func oraclePickCostlyNet(st *saState, rng *rand.Rand) int {
-	var total float64
-	costs := make([]float64, len(st.clusters))
+// oracleSA is the annealer's integer state recomputed from every
+// cluster's members: the terms, and their sums in big integers, which
+// cannot overflow.
+type oracleSA struct {
+	terms                                []netTerms
+	fired                                [3]int // clusters with each violation
+	used                                 int
+	sumCap, sumCap2, sumDelay, sumDelay2 big.Int
+	sumViol, sumW                        big.Int
+}
+
+func newOracleSA(st *saState) *oracleSA {
+	o := &oracleSA{terms: make([]netTerms, len(st.clusters))}
+	var q big.Int
 	for j := range st.clusters {
-		c := oraclePerNetCost(st, j)
-		costs[j] = c * c
-		total += costs[j]
+		t, fired := oracleTerms(st, j)
+		o.terms[j] = t
+		if t.size > 0 {
+			o.used++
+		}
+		for v, f := range fired {
+			if f {
+				o.fired[v]++
+			}
+		}
+		o.sumCap.Add(&o.sumCap, q.SetInt64(t.cap))
+		o.sumCap2.Add(&o.sumCap2, q.Mul(&q, &q))
+		o.sumDelay.Add(&o.sumDelay, q.SetInt64(t.delay))
+		o.sumDelay2.Add(&o.sumDelay2, q.Mul(&q, &q))
+		o.sumViol.Add(&o.sumViol, q.SetInt64(t.viol))
+		o.sumW.Add(&o.sumW, q.SetUint64(t.w))
 	}
-	if total <= 0 {
+	return o
+}
+
+// bigU128 returns x as a big integer.
+func bigU128(x u128) *big.Int {
+	b := new(big.Int).SetUint64(x.hi)
+	return b.Lsh(b, 64).Or(b, new(big.Int).SetUint64(x.lo))
+}
+
+// bigSpread is spread over big integers: n·x2 − x1², converted to float64
+// from its high and low 64-bit halves. It fails if the numerator is
+// negative or does not fit 128 bits.
+func bigSpread(t *testing.T, n int, x1, x2 *big.Int) float64 {
+	t.Helper()
+	d := new(big.Int).Mul(big.NewInt(int64(n)), x2)
+	d.Sub(d, new(big.Int).Mul(x1, x1))
+	if d.Sign() < 0 || d.BitLen() > 128 {
+		t.Fatalf("variance numerator %v outside [0, 2^128)", d)
+	}
+	lo := new(big.Int).And(d, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+	hi := new(big.Int).Rsh(d, 64).Uint64()
+	return float64(hi)*0x1p64 + float64(lo)
+}
+
+// cost is Cost over the recomputed sums.
+func (o *oracleSA) cost(t *testing.T) float64 {
+	if o.used == 0 {
+		return 0
+	}
+	nn := float64(o.used) * float64(o.used) * saQuantum * saQuantum
+	return bigSpread(t, o.used, &o.sumCap, &o.sumCap2)/nn +
+		bigSpread(t, o.used, &o.sumDelay, &o.sumDelay2)/nn +
+		4*float64(o.sumViol.Int64())/saQuantum
+}
+
+// draw is pickCostlyNet over the recomputed weights: the same r from the
+// same rng, then a linear scan of the prefix sums.
+func (o *oracleSA) draw(rng *rand.Rand) int {
+	w := o.sumW.Uint64()
+	if w == 0 {
 		return -1
 	}
-	r := rng.Float64() * total
-	for j, c := range costs {
-		r -= c
-		if r <= 0 {
+	r := min(uint64(rng.Float64()*float64(w)), w-1)
+	for j, t := range o.terms {
+		if r < t.w {
 			return j
 		}
+		r -= t.w
 	}
-	return len(st.clusters) - 1
+	return -1
 }
 
 // oracleGreedyRepair is the greedy assignment without caches: an ascending
@@ -444,37 +524,105 @@ func (q *nodePQ) Pop() interface{} {
 	return it
 }
 
-// checkSAState compares the incremental cost, every per-net weight and a
-// net draw against the oracles under ==, and counts the clusters whose
-// cap, WL and fanout violation terms are positive.
-func checkSAState(t *testing.T, st *saState, step string, seed int64, fired *[3]int) {
+// checkSAState compares the incremental state with the integer full
+// recompute under ==: every cluster's terms, the sums, Cost, the Fenwick
+// draw at both ends of every net's span and a seeded pickCostlyNet. Cost
+// must also lie within the quantization bound of the float cost. It
+// returns the recompute.
+func checkSAState(t *testing.T, st *saState, step string, seed int64) *oracleSA {
 	t.Helper()
-	if got, want := st.Cost(), oracleCost(st); got != want {
+	o := newOracleSA(st)
+	for j := range st.terms {
+		if st.terms[j] != o.terms[j] {
+			t.Fatalf("%s: net %d terms %+v, oracle %+v", step, j, st.terms[j], o.terms[j])
+		}
+	}
+	if st.used != o.used {
+		t.Fatalf("%s: %d nets used, oracle %d", step, st.used, o.used)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *big.Int
+	}{
+		{"cap sum", big.NewInt(st.sumCap), &o.sumCap},
+		{"cap² sum", bigU128(st.sumCap2), &o.sumCap2},
+		{"delay sum", big.NewInt(st.sumDelay), &o.sumDelay},
+		{"delay² sum", bigU128(st.sumDelay2), &o.sumDelay2},
+		{"violation sum", big.NewInt(st.sumViol), &o.sumViol},
+		{"weight sum", new(big.Int).SetUint64(st.sumW), &o.sumW},
+	} {
+		if c.got.Cmp(c.want) != 0 {
+			t.Fatalf("%s: %s %v, oracle %v", step, c.name, c.got, c.want)
+		}
+	}
+	got := st.Cost()
+	if want := o.cost(t); got != want {
 		t.Fatalf("%s: Cost %v, oracle %v", step, got, want)
 	}
-	for j := range st.clusters {
-		w := oraclePerNetCost(st, j)
-		if got := st.terms[j].sq; got != w*w {
-			t.Fatalf("%s: net %d weight %v, oracle %v", step, j, got, w*w)
+	// Rounding a term to quanta moves it by at most δ, a variance by at
+	// most 2δσ + δ² and the violation sum by at most δ per net.
+	fc, capVar, delayVar := oracleFloatCost(st)
+	const δ = 0.5 / saQuantum
+	bound := 2*δ*(math.Sqrt(capVar)+math.Sqrt(delayVar)) + 2*δ*δ + 4*float64(o.used)*δ + 1e-9*(1+fc)
+	if math.Abs(got-fc) > bound {
+		t.Fatalf("%s: Cost %v, float oracle %v: off by more than %v", step, got, fc, bound)
+	}
+	var lo uint64 // Σ_{i<j} w_i
+	for j, tj := range o.terms {
+		if tj.w == 0 {
+			continue
 		}
-		for v, x := range st.terms[j].viol {
-			if x > 0 {
-				fired[v]++
+		for _, r := range []uint64{lo, lo + tj.w - 1} {
+			if got := st.netAt(r); got != j {
+				t.Fatalf("%s: r=%d drew net %d, scan %d", step, r, got, j)
 			}
 		}
+		lo += tj.w
 	}
-	got := st.pickCostlyNet(rand.New(rand.NewSource(seed)))
-	if want := oraclePickCostlyNet(st, rand.New(rand.NewSource(seed))); got != want {
-		t.Fatalf("%s: picked net %d, oracle %d", step, got, want)
+	if got, want := st.pickCostlyNet(rand.New(rand.NewSource(seed))), o.draw(rand.New(rand.NewSource(seed))); got != want {
+		t.Fatalf("%s: picked net %d, scan %d", step, got, want)
 	}
+	return o
+}
+
+// annealSteps runs moves proposals the annealer's way (net draw, hull
+// instance, nearest other net), undoing about half, and checks the state
+// after each move and undo. It returns the clusters counted with each
+// violation over those checks.
+func annealSteps(t *testing.T, st *saState, rng *rand.Rand, moves int) (fired [3]int) {
+	t.Helper()
+	count := func(o *oracleSA) {
+		for v, c := range o.fired {
+			fired[v] += c
+		}
+	}
+	count(checkSAState(t, st, "initial", 0))
+	for it := range moves {
+		j := st.pickCostlyNet(rng)
+		i := st.pickHullInstance(j, rng)
+		if i < 0 {
+			continue
+		}
+		to := st.nearestOtherNet(i, j)
+		if to < 0 {
+			continue
+		}
+		st.move(i, j, to)
+		count(checkSAState(t, st, "move", int64(it)))
+		if rng.Intn(2) == 0 {
+			st.move(i, to, j)
+			count(checkSAState(t, st, "undo", int64(it)))
+		}
+	}
+	return fired
 }
 
 // TestSAIncrementalMatchesOracle drives the annealer's moves and undos on
 // random instances on both sides of saGridThreshold and checks, after each,
-// that the cached terms and running sums give exactly the full recompute's
-// cost, per-net weights and net draw. The last cluster starts (and, since
-// no move targets a net without members, stays) empty, and the constraints
-// are tight enough that all three violation kinds fire.
+// that the incremental terms, sums and weight tree equal the integer full
+// recompute. The last cluster starts (and, since no move targets a net
+// without members, stays) empty, and the constraints are tight enough that
+// all three violation kinds fire.
 func TestSAIncrementalMatchesOracle(t *testing.T) {
 	for _, n := range []int{300, saGridThreshold + 200} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -494,30 +642,74 @@ func TestSAIncrementalMatchesOracle(t *testing.T) {
 		if got := st.grid != nil; got != (n >= saGridThreshold) {
 			t.Fatalf("n=%d: grid built %v", n, got)
 		}
-		var fired [3]int
-		checkSAState(t, st, "initial", 0, &fired)
-		for it := range 600 {
-			j := st.pickCostlyNet(rng)
-			i := st.pickHullInstance(j, rng)
-			if i < 0 {
-				continue
-			}
-			to := st.nearestOtherNet(i, j)
-			if to < 0 {
-				continue
-			}
-			st.move(i, j, to)
-			checkSAState(t, st, "move", int64(it), &fired)
-			if rng.Intn(2) == 0 {
-				st.move(i, to, j)
-				checkSAState(t, st, "undo", int64(it), &fired)
-			}
-		}
-		for v, c := range fired {
+		for v, c := range annealSteps(t, st, rng, 600) {
 			if c == 0 {
 				t.Errorf("n=%d: violation term %d never fired", n, v)
 			}
 		}
+	}
+}
+
+// TestSAExtremeInputs runs annealSteps where the integer sums come closest
+// to their bounds: a 10 m die whose every cluster spans it, at k = 31,251
+// (a 1M-sink level 0, where the weights saturate) and at k = 63; a level
+// whose members all coincide, so that both variances start at exactly 0;
+// and k = 64, a power of two, for the Fenwick descent's first step. Every
+// state must equal the recompute, which cannot overflow. Pin caps are all
+// 1 fF and each cluster starts with five members.
+func TestSAExtremeInputs(t *testing.T) {
+	const die = 1e7 // 10 m, in µm
+	corners := []geom.Point{geom.Pt(0, 0), geom.Pt(die, 0), geom.Pt(0, die), geom.Pt(die, die)}
+	// spanDie puts point i on a corner while i < 4k, so that each cluster's
+	// first four members sit on the die's four corners, and the rest
+	// anywhere on the die.
+	spanDie := func(rng *rand.Rand, i, k int) geom.Point {
+		if i < 4*k {
+			return corners[i/k]
+		}
+		return geom.Pt(rng.Float64()*die, rng.Float64()*die)
+	}
+	for _, c := range []struct {
+		name     string
+		k, moves int
+		// pts places point i, which starts in cluster i mod k.
+		pts func(rng *rand.Rand, i, k int) geom.Point
+		// saturates: some weight starts at its cap; flat: every cluster
+		// starts alike, so Cost is exactly 0.
+		saturates, flat bool
+	}{
+		{"10m-k31251", 31251, 12, spanDie, true, false},
+		{"10m-k63", 63, 200, spanDie, false, false},
+		{"coincident-k37", 37, 200, func(*rand.Rand, int, int) geom.Point {
+			return geom.Pt(die/3, die/3)
+		}, false, true},
+		{"k64", 64, 200, func(rng *rand.Rand, _, _ int) geom.Point {
+			return geom.Pt(rng.Float64()*400, rng.Float64()*400)
+		}, false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(c.k)))
+			n := 5 * c.k
+			pts, caps, assign := make([]geom.Point, n), make([]float64, n), make([]int, n)
+			for i := range pts {
+				pts[i], caps[i], assign[i] = c.pts(rng, i, c.k), 1, i%c.k
+			}
+			st := newSAState(pts, caps, c.k, assign, DefaultSAOptions(1))
+			o := checkSAState(t, st, "initial", 0)
+			saturated := 0
+			for _, tj := range o.terms {
+				if tj.w == st.wMax {
+					saturated++
+				}
+			}
+			if (saturated > 0) != c.saturates {
+				t.Errorf("%d of %d weights saturated, want some: %v", saturated, c.k, c.saturates)
+			}
+			if got := st.Cost(); c.flat && got != 0 {
+				t.Errorf("Cost of alike clusters %v, want 0", got)
+			}
+			annealSteps(t, st, rng, c.moves)
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package partition
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -77,27 +78,76 @@ type clusterState struct {
 	hull []geom.Point
 }
 
-// netTerms are one cluster's contributions to Cost and pickCostlyNet. An
-// empty cluster's terms are all zero, and adding a zero to a running sum
-// leaves it unchanged, so sums over every cluster equal the sums over the
-// non-empty clusters that the cost is defined on.
+// saQuantum is the resolution of the annealing cost's integer sums: each
+// net's cap, delay proxy and summed violations are held as whole multiples
+// of 1/saQuantum fF or µm, and its sampling weight as a whole multiple of
+// 1/256 of its squared cost. Integer sums do not depend on the order they
+// are added in, so the sums a move updates always equal a full recompute,
+// and a move costs O(cluster size + log k) instead of three O(k) passes.
+//
+// Bounds. Take coordinates within 10 m (1e7 µm), each net's cap (pins plus
+// wire) below 2^24 fF, and fewer than 2^20 instances and clusters; at the
+// flow's 0.12 fF/µm a 10 m net's wire is 2.9e6 fF.
+//   - A quantized term q is below 2^41: the delay proxy is at most a 2e7 µm
+//     Manhattan diameter, and the violations sum below 2^25 fF. q² is
+//     formed with bits.Mul64; a 64-bit product holds only |q| < 2^32,
+//     that is below 65,536 fF or µm.
+//   - Over k clusters Σq < 2^61 fits an int64 and Σq² < 2^102, so the
+//     variance numerator n·Σq² − (Σq)², both terms below 2^122, is exact
+//     in 128 bits.
+//   - A net's cost is below 5·2^24 + 2.9e6 < 2^27 fF, so its rounded
+//     256·cost² is below 2^62 and converts to uint64 without overflow. The
+//     total weight W could still pass 2^64 at large k, so each weight
+//     saturates at ⌊(2^64−1)/k⌋ and W < 2^64. At k = 31,251 that caps only
+//     nets costing over 1.5e6 fF.
+const saQuantum = 1 << 16
+
+// quantize rounds a non-negative cost term to whole quanta.
+func quantize(x float64) int64 { return int64(math.Round(x * saQuantum)) }
+
+// netTerms are one cluster's contributions to Cost and pickCostlyNet, in
+// quanta. An empty cluster's terms are all zero, so sums over every
+// cluster equal the sums over the non-empty clusters that the cost is
+// defined on.
 type netTerms struct {
-	size  int     // member count
-	cap   float64 // unit: fF // netCap
-	delay float64 // unit: um // netDelayProxy
-	// viol holds the capacitance-unified cap, WL and fanout violations, in
-	// the order Cost adds them; a term is 0 where its bound holds.
-	viol [3]float64 // unit: fF
-	sq   float64    // squared per-net cost: pickCostlyNet's sampling weight
+	size  int   // member count
+	cap   int64 // netCap
+	delay int64 // netDelayProxy
+	// viol is the capacitance-unified cap, WL and fanout violations,
+	// added in that order and then quantized; a violation is 0 where its
+	// bound holds.
+	viol int64
+	w    uint64 // sampling weight: 256·(per-net cost)², saturated
 }
 
-// termRuns are the running sums of netTerms over clusters 0..j, accumulated
-// in ascending j: the addition order, and so the rounding, of a full pass.
-type termRuns struct {
-	cap   float64 // unit: fF
-	delay float64 // unit: um
-	viol  float64 // unit: fF
-	sq    float64
+// u128 is an unsigned 128-bit integer, for the sums of squared terms.
+type u128 struct{ hi, lo uint64 }
+
+func (a u128) add(b u128) u128 {
+	lo, carry := bits.Add64(a.lo, b.lo, 0)
+	hi, _ := bits.Add64(a.hi, b.hi, carry)
+	return u128{hi, lo}
+}
+
+func (a u128) sub(b u128) u128 {
+	lo, borrow := bits.Sub64(a.lo, b.lo, 0)
+	hi, _ := bits.Sub64(a.hi, b.hi, borrow)
+	return u128{hi, lo}
+}
+
+// square returns q² for a non-negative q.
+func square(q int64) u128 {
+	hi, lo := bits.Mul64(uint64(q), uint64(q))
+	return u128{hi, lo}
+}
+
+// spread returns n·x2 − x1² for n values with sum x1 and sum of squares
+// x2: n² times their variance, exact in 128 bits, then converted to
+// float64. It is never negative (Cauchy–Schwarz).
+func spread(n int, x1 int64, x2 u128) float64 {
+	hi, lo := bits.Mul64(x2.lo, uint64(n))
+	d := u128{hi + x2.hi*uint64(n), lo}.sub(square(x1))
+	return float64(d.hi)*0x1p64 + float64(d.lo)
 }
 
 // saState is the annealing state over a whole partition.
@@ -111,13 +161,19 @@ type saState struct {
 	// large levels; nil below saGridThreshold. Moves change only assign, so
 	// the index never needs rebuilding.
 	grid *index.Grid
-	// terms[j] caches cluster j's cost terms and runs[j] the running sums
-	// of terms[0..j]. move refreshes the terms of the two clusters it
-	// touches and the sums from the lower of them up, so Cost and
-	// pickCostlyNet read every cluster without recomputing any.
+	// terms[j] caches cluster j's cost terms. move refreshes the terms of
+	// the two clusters it touches and updates the sums over all clusters,
+	// so Cost and pickCostlyNet read no cluster.
 	terms []netTerms
-	runs  []termRuns
 	used  int // non-empty clusters
+	// Sums over the clusters of cap, cap², delay, delay² and viol.
+	sumCap, sumDelay   int64
+	sumCap2, sumDelay2 u128
+	sumViol            int64
+	// fen is a Fenwick tree over the clusters' weights, fen[1..k], and
+	// sumW their total. wMax = ⌊(2^64−1)/k⌋ caps each weight.
+	fen        []uint64
+	sumW, wMax uint64
 	// hullLocs is rebuildHull's scratch for the sorted member locations.
 	hullLocs []geom.Point
 }
@@ -132,11 +188,11 @@ func newSAState(pts []geom.Point, caps []float64, k int, assign []int, opt SAOpt
 		st.addTo(assign[i], i)
 	}
 	st.terms = make([]netTerms, k)
-	st.runs = make([]termRuns, k)
+	st.fen = make([]uint64, k+1)
+	st.wMax = math.MaxUint64 / uint64(k)
 	for j := range st.terms {
 		st.refreshTerms(j)
 	}
-	st.rebuildRuns(0)
 	if len(pts) >= saGridThreshold {
 		st.grid = index.New(pts)
 		st.grid.Kernel = opt.Kernel
@@ -225,30 +281,47 @@ func (st *saState) netDelayProxy(j int) float64 {
 	return r
 }
 
-// refreshTerms recomputes cluster j's cost terms from its current members.
-// The per-net cost that pickCostlyNet squares is the net's own cap plus
+// refreshTerms recomputes cluster j's cost terms from its current members
+// and moves the sums and the weight tree from its old terms to its new. The
+// per-net cost that pickCostlyNet squares is the net's own cap plus
 // violations: netCap + CPerUm·netWL, plus 4× the cap overflow.
 func (st *saState) refreshTerms(j int) {
 	t := netTerms{size: len(st.clusters[j].members)}
 	if t.size > 0 {
 		nc, wl := st.netCap(j), st.netWL(j)
-		t.cap = nc
-		t.delay = st.netDelayProxy(j)
 		cost := nc + st.opt.CPerUm*wl
+		var viol [3]float64 // unit: fF
 		if nc > st.opt.MaxCap {
-			t.viol[0] = nc - st.opt.MaxCap
+			viol[0] = nc - st.opt.MaxCap
 			cost += 4 * (nc - st.opt.MaxCap)
 		}
 		if wl > st.opt.MaxWL {
-			t.viol[1] = st.opt.CPerUm * (wl - st.opt.MaxWL)
+			viol[1] = st.opt.CPerUm * (wl - st.opt.MaxWL)
 		}
 		if st.opt.MaxFanout > 0 && t.size > st.opt.MaxFanout {
 			// Each extra sink charged at the mean pin cap.
-			t.viol[2] = float64(t.size-st.opt.MaxFanout) * 2
+			viol[2] = float64(t.size-st.opt.MaxFanout) * 2
 		}
-		t.sq = cost * cost // square to sharpen sampling toward the worst nets
+		t.cap = quantize(nc)
+		t.delay = quantize(st.netDelayProxy(j))
+		t.viol = quantize(viol[0] + viol[1] + viol[2])
+		// Square to sharpen sampling toward the worst nets.
+		t.w = min(uint64(math.Round(cost*cost*256)), st.wMax)
 	}
-	if st.terms[j].size > 0 {
+	old := st.terms[j]
+	st.sumCap += t.cap - old.cap
+	st.sumCap2 = st.sumCap2.sub(square(old.cap)).add(square(t.cap))
+	st.sumDelay += t.delay - old.delay
+	st.sumDelay2 = st.sumDelay2.sub(square(old.delay)).add(square(t.delay))
+	st.sumViol += t.viol - old.viol
+	// The difference wraps modulo 2^64 when the weight falls; every sum
+	// it enters is below 2^64, so the sums come out exact.
+	dw := t.w - old.w
+	st.sumW += dw
+	for x := j + 1; x < len(st.fen); x += x & -x {
+		st.fen[x] += dw
+	}
+	if old.size > 0 {
 		st.used--
 	}
 	if t.size > 0 {
@@ -257,57 +330,27 @@ func (st *saState) refreshTerms(j int) {
 	st.terms[j] = t
 }
 
-// rebuildRuns recomputes the running sums from cluster lo up, continuing
-// from the sums through lo-1.
-func (st *saState) rebuildRuns(lo int) {
-	var r termRuns
-	if lo > 0 {
-		r = st.runs[lo-1]
-	}
-	for j := lo; j < len(st.terms); j++ {
-		t := &st.terms[j]
-		r.cap += t.cap
-		r.delay += t.delay
-		r.viol += t.viol[0]
-		r.viol += t.viol[1]
-		r.viol += t.viol[2]
-		r.sq += t.sq
-		st.runs[j] = r
-	}
-}
-
 // move reassigns instance i from cluster from to cluster to and refreshes
-// the cost terms and running sums the move changed.
+// the cost terms and sums the move changed.
 func (st *saState) move(i, from, to int) {
 	st.removeFrom(from, i)
 	st.addTo(to, i)
 	st.refreshTerms(from)
 	st.refreshTerms(to)
-	st.rebuildRuns(min(from, to))
 }
 
 // Cost evaluates the paper's partition metric over the current state,
 // p·σ(Cap) + q·σ(T) with p = q = 1 and σ the variance over non-empty
-// clusters, plus 4× the capacitance-unified constraint violations. Only
-// the variance pass around the means runs over the clusters; the sums come
-// from the running sums, so the result is bit-identical to a full pass.
+// clusters, plus 4× the capacitance-unified constraint violations, from
+// the quantized sums in O(1).
 func (st *saState) Cost() float64 {
 	if st.used == 0 {
 		return 0
 	}
-	n := float64(st.used)
-	all := st.runs[len(st.runs)-1]
-	capMean, delayMean := all.cap/n, all.delay/n
-	var capVar, delayVar float64
-	for j := range st.terms {
-		t := &st.terms[j]
-		if t.size == 0 {
-			continue
-		}
-		capVar += (t.cap - capMean) * (t.cap - capMean)
-		delayVar += (t.delay - delayMean) * (t.delay - delayMean)
-	}
-	return capVar/n + delayVar/n + 4*all.viol
+	nn := float64(st.used) * float64(st.used) * saQuantum * saQuantum
+	return spread(st.used, st.sumCap, st.sumCap2)/nn +
+		spread(st.used, st.sumDelay, st.sumDelay2)/nn +
+		4*float64(st.sumViol)/saQuantum
 }
 
 // RefineSA improves a balanced-k-means partition with the Fig. 4 local
@@ -373,22 +416,27 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 // pickCostlyNet samples nets with probability weighted by their squared
 // per-net cost (greedy in expectation — the paper's observation that
 // descending net cost order reduces global cost efficiently — but still
-// stochastic for annealing). The draw subtracts the weights in ascending
-// order, so it picks the net a pass over all weights would.
+// stochastic for annealing). Empty nets weigh 0 and are never drawn.
 func (st *saState) pickCostlyNet(rng *rand.Rand) int {
-	last := len(st.terms) - 1
-	total := st.runs[last].sq
-	if total <= 0 {
+	if st.sumW == 0 {
 		return -1
 	}
-	r := rng.Float64() * total
-	for j := range last {
-		r -= st.terms[j].sq
-		if r <= 0 {
-			return j
+	return st.netAt(min(uint64(rng.Float64()*float64(st.sumW)), st.sumW-1))
+}
+
+// netAt returns the net j whose span of the weight line holds r:
+// Σ_{i<j} w_i ≤ r < Σ_{i≤j} w_i, for r below the total. It descends the
+// Fenwick tree, in steps halving from the largest power of two not above
+// k, to the longest prefix of nets weighing at most r.
+func (st *saState) netAt(r uint64) int {
+	x := 0
+	for step := 1 << (bits.Len(uint(len(st.fen)-1)) - 1); step > 0; step >>= 1 {
+		if y := x + step; y < len(st.fen) && st.fen[y] <= r {
+			x = y
+			r -= st.fen[y]
 		}
 	}
-	return last
+	return x
 }
 
 // pickHullInstance returns a member of net j lying on the cluster's convex
