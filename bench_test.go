@@ -389,8 +389,8 @@ func BenchmarkKMeansMCF(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		centers, _ := partition.KMeans(pts, 32, 24, 1)
-		partition.BalancedAssign(pts, centers, 32)
+		centers, _ := partition.KMeansPK(pts, 32, 24, 1, 1, nil)
+		partition.BalancedAssignK(pts, centers, 32, nil)
 	}
 }
 

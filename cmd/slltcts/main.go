@@ -19,11 +19,13 @@
 //
 // -cache attaches a content-addressed stage cache: stages whose inputs are
 // unchanged since an earlier run replay their stored results instead of
-// recomputing (an ECO re-run after a small placement edit rebuilds only the
-// clusters the edit dirtied). -cachedir DIR adds an on-disk tier so warmth
-// survives across processes — the natural ECO workflow is two slltcts
-// invocations sharing one -cachedir. Cached and uncached runs produce
-// byte-identical DEF output.
+// recomputing. -cachedir DIR adds an on-disk tier so warmth survives across
+// processes. An identical re-run replays every stage under every engine.
+// An ECO re-run after a small placement edit rebuilds only the clusters the
+// edit dirtied under -engine openroad alone: the ours and commercial
+// engines anneal the partition, which re-partitions level 0 after even a
+// small move, so their ECO re-runs replay no cluster. Cached and uncached
+// runs produce byte-identical DEF output.
 //
 // The engine names select the paper's flow ("ours", CBS-based) or one of
 // the two baseline proxies used in Tables 6/7.

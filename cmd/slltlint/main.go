@@ -1,10 +1,10 @@
 // Command slltlint is the repository's static-analysis suite: a
 // multichecker driving the custom analyzers in internal/analysis over the
 // module. It exists because the paper's comparisons are only meaningful if
-// CBS/DME/partitioning are bit-reproducible for a given seed and the unit
-// system (µm, fF, kΩ, ps) is used coherently — both properties are too easy
-// to regress silently: one `range` over a map, one wall-clock seed, one
-// wirelength added to a latency.
+// CBS/DME/partitioning are bit-reproducible for a given seed and the
+// server's loops stay cancellable — properties too easy to regress
+// silently: one `range` over a map, one wall-clock seed, one detached
+// context.
 //
 // Usage:
 //

@@ -5,14 +5,15 @@
 // data, and runs Analyzers over the typed syntax trees.
 //
 // The framework exists to machine-check the properties every result in this
-// repository depends on: determinism (bit-identical trees for a given seed),
-// unit coherence and cancellable server loops. The seven rules live in the
-// analyzer subpackages (maporder, floatcmp, seededrand, wallclock,
-// sharedstate, unitflow, ctxguard), registry.All lists them, and
-// cmd/slltlint drives them. Two contracts are not lint rules but runtime
-// tests: allocation-free kernels are measured by the AllocsPerRun guards in
-// each kernel package's hot_guard_test.go, and the purity of the cached flow
-// stages by the stage cache's replay tests in internal/cts.
+// repository depends on: determinism (bit-identical trees for a given seed)
+// and cancellable server loops. The six rules live in the analyzer
+// subpackages (maporder, floatcmp, seededrand, wallclock, sharedstate,
+// ctxguard), registry.All lists them, and cmd/slltlint drives them. Three
+// contracts are not lint rules but runtime tests: allocation-free kernels
+// are measured by the AllocsPerRun guards in each kernel package's
+// hot_guard_test.go, the purity of the cached flow stages by the stage
+// cache's replay tests in internal/cts, and the unit system (µm, fF, kΩ,
+// ps) by the pinned flow digests and the timing and Liberty tests.
 package analysis
 
 import (
@@ -37,13 +38,6 @@ type Analyzer struct {
 	// a DESIGN.md anchor). SARIF output emits it as the rule's helpUri so
 	// code-scanning UIs can link each finding to its contract.
 	URL string
-
-	// Prepare, if non-nil, runs once per Run invocation over the whole
-	// batch of loaded packages before any per-package pass. Analyzers that
-	// need cross-package knowledge (unitflow's annotation registry) build
-	// it here; the hook sees every target package of the run, so facts
-	// declared in one package are visible while checking another.
-	Prepare func(pkgs []*Package) error
 
 	// Run applies the rule to one package, reporting findings through
 	// pass.Reportf. A non-nil error aborts the whole lint run (reserved

@@ -11,7 +11,6 @@ import (
 	"sllt/internal/analysis/maporder"
 	"sllt/internal/analysis/seededrand"
 	"sllt/internal/analysis/sharedstate"
-	"sllt/internal/analysis/unitflow"
 	"sllt/internal/analysis/wallclock"
 )
 
@@ -24,7 +23,6 @@ func All() []*analysis.Analyzer {
 		maporder.Analyzer,
 		seededrand.Analyzer,
 		sharedstate.Analyzer,
-		unitflow.Analyzer,
 		wallclock.Analyzer,
 	}
 }

@@ -19,7 +19,7 @@ var identRe = regexp.MustCompile(`^[a-z][a-z0-9]*$`)
 // effect.
 var roster = []string{
 	"ctxguard", "floatcmp", "maporder", "seededrand",
-	"sharedstate", "unitflow", "wallclock",
+	"sharedstate", "wallclock",
 }
 
 // TestRosterMetadata asserts the roster is exactly the expected analyzers

@@ -47,8 +47,3 @@ func FanGen(xs []float64) float64 {
 	<-done
 	return total
 }
-
-// unit: d ps, c fF -> ps
-func BadSumGen(d, c float64) float64 {
-	return d + c
-}

@@ -52,9 +52,3 @@ func FanIgnored(xs []float64) float64 {
 	<-done
 	return total
 }
-
-// unit: d ps, c fF -> ps
-func BadSumIgnored(d, c float64) float64 {
-	//slltlint:ignore unitflow fixture: suppression must hold for every analyzer
-	return d + c
-}

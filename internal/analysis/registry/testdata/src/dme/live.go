@@ -60,9 +60,3 @@ func Fan(xs []float64) float64 {
 	<-done
 	return total
 }
-
-// BadSum trips unitflow.
-// unit: d ps, c fF -> ps
-func BadSum(d, c float64) float64 {
-	return d + c
-}

@@ -20,13 +20,6 @@ const IgnorePrefix = "slltlint:ignore"
 // diagnostics sorted by position. Ignore directives are honored here so all
 // analyzers share one suppression mechanism.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	for _, az := range analyzers {
-		if az.Prepare != nil {
-			if err := az.Prepare(pkgs); err != nil {
-				return nil, fmt.Errorf("analysis: %s prepare: %v", az.Name, err)
-			}
-		}
-	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		ign := ignoresOf(pkg)

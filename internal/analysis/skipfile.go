@@ -42,7 +42,7 @@ func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 
 // SkipFile is the shared skip policy for every analyzer in the suite: test
 // files and generated files are exempt from the lint rules. Hoisted here so
-// sharedstate, unitflow and ctxguard agree on one definition instead of
+// sharedstate, ctxguard and Pass.Preorder agree on one definition instead of
 // carrying copies.
 func SkipFile(fset *token.FileSet, f *ast.File) bool {
 	return IsTestFile(fset, f.Pos()) || IsGeneratedFile(f)

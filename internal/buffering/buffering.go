@@ -1,8 +1,9 @@
 // Package buffering implements the paper's §3.4 buffering optimization:
 // the critical-wirelength criterion for repeater insertion derived from the
-// linear buffer delay model (Equation 6), the Equation-7 insertion-delay
-// lower bound used to pre-annotate nodes before their drivers are chosen,
-// and the tree transformation that inserts drivers and repeaters.
+// linear buffer delay model (Equation 6) and the tree transformation that
+// inserts drivers and repeaters. The Equation-7 insertion-delay lower bound
+// that pre-annotates nodes before their drivers are chosen is
+// liberty.Library.InsertionDelayLowerBound.
 package buffering
 
 import (
@@ -110,14 +111,6 @@ func (ins *Inserter) CriticalLength(cell *liberty.BufferCell, cap float64) float
 		return math.Inf(1)
 	}
 	return 2 * math.Sqrt((cell.WC*cap+cell.WI)/den)
-}
-
-// LowerBound evaluates Equation (7) for a node with the given downstream
-// load: the most conservative insertion-delay estimate across the library.
-//
-// unit: capLoad fF -> ps
-func (ins *Inserter) LowerBound(capLoad float64) float64 {
-	return ins.Lib.InsertionDelayLowerBound(capLoad)
 }
 
 // BufferTree inserts a driver at the tree root and repeaters so that no
@@ -351,25 +344,4 @@ func insertBufferAbove(n *tree.Node, cell *liberty.BufferCell) *tree.Node {
 	n.EdgeLen = 0
 	buf.Children = []*tree.Node{n}
 	return buf
-}
-
-// RepeaterizePath inserts repeaters every critical length along the path
-// from the root to the given node, sized for the accumulated wire cap. Used
-// by flows that buffer top-level trunks explicitly.
-func (ins *Inserter) RepeaterizePath(t *tree.Tree, n *tree.Node) int {
-	count := 0
-	lhat := ins.CriticalLength(ins.Lib.Strongest(), ins.MaxCap/2)
-	for v := n; v != nil && v.Parent != nil; v = v.Parent {
-		for v.EdgeLen > lhat {
-			st := tree.SplitEdge(v, lhat)
-			if st == nil {
-				break
-			}
-			cell := ins.Lib.PickForLoad(ins.Tech.WireCap(lhat)+ins.MaxCap/2, ins.Margin)
-			if b := insertBufferAbove(st, cell); b != nil {
-				count++
-			}
-		}
-	}
-	return count
 }

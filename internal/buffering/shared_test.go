@@ -13,11 +13,10 @@ import (
 // TestInserterSharedAcrossGoroutines enforces the Inserter concurrency
 // contract: cts.Run hands one *Inserter to every parallel cluster build, so
 // no method may write an Inserter field. The test drives the full method
-// surface (BufferTree, DecoupleSlowWires, RepeaterizePath, CriticalLength,
-// LowerBound) from many goroutines over disjoint trees — under `go test
-// -race` any field write is a hard failure — and then compares the struct
-// against a pre-run snapshot, which catches single-goroutine mutation even
-// in non-race runs.
+// surface (BufferTree, DecoupleSlowWires, CriticalLength) from many
+// goroutines over disjoint trees — under `go test -race` any field write is
+// a hard failure — and then compares the struct against a pre-run snapshot,
+// which catches single-goroutine mutation even in non-race runs.
 func TestInserterSharedAcrossGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(8)
@@ -44,12 +43,7 @@ func TestInserterSharedAcrossGoroutines(t *testing.T) {
 				}
 				ins.BufferTree(tr)
 				ins.DecoupleSlowWires(tr)
-				for _, s := range tr.Sinks() {
-					ins.RepeaterizePath(tr, s)
-					break
-				}
 				ins.CriticalLength(ins.Lib.Smallest(), 40)
-				ins.LowerBound(75)
 			}
 		}(int64(100 + g))
 	}

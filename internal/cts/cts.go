@@ -47,15 +47,19 @@ func DefaultConstraints() Constraints {
 
 // validate rejects constraints no clock tree can meet. A fanout below 2
 // cannot shrink a level (the level loop would never end), and a
-// non-positive cap or a negative skew bound admits no legal tree.
+// non-positive cap or wirelength limit or a negative skew bound admits no
+// legal tree. The float tests are negated so that NaN, for which every
+// comparison is false, fails them; +Inf passes as an unbounded limit.
 func (c Constraints) validate() error {
 	switch {
 	case c.MaxFanout < 2:
 		return fmt.Errorf("cts: max fanout %d is below 2", c.MaxFanout)
-	case c.MaxCap <= 0:
+	case !(c.MaxCap > 0):
 		return fmt.Errorf("cts: max cap %g fF is not positive", c.MaxCap)
-	case c.SkewBound < 0:
-		return fmt.Errorf("cts: skew bound %g ps is negative", c.SkewBound)
+	case !(c.MaxWL > 0):
+		return fmt.Errorf("cts: max wirelength %g um is not positive", c.MaxWL)
+	case !(c.SkewBound >= 0):
+		return fmt.Errorf("cts: skew bound %g ps is not >= 0", c.SkewBound)
 	}
 	return nil
 }

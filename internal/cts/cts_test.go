@@ -3,6 +3,7 @@ package cts
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,10 @@ func TestRunRejectsImpossibleConstraints(t *testing.T) {
 		{"cap0", func(c *Constraints) { c.MaxCap = 0 }, "cap"},
 		{"capNeg", func(c *Constraints) { c.MaxCap = -1 }, "cap"},
 		{"skewNeg", func(c *Constraints) { c.SkewBound = -5 }, "skew"},
+		{"capNaN", func(c *Constraints) { c.MaxCap = math.NaN() }, "cap"},
+		{"skewNaN", func(c *Constraints) { c.SkewBound = math.NaN() }, "skew"},
+		{"wlNaN", func(c *Constraints) { c.MaxWL = math.NaN() }, "wirelength"},
+		{"wl0", func(c *Constraints) { c.MaxWL = 0 }, "wirelength"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -245,5 +250,15 @@ func TestRunRejectsImpossibleConstraints(t *testing.T) {
 				t.Fatal("Run did not return within 5 s")
 			}
 		})
+	}
+}
+
+// TestConstraintsAcceptUnboundedLimits: +Inf is a real request (no limit),
+// so validation rejects NaN without rejecting it.
+func TestConstraintsAcceptUnboundedLimits(t *testing.T) {
+	c := DefaultConstraints()
+	c.MaxCap, c.MaxWL, c.SkewBound = math.Inf(1), math.Inf(1), math.Inf(1)
+	if err := c.validate(); err != nil {
+		t.Fatalf("validate(+Inf limits) = %v, want nil", err)
 	}
 }

@@ -5,41 +5,127 @@ import (
 	"testing"
 )
 
+// slewDependentLib is one hand-written buffer whose transition tables,
+// unlike GenerateSource's, depend on input slew:
+//
+//	cell_rise = cell_fall             = 0.1·slew + 0.5·load + 9
+//	rise_transition = fall_transition = 0.2·slew + 0.8·load + 5
+//
+// The fit must keep the slew slope out of SC and fold it into SI at
+// nominalInSlew: SC = 0.8 ps/fF and SI = 5 + 0.2·20 = 9 ps.
+const slewDependentLib = `library (hand) {
+  time_unit : "1ps";
+  capacitive_load_unit (1, ff);
+  lu_table_template (delay_3x3) {
+    variable_1 : input_net_transition;
+    variable_2 : total_output_net_capacitance;
+    index_1 ("10, 40, 100");
+    index_2 ("4, 20, 80");
+  }
+  cell (HANDBUF) {
+    area : 1.5;
+    pin (A) {
+      direction : input;
+      capacitance : 2;
+    }
+    pin (Y) {
+      direction : output;
+      max_capacitance : 100;
+      function : "A";
+      timing () {
+        related_pin : "A";
+        cell_rise (delay_3x3) {
+          index_1 ("10, 40, 100");
+          index_2 ("4, 20, 80");
+          values ("12, 20, 50", \
+                  "15, 23, 53", \
+                  "21, 29, 59");
+        }
+        cell_fall (delay_3x3) {
+          index_1 ("10, 40, 100");
+          index_2 ("4, 20, 80");
+          values ("12, 20, 50", \
+                  "15, 23, 53", \
+                  "21, 29, 59");
+        }
+        rise_transition (delay_3x3) {
+          index_1 ("10, 40, 100");
+          index_2 ("4, 20, 80");
+          values ("10.2, 23, 71", \
+                  "16.2, 29, 77", \
+                  "28.2, 41, 89");
+        }
+        fall_transition (delay_3x3) {
+          index_1 ("10, 40, 100");
+          index_2 ("4, 20, 80");
+          values ("10.2, 23, 71", \
+                  "16.2, 29, 77", \
+                  "28.2, 41, 89");
+        }
+      }
+    }
+  }
+}
+`
+
+// TestRoundTripRecoverscoefficients parses libraries whose tables sample a
+// linear model exactly, so the least-squares fit must recover the model's
+// coefficients almost exactly. SlewSlope is the generating transition
+// tables' input-slew slope, which the fit folds into SI at nominalInSlew.
 func TestRoundTripRecoverscoefficients(t *testing.T) {
-	specs := Default28nmSpecs()
-	lib, err := Parse(GenerateSource("sim28", specs))
-	if err != nil {
-		t.Fatal(err)
+	type want struct {
+		CellSpec
+		SlewSlope float64 // ps of output slew per ps of input slew
 	}
-	if lib.Name != "sim28" {
-		t.Errorf("library name = %q", lib.Name)
+	var synth []want
+	for _, s := range Default28nmSpecs() {
+		synth = append(synth, want{CellSpec: s})
 	}
-	if len(lib.Cells) != len(specs) {
-		t.Fatalf("parsed %d cells, want %d", len(lib.Cells), len(specs))
+	inputs := []struct {
+		name, src string
+		cells     []want
+	}{
+		{"sim28", GenerateSource("sim28", Default28nmSpecs()), synth},
+		{"hand", slewDependentLib, []want{{
+			CellSpec: CellSpec{Name: "HANDBUF", InputCap: 2, MaxCap: 100, Area: 1.5,
+				WS: 0.1, WC: 0.5, WI: 9, SC: 0.8, SI: 5},
+			SlewSlope: 0.2,
+		}}},
 	}
-	for _, s := range specs {
-		c := lib.Cell(s.Name)
-		if c == nil {
-			t.Fatalf("cell %s missing", s.Name)
+	for _, in := range inputs {
+		lib, err := Parse(in.src)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
 		}
-		// LUTs are exact samples of the linear model, so the least-squares
-		// fit must recover the coefficients almost exactly.
-		checks := []struct {
-			name      string
-			got, want float64
-			tol       float64
-		}{
-			{"WS", c.WS, s.WS, 1e-6},
-			{"WC", c.WC, s.WC, 1e-6},
-			{"WI", c.WI, s.WI, 1e-4},
-			{"InputCap", c.InputCap, s.InputCap, 1e-9},
-			{"MaxCap", c.MaxCap, s.MaxCap, 1e-9},
-			{"Area", c.Area, s.Area, 1e-9},
-			{"SC", c.SC, s.SC, 1e-6},
+		if lib.Name != in.name {
+			t.Errorf("library name = %q, want %q", lib.Name, in.name)
 		}
-		for _, ck := range checks {
-			if math.Abs(ck.got-ck.want) > ck.tol {
-				t.Errorf("%s.%s = %g, want %g", s.Name, ck.name, ck.got, ck.want)
+		if len(lib.Cells) != len(in.cells) {
+			t.Fatalf("%s: parsed %d cells, want %d", in.name, len(lib.Cells), len(in.cells))
+		}
+		for _, s := range in.cells {
+			c := lib.Cell(s.Name)
+			if c == nil {
+				t.Fatalf("cell %s missing", s.Name)
+			}
+			checks := []struct {
+				name      string
+				got, want float64
+				tol       float64
+			}{
+				{"WS", c.WS, s.WS, 1e-6},
+				{"WC", c.WC, s.WC, 1e-6},
+				{"WI", c.WI, s.WI, 1e-4},
+				{"InputCap", c.InputCap, s.InputCap, 1e-9},
+				{"MaxCap", c.MaxCap, s.MaxCap, 1e-9},
+				{"Area", c.Area, s.Area, 1e-9},
+				{"SC", c.SC, s.SC, 1e-6},
+				{"SI", c.SI, s.SI + s.SlewSlope*nominalInSlew, 1e-4},
+			}
+			for _, ck := range checks {
+				if math.Abs(ck.got-ck.want) > ck.tol {
+					t.Errorf("%s.%s = %g, want %g", s.Name, ck.name, ck.got, ck.want)
+				}
 			}
 		}
 	}

@@ -36,9 +36,9 @@
 //     bucket counts, count, min/max) for per-level populations such as
 //     cluster latencies.
 //
-// Every metric carries a unit string from the same vocabulary the unitflow
-// analyzer checks on `// unit:` annotations (ps, fF, um, um^2, 1, ...);
-// LevelQoR's fields are annotated so unitflow verifies the QoR units too.
+// Every metric carries a unit string from the same vocabulary as the
+// `// unit:` comments (ps, fF, um, um^2, 1, ...), and LevelQoR's fields
+// carry those comments too.
 //
 // # Report schema
 //

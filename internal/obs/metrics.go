@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// Metric units share the unitflow analyzer's vocabulary; registration uses
-// these constants so report units and `// unit:` annotations cannot drift.
+// Metric units share the vocabulary of the `// unit:` comments; registration
+// uses these constants so report units and those comments cannot drift.
 // These are unit *names* (the strings carry no dimension themselves, so
 // they take no `// unit:` directive — the directives go on the quantities
 // registered under them).

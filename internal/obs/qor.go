@@ -3,7 +3,8 @@ package obs
 // LevelQoR is one hierarchy level's quality-of-result record: how much
 // wire, skew, latency and buffer resource this level created, and how hard
 // the partition kernels worked to create it. Field tags are the canonical
-// JSON schema names; units ride on the fields so unitflow checks them.
+// JSON schema names; each field's `// unit:` comment and JSON suffix name
+// its unit.
 type LevelQoR struct {
 	Level    int `json:"level"`
 	Nodes    int `json:"nodes"`    // balancing points entering the level

@@ -20,8 +20,9 @@ var benchSink []int
 // balanced assignment at capacity 32.
 func benchLevel(n int) (pts, centers []geom.Point, assign []int) {
 	pts = scatter(n, 41)
-	centers, _ = KMeansP(pts, n/32+1, 20, 1, 1)
-	return pts, centers, BalancedAssign(pts, centers, 32)
+	centers, _ = KMeansPK(pts, n/32+1, 20, 1, 1, nil)
+	assign, _ = BalancedAssignK(pts, centers, 32, nil)
+	return pts, centers, assign
 }
 
 // BenchmarkBalancedAssignGreedy times the greedy assignment with overflow
@@ -83,7 +84,7 @@ func clustered(n, blobs int, seed int64) []geom.Point {
 // of k-means centers (k = 75) and capacity 32, n·k = 178,125.
 func BenchmarkAssignMCF(b *testing.B) {
 	pts := clustered(2375, 40, 43)
-	centers, _ := KMeansP(pts, len(pts)/32+1, 20, 1, 1)
+	centers, _ := KMeansPK(pts, len(pts)/32+1, 20, 1, 1, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
@@ -101,7 +102,7 @@ func BenchmarkAssignMCF(b *testing.B) {
 // gate, to size where the gate could move.
 func BenchmarkAssignMCFWide(b *testing.B) {
 	pts := clustered(2000, 40, 44)
-	centers, _ := KMeansP(pts, len(pts)/20+1, 20, 1, 1)
+	centers, _ := KMeansPK(pts, len(pts)/20+1, 20, 1, 1, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {

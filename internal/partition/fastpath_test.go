@@ -33,7 +33,7 @@ func TestAssignPointsGridMatchesExhaustive(t *testing.T) {
 
 		got := make([]int, n)
 		ref := make([]int, n)
-		gc := assignPoints(pts, centers, got, 1)
+		gc := assignPointsK(pts, centers, got, 1, nil)
 		rc := assignRange(pts, centers, ref, 0, n, nil)
 		if gc != rc {
 			t.Fatalf("integer=%v: changed flags differ: %v vs %v", integer, gc, rc)
@@ -44,7 +44,7 @@ func TestAssignPointsGridMatchesExhaustive(t *testing.T) {
 			}
 		}
 		// Second identical pass must report no change through both paths.
-		if assignPoints(pts, centers, got, 1) || assignRange(pts, centers, ref, 0, n, nil) {
+		if assignPointsK(pts, centers, got, 1, nil) || assignRange(pts, centers, ref, 0, n, nil) {
 			t.Fatalf("integer=%v: stable assignment reported a change", integer)
 		}
 	}
@@ -57,8 +57,8 @@ func TestKMeansPWorkersInvariantGrid(t *testing.T) {
 	pts := fastpathPts(minParallelPoints+700, rng, false)
 	k := 80 // > assignGridMinCenters
 
-	c1, a1 := KMeansP(pts, k, 12, 7, 1)
-	c8, a8 := KMeansP(pts, k, 12, 7, 8)
+	c1, a1 := KMeansPK(pts, k, 12, 7, 1, nil)
+	c8, a8 := KMeansPK(pts, k, 12, 7, 8, nil)
 	if len(c1) != len(c8) {
 		t.Fatalf("center counts differ: %d vs %d", len(c1), len(c8))
 	}

@@ -39,29 +39,21 @@ const (
 	seedSampleSize      = 4096
 )
 
-// KMeans runs Lloyd's algorithm with deterministic farthest-point seeding
+// KMeansPK runs Lloyd's algorithm with deterministic farthest-point seeding
 // and returns the cluster centers and per-point assignment. k is clamped to
 // [1, len(pts)].
-func KMeans(pts []geom.Point, k, iters int, seed int64) ([]geom.Point, []int) {
-	return KMeansP(pts, k, iters, seed, 1)
-}
-
-// KMeansP is KMeans with an indexed worker fan-out over the two O(n·k)
-// passes of each Lloyd iteration. Results are identical to KMeans for every
-// workers value: the assignment pass is per-point independent, and the
-// center-update pass accumulates each cluster's coordinate sums over its
-// members in ascending point order — the same float addition sequence the
-// serial accumulator performs — before a serial, ascending-j re-seeding
-// sweep for empty clusters (whose mid-sweep reads of mixed old/new centers
-// are part of the reference semantics).
-func KMeansP(pts []geom.Point, k, iters int, seed int64, workers int) ([]geom.Point, []int) {
-	return KMeansPK(pts, k, iters, seed, workers, nil)
-}
-
-// KMeansPK is KMeansP with kernel-counter attribution: each Lloyd iteration
-// bumps kern.KMeansIters and the assignment pass's grid reports its query
-// counts, when kern is non-nil. The counters never feed back into the
-// algorithm, so KMeansPK(… , nil) and KMeansP are the same function.
+//
+// The two O(n·k) passes of each Lloyd iteration fan out over workers, and
+// the result is identical for every workers value: the assignment pass is
+// per-point independent, and the center-update pass accumulates each
+// cluster's coordinate sums over its members in ascending point order — the
+// same float addition sequence the serial accumulator performs — before a
+// serial, ascending-j re-seeding sweep for empty clusters (whose mid-sweep
+// reads of mixed old/new centers are part of the reference semantics).
+//
+// When kern is non-nil, each Lloyd iteration bumps kern.KMeansIters and the
+// assignment pass's grid reports its query counts. The counters never feed
+// back into the algorithm, so the result does not depend on kern.
 func KMeansPK(pts []geom.Point, k, iters int, seed int64, workers int, kern *obs.KernelCounters) ([]geom.Point, []int) {
 	n := len(pts)
 	if k < 1 {
@@ -127,16 +119,11 @@ func KMeansPK(pts []geom.Point, k, iters int, seed int64, workers int, kern *obs
 	return centers, assign
 }
 
-// assignPoints writes each point's nearest-center index into assign and
+// assignPointsK writes each point's nearest-center index into assign and
 // reports whether any assignment changed. Each point's answer is
 // independent of every other's, so the pass partitions into contiguous
-// chunks; per-chunk change flags are OR-reduced after the fan-out.
-func assignPoints(pts []geom.Point, centers []geom.Point, assign []int, workers int) bool {
-	return assignPointsK(pts, centers, assign, workers, nil)
-}
-
-// assignPointsK is assignPoints with optional kernel-counter attribution on
-// the center grid's queries.
+// chunks; per-chunk change flags are OR-reduced after the fan-out. When
+// kern is non-nil, the center grid reports its query counts to it.
 func assignPointsK(pts []geom.Point, centers []geom.Point, assign []int, workers int, kern *obs.KernelCounters) bool {
 	n := len(pts)
 	workers = parallel.Clamp(workers)
@@ -251,21 +238,18 @@ func farthestPoint(pts []geom.Point, assign []int, centers []geom.Point) geom.Po
 	return pts[best]
 }
 
-// Silhouette returns the mean silhouette coefficient of the clustering:
+// SilhouetteP returns the mean silhouette coefficient of the clustering:
 // for each point, (b−a)/max(a,b) with a the mean distance to its own
 // cluster and b the smallest mean distance to another cluster. Values near
 // 1 indicate compact, well-separated clusters. O(n²); intended for the
 // cluster-count selection on moderate instance counts.
-func Silhouette(pts []geom.Point, assign []int, k int) float64 {
-	return SilhouetteP(pts, assign, k, 1)
-}
-
-// SilhouetteP is Silhouette with the O(n²) per-point scoring fanned out
-// over workers. Each point's coefficient is an independent function of the
-// whole point set, so tasks write only their own slot; the mean is then
-// reduced serially in point order, giving the exact float result of the
-// serial loop for every workers value. The score is exact at every size;
-// callers bound n (cts subsamples to 2500 points first).
+//
+// The per-point scoring fans out over workers. Each point's coefficient is
+// an independent function of the whole point set, so tasks write only their
+// own slot; the mean is then reduced serially in point order, giving the
+// exact float result of the serial loop for every workers value. The score
+// is exact at every size; callers bound n (cts subsamples to 2500 points
+// first).
 func SilhouetteP(pts []geom.Point, assign []int, k, workers int) float64 {
 	n := len(pts)
 	if n == 0 || k < 2 {
@@ -345,23 +329,17 @@ func silhouetteOf(pts []geom.Point, assign []int, k, i int, sum []float64, cnt [
 	return (b - a) / den
 }
 
-// BalancedAssign produces an assignment of points to the given centers in
-// which no cluster exceeds cap members. Small instances are solved exactly
-// as a min-cost flow (a transportation problem); large ones use nearest
-// assignment with regret-ordered overflow repair, which scales to
-// hundred-thousand-sink designs but is far from optimal: on the level 0 of
-// salsa20, ethernet, vga_lcd and ysyx_0 (one k-means restart each), its
-// total distance measured 23.3% (salsa20) to 40.5% (vga_lcd) over the
-// min-cost-flow optimum.
-func BalancedAssign(pts []geom.Point, centers []geom.Point, cap int) []int {
-	assign, _ := BalancedAssignK(pts, centers, cap, nil)
-	return assign
-}
-
-// BalancedAssignK is BalancedAssign with run-report attribution: it also
-// returns which solver ran ("mcf" or "greedy"), the flow solver bumps
-// kern.MCFAugments per augmenting path, and the greedy solver's center
-// grid reports its query counts, when kern is non-nil.
+// BalancedAssignK produces an assignment of points to the given centers in
+// which no cluster exceeds cap members, and returns which solver ran ("mcf"
+// or "greedy"). Small instances are solved exactly as a min-cost flow (a
+// transportation problem); large ones use nearest assignment with
+// regret-ordered overflow repair, which scales to hundred-thousand-sink
+// designs but is far from optimal: on the level 0 of salsa20, ethernet,
+// vga_lcd and ysyx_0 (one k-means restart each), its total distance
+// measured 23.3% (salsa20) to 40.5% (vga_lcd) over the min-cost-flow
+// optimum. When kern is non-nil, the flow solver bumps kern.MCFAugments per
+// augmenting path and the greedy solver's center grid reports its query
+// counts.
 func BalancedAssignK(pts []geom.Point, centers []geom.Point, cap int, kern *obs.KernelCounters) ([]int, string) {
 	if cap*len(centers) < len(pts) {
 		cap = (len(pts) + len(centers) - 1) / len(centers)

@@ -28,9 +28,9 @@ func TestKMeansPWorkersInvariant(t *testing.T) {
 	runtime.GOMAXPROCS(8)
 	pts := scatter(3000, 5)
 	const k, iters, seed = 37, 24, 11
-	refC, refA := KMeans(pts, k, iters, seed)
+	refC, refA := KMeansPK(pts, k, iters, seed, 1, nil)
 	for _, workers := range []int{2, 3, 8} {
-		c, a := KMeansP(pts, k, iters, seed, workers)
+		c, a := KMeansPK(pts, k, iters, seed, workers, nil)
 		for j := range refC {
 			if c[j] != refC[j] {
 				t.Fatalf("workers=%d: center %d = %v, serial %v", workers, j, c[j], refC[j])
@@ -52,7 +52,7 @@ func TestSilhouettePWorkersInvariant(t *testing.T) {
 	runtime.GOMAXPROCS(8)
 	pts := scatter(900, 6)
 	const k = 9
-	_, assign := KMeans(pts, k, 24, 3)
+	_, assign := KMeansPK(pts, k, 24, 3, 1, nil)
 	// Force a singleton cluster so the undefined-score path is exercised.
 	withSingleton := append([]int(nil), assign...)
 	for i := range withSingleton {
@@ -62,7 +62,7 @@ func TestSilhouettePWorkersInvariant(t *testing.T) {
 	}
 	withSingleton[0] = k - 1
 	for _, a := range [][]int{assign, withSingleton} {
-		ref := Silhouette(pts, a, k)
+		ref := SilhouetteP(pts, a, k, 1)
 		for _, workers := range []int{2, 5, 8} {
 			if got := SilhouetteP(pts, a, k, workers); got != ref {
 				t.Fatalf("workers=%d: silhouette %.17g != serial %.17g", workers, got, ref)

@@ -134,7 +134,7 @@ func TestMCFWithinRoundingOfFloat(t *testing.T) {
 	var centers []geom.Point
 	var best float64
 	for r := range int64(2) {
-		c, a := KMeansP(pts, k, 24, 1+r*1009, 1)
+		c, a := KMeansPK(pts, k, 24, 1+r*1009, 1, nil)
 		if score := SilhouetteP(pts, a, k, 1); r == 0 || score > best {
 			centers, best = c, score
 		}

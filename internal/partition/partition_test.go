@@ -23,7 +23,7 @@ func fourBlobs(rng *rand.Rand, per int) []geom.Point {
 func TestKMeansSeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	pts := fourBlobs(rng, 25)
-	_, assign := KMeans(pts, 4, 50, 1)
+	_, assign := KMeansPK(pts, 4, 50, 1, 1, nil)
 	// All points of one blob must share a cluster.
 	for b := 0; b < 4; b++ {
 		want := assign[b*25]
@@ -45,11 +45,11 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 
 func TestKMeansDegenerate(t *testing.T) {
 	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 2)}
-	centers, assign := KMeans(pts, 5, 10, 1)
+	centers, assign := KMeansPK(pts, 5, 10, 1, 1, nil)
 	if len(centers) != 2 {
 		t.Errorf("k clamped to %d, want 2", len(centers))
 	}
-	_, assign = KMeans(pts, 1, 10, 1)
+	_, assign = KMeansPK(pts, 1, 10, 1, 1, nil)
 	if assign[0] != 0 || assign[1] != 0 {
 		t.Error("k=1 should put everything in cluster 0")
 	}
@@ -58,8 +58,8 @@ func TestKMeansDegenerate(t *testing.T) {
 func TestSilhouette(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	pts := fourBlobs(rng, 20)
-	_, good := KMeans(pts, 4, 50, 1)
-	sGood := Silhouette(pts, good, 4)
+	_, good := KMeansPK(pts, 4, 50, 1, 1, nil)
+	sGood := SilhouetteP(pts, good, 4, 1)
 	if sGood < 0.7 {
 		t.Errorf("silhouette of clean blobs = %.3f, want > 0.7", sGood)
 	}
@@ -68,7 +68,7 @@ func TestSilhouette(t *testing.T) {
 	for i := range bad {
 		bad[i] = i % 4
 	}
-	if sBad := Silhouette(pts, bad, 4); sBad >= sGood {
+	if sBad := SilhouetteP(pts, bad, 4, 1); sBad >= sGood {
 		t.Errorf("round-robin silhouette %.3f >= clean %.3f", sBad, sGood)
 	}
 }
@@ -76,9 +76,9 @@ func TestSilhouette(t *testing.T) {
 func TestBalancedAssignRespectsCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	pts := fourBlobs(rng, 30) // 120 points
-	centers, _ := KMeans(pts, 6, 30, 1)
+	centers, _ := KMeansPK(pts, 6, 30, 1, 1, nil)
 	for _, cap := range []int{20, 25, 40} {
-		assign := BalancedAssign(pts, centers, cap)
+		assign, _ := BalancedAssignK(pts, centers, cap, nil)
 		load := map[int]int{}
 		for _, a := range assign {
 			load[a]++
@@ -102,7 +102,7 @@ func TestMCFBeatsGreedy(t *testing.T) {
 			pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
 		}
 		k := 4 + rng.Intn(3)
-		centers, _ := KMeans(pts, k, 20, 2)
+		centers, _ := KMeansPK(pts, k, 20, 2, 1, nil)
 		cap := n/k + 1
 		cost := func(assign []int) float64 {
 			var c float64
@@ -179,7 +179,7 @@ func TestRefineSAKeepsAllPoints(t *testing.T) {
 	for i := range caps {
 		caps[i] = 1
 	}
-	centers, assign := KMeans(pts, 4, 30, 1)
+	centers, assign := KMeansPK(pts, 4, 30, 1, 1, nil)
 	_ = centers
 	opt := DefaultSAOptions(2)
 	opt.Iters = 300

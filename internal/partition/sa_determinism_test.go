@@ -25,7 +25,7 @@ func TestRefineSASameSeedTwice(t *testing.T) {
 	for i := range caps {
 		caps[i] = 1 + float64(i%5)*0.3
 	}
-	_, assign := KMeans(pts, 4, 30, 1)
+	_, assign := KMeansPK(pts, 4, 30, 1, 1, nil)
 	// Deliberately mis-assign some instances so refinement has genuine
 	// cost-improving moves to find and accept.
 	for i := 0; i < len(assign); i += 9 {
