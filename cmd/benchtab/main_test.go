@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sllt/internal/bench"
-	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
 	"sllt/internal/designgen"
@@ -34,16 +33,12 @@ func TestSmokeDigest(t *testing.T) {
 }
 
 // TestCacheSmokeDigest runs the smoke flow twice against one on-disk store
-// on eight workers: cacheSmoke fails unless the replay is byte-identical
-// with a cluster-stage hit rate of at least 90%, and the replayed DEF must
-// hash to the uncached smokeDigest.
+// on eight workers: cacheSmoke fails unless the second pass is one hit with
+// no miss and byte-identical to the first, and the DEF must hash to the
+// uncached smokeDigest.
 func TestCacheSmokeDigest(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	store, err := cache.New(cache.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest, err := cacheSmoke(1, 8, store)
+	digest, err := cacheSmoke(1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 //
 //	slltcts -lef design.lef -def design.def [-net clk] [-engine ours|commercial|openroad]
 //	        [-out cts.def] [-skew 80] [-fanout 32] [-cap 150] [-workers N]
-//	        [-report run.json] [-trace run.trace] [-cache] [-cachedir DIR]
+//	        [-report run.json] [-trace run.trace] [-cachedir DIR]
 //
 // -workers spreads the independent per-cluster net builds of each level
 // over N goroutines. The output DEF is byte-identical for every value —
@@ -17,15 +17,11 @@
 // and -trace a human-readable span breakdown. Either flag enables
 // observability; neither changes a byte of the DEF output.
 //
-// -cache attaches a content-addressed stage cache: stages whose inputs are
-// unchanged since an earlier run replay their stored results instead of
-// recomputing. -cachedir DIR adds an on-disk tier so warmth survives across
-// processes. An identical re-run replays every stage under every engine.
-// An ECO re-run after a small placement edit rebuilds only the clusters the
-// edit dirtied under -engine openroad alone: the ours and commercial
-// engines anneal the partition, which re-partitions level 0 after even a
-// small move, so their ECO re-runs replay no cluster. Cached and uncached
-// runs produce byte-identical DEF output.
+// -cachedir DIR attaches the run cache on disk: a run whose design and
+// options match an earlier one replays the stored tree instead of
+// synthesizing it, and a run that completes stores its entry there. Any
+// edit to the placement or the options is a new run, computed in full.
+// Cached and uncached runs produce byte-identical DEF output.
 //
 // The engine names select the paper's flow ("ours", CBS-based) or one of
 // the two baseline proxies used in Tables 6/7.
@@ -59,8 +55,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for per-cluster builds (<=1 serial; output is identical for any value)")
 	reportPath := flag.String("report", "", "write the run report (canonical JSON, schema sllt.obs.report/v1.1) to this file")
 	tracePath := flag.String("trace", "", "write a human-readable stage trace to this file")
-	useCache := flag.Bool("cache", false, "replay unchanged stages from a content-addressed cache (output bytes unchanged)")
-	cacheDir := flag.String("cachedir", "", "on-disk cache tier directory (persists across runs for ECO re-use; implies -cache)")
+	cacheDir := flag.String("cachedir", "", "run cache directory: replay a run identical to an earlier one (output bytes unchanged)")
 	flag.Parse()
 
 	if *lefPath == "" || *defPath == "" {
@@ -96,7 +91,7 @@ func main() {
 		opts.Obs = obs.New(nil)
 	}
 	var store *cache.Cache
-	if *useCache || *cacheDir != "" {
+	if *cacheDir != "" {
 		store, err = cache.New(cache.Config{Dir: *cacheDir})
 		fatal(err)
 		opts.Cache = store
@@ -122,8 +117,7 @@ func main() {
 	fmt.Printf("runtime       : %.2f s\n", rt.Seconds())
 	if store != nil {
 		total := store.Stats().Total()
-		fmt.Printf("cache         : %d hits / %d misses (%.0f%% replayed)\n",
-			total.Hits, total.Misses, 100*total.HitRate())
+		fmt.Printf("cache         : %d hits / %d misses\n", total.Hits, total.Misses)
 	}
 
 	if *outPath != "" {

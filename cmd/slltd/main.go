@@ -13,9 +13,10 @@
 // buffered without bound. -runners jobs execute concurrently, each with a
 // max(1, workers/runners) goroutine budget for its per-cluster builds.
 //
-// -cache / -cachedir attach the content-addressed stage cache shared by all
-// jobs: concurrent or repeated submissions of the same design replay stored
-// stage results instead of recomputing them, with byte-identical output.
+// -cache / -cachedir attach the run cache shared by all jobs: a job that
+// repeats a completed one (same design, same options) replays its stored
+// result instead of recomputing it, with byte-identical output. Nothing
+// deduplicates jobs in flight, so concurrent identical jobs each compute.
 //
 // On SIGTERM/SIGINT the daemon drains: new submissions get 503, running and
 // queued jobs finish (up to -drain), then everything still unfinished is
@@ -42,7 +43,7 @@ func main() {
 	queue := flag.Int("queue", 8, "max queued jobs before submissions shed with 429")
 	runners := flag.Int("runners", 1, "concurrent job executors")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "global worker-goroutine budget, split across runners")
-	useCache := flag.Bool("cache", false, "share a content-addressed stage cache across jobs")
+	useCache := flag.Bool("cache", false, "share an in-memory run cache across jobs")
 	cacheDir := flag.String("cachedir", "", "on-disk cache tier directory (implies -cache)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	flag.Parse()

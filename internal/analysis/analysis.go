@@ -11,9 +11,9 @@
 // ctxguard), registry.All lists them, and cmd/slltlint drives them. Three
 // contracts are not lint rules but runtime tests: allocation-free kernels
 // are measured by the AllocsPerRun guards in each kernel package's
-// hot_guard_test.go, the purity of the cached flow stages by the stage
-// cache's replay tests in internal/cts, and the unit system (µm, fF, kΩ,
-// ps) by the pinned flow digests and the timing and Liberty tests.
+// hot_guard_test.go, the purity of the cached run by the run cache's
+// replay tests in internal/cts, and the unit system (µm, fF, kΩ, ps) by
+// the pinned flow digests and the timing and Liberty tests.
 package analysis
 
 import (

@@ -16,8 +16,8 @@ import (
 
 // AlgorithmPackages are the package basenames the rule applies to: the
 // packages that construct, transform or time clock trees, and every package
-// a cached flow stage calls into. Their results must be byte-reproducible
-// for a fixed seed, since the stage cache replays them by key.
+// the flow calls into. Their results must be byte-reproducible for a fixed
+// seed, since the run cache replays a run by its key.
 var AlgorithmPackages = map[string]bool{
 	"core":      true,
 	"dme":       true,

@@ -3,8 +3,8 @@
 // of its inputs and seed; consulting the wall clock mid-algorithm (for
 // time-budgeted loops, timestamped tie-breaking, or logging that feeds back
 // into decisions) makes results machine- and load-dependent, and an
-// environment variable is an input that no stage-cache key covers, so a
-// replayed stage would ignore it. Timing instrumentation and configuration
+// environment variable is an input that no run-cache key covers, so a
+// replayed run would ignore it. Timing instrumentation and configuration
 // belong to the callers (cmd/, internal/bench), which are out of scope.
 package wallclock
 

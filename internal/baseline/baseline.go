@@ -34,7 +34,7 @@ func OpenROADLike() cts.Options {
 	// are the estimate-blind balancing, uniform large buffers and deeper
 	// hierarchy, not the per-net router. The builder is the same CBS
 	// construction DefaultOptions names, so the inherited BuildID stays
-	// accurate for stage-cache keying.
+	// accurate for run-cache keying.
 	opts.Build = cts.CBSBuilder(dme.GreedyDist, 0.1)
 	opts.Est = cts.EstNone
 	opts.UseSA = false

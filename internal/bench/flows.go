@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sllt/internal/baseline"
-	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/designgen"
 	"sllt/internal/obs"
@@ -47,11 +46,7 @@ type FlowResult struct {
 	// only by RunFlowsObs; FormatFlowTable ignores it, so the default
 	// table output is identical with and without observability.
 	Stages map[string]int64 // unit: ns
-	// CacheStages holds this cell's stage-cache traffic (cache stage name
-	// -> counter delta), filled only when a store is attached via
-	// RunFlowsCached. FormatStageTable appends hit-rate columns from it.
-	CacheStages map[string]cache.StageStats
-	Err         error
+	Err    error
 }
 
 // RunFlows synthesizes every design with every flow. Designs are generated
@@ -60,7 +55,7 @@ type FlowResult struct {
 // compare, so they must not compete for cores — while each synthesis
 // spreads its own cluster builds over the given workers.
 func RunFlows(specs []designgen.Spec, seed int64, workers int) []FlowResult {
-	return runFlows(specs, seed, workers, false, nil)
+	return runFlows(specs, seed, workers, false)
 }
 
 // RunFlowsObs is RunFlows with observability: each (design, flow) cell
@@ -68,20 +63,10 @@ func RunFlows(specs []designgen.Spec, seed int64, workers int) []FlowResult {
 // wall-clock sums from the recorder's span tree. The QoR columns are
 // identical to RunFlows — the recorder observes, it never feeds back.
 func RunFlowsObs(specs []designgen.Spec, seed int64, workers int) []FlowResult {
-	return runFlows(specs, seed, workers, true, nil)
+	return runFlows(specs, seed, workers, true)
 }
 
-// RunFlowsCached runs every cell against one shared content-addressed store:
-// content keys separate the flows, so sharing is safe, and a second
-// invocation over the same store replays instead of recomputing. Each row
-// carries its own stats delta (CacheStages) for the hit-rate columns. QoR
-// columns are byte-identical to the uncached runs — the cache replays, it
-// never feeds back (the cts byte-identity property tests enforce this).
-func RunFlowsCached(specs []designgen.Spec, seed int64, workers int, withObs bool, store *cache.Cache) []FlowResult {
-	return runFlows(specs, seed, workers, withObs, store)
-}
-
-func runFlows(specs []designgen.Spec, seed int64, workers int, withObs bool, store *cache.Cache) []FlowResult {
+func runFlows(specs []designgen.Spec, seed int64, workers int, withObs bool) []FlowResult {
 	flows := FlowOptions(workers)
 	var out []FlowResult
 	for _, spec := range specs {
@@ -92,11 +77,6 @@ func runFlows(specs []designgen.Spec, seed int64, workers int, withObs bool, sto
 			if withObs {
 				rec = obs.New(nil)
 				opts.Obs = rec
-			}
-			var prev cache.Stats
-			if store != nil {
-				opts.Cache = store
-				prev = store.Stats()
 			}
 			start := time.Now()
 			res, err := cts.Run(d, opts)
@@ -112,9 +92,6 @@ func runFlows(specs []designgen.Spec, seed int64, workers int, withObs bool, sto
 			if rec != nil {
 				fr.Stages = rec.Snapshot().StageNs()
 			}
-			if store != nil {
-				fr.CacheStages = store.Stats().Sub(prev).Stages
-			}
 			out = append(out, fr)
 		}
 	}
@@ -126,38 +103,15 @@ func runFlows(specs []designgen.Spec, seed int64, workers int, withObs bool, sto
 // the final STA pass.
 var StageNames = []string{"partition", "clusters", "top_net", "timing"}
 
-// stageCacheNames maps each span-stage column to the content-addressed
-// cache stage whose traffic it reports (span names predate the cache's
-// stage constants; "clusters" spans cover the "cluster_build" stage).
-var stageCacheNames = map[string]string{
-	"partition": "partition",
-	"clusters":  "cluster_build",
-	"top_net":   "top_net",
-	"timing":    "timing",
-}
-
 // FormatStageTable renders the per-stage wall clock of RunFlowsObs results
 // as a companion table to FormatFlowTable. Rows without stage data
-// (RunFlows results, failed cells) are skipped. When any row ran against a
-// stage cache (RunFlowsCached), each stage additionally gets a hit-rate
-// column, so a warm re-invocation shows replay economics next to the wall
-// clock it saved.
+// (RunFlows results, failed cells) are skipped.
 func FormatStageTable(title string, results []FlowResult) string {
-	cached := false
-	for _, r := range results {
-		if r.CacheStages != nil {
-			cached = true
-			break
-		}
-	}
 	var b strings.Builder
 	b.WriteString(title + "\n")
 	fmt.Fprintf(&b, "%-10s %-5s", "Case", "Flow")
 	for _, s := range StageNames {
 		fmt.Fprintf(&b, " %12s", s+"(s)")
-		if cached {
-			fmt.Fprintf(&b, " %5s", "hit%")
-		}
 	}
 	b.WriteString("\n")
 	for _, r := range results {
@@ -167,14 +121,6 @@ func FormatStageTable(title string, results []FlowResult) string {
 		fmt.Fprintf(&b, "%-10s %-5s", r.Design, r.Flow)
 		for _, s := range StageNames {
 			fmt.Fprintf(&b, " %12.3f", float64(r.Stages[s])/1e9)
-			if cached {
-				st := r.CacheStages[stageCacheNames[s]]
-				if st.Hits+st.Misses == 0 {
-					fmt.Fprintf(&b, " %5s", "-")
-				} else {
-					fmt.Fprintf(&b, " %4.0f%%", 100*st.HitRate())
-				}
-			}
 		}
 		b.WriteString("\n")
 	}

@@ -1,8 +1,8 @@
-// Package cache is a content-addressed store for flow-stage results: values
-// are canonical byte encodings of stage outputs, addressed by the SHA-256
-// hash of the stage's complete input description (see Hasher). The store is
-// the substrate of the cts cache driver — dagger's content-addressed DAG
-// caching applied to the CTS stage graph.
+// Package cache is a content-addressed store for computed results: values
+// are canonical byte encodings of a computation's output, addressed by the
+// SHA-256 hash of its complete input description (see Hasher). The store
+// is the substrate of the cts run cache, which keeps one entry per
+// synthesis run.
 //
 // A Cache layers an in-memory LRU (always present) over an optional on-disk
 // directory (atomic, checksummed entries; see disk.go). Lookups consult
@@ -11,11 +11,12 @@
 // so concurrent writers racing on one key are benign.
 //
 // The package never decides what is cacheable: admission is the caller's
-// contract (in this repository, every cached stage must be a pure function
-// of the hashed inputs). For such a stage, replaying the stored bytes is
+// contract (in this repository, a cached run must be a pure function of the
+// hashed inputs). For such a computation, replaying the stored bytes is
 // observationally identical to recomputing them — a property the cached
 // vs. uncached byte-identity tests in internal/cts enforce at runtime,
-// including that a warm replay hits every stage it consults.
+// including that a warm run is one hit and no miss. Counters are kept per
+// caller-chosen stage label.
 package cache
 
 import (
@@ -52,7 +53,8 @@ type Config struct {
 }
 
 // DefaultMemBytes is the in-memory budget when Config.MemBytes is zero:
-// 256 MiB, enough for every stage of a million-sink flow.
+// 256 MiB. The cts run entry of the 100,000-sink benchmark design
+// (large100k) measures 15.6 MB, so the default holds sixteen such runs.
 const DefaultMemBytes = 256 << 20
 
 // New returns a Cache with the given configuration.
@@ -92,8 +94,12 @@ func (c *Cache) Get(stage string, key Key) ([]byte, bool) {
 	if disk != nil {
 		if v, ok := disk.Get(key); ok {
 			c.mu.Lock()
-			c.mem.put(key, v)
-			c.stats.bump(stage, func(s *StageStats) { s.Hits++; s.BytesRead += int64(len(v)) })
+			evicted := c.mem.put(key, v)
+			c.stats.bump(stage, func(s *StageStats) {
+				s.Hits++
+				s.BytesRead += int64(len(v))
+				s.Evictions += int64(evicted)
+			})
 			c.mu.Unlock()
 			return v, true
 		}
@@ -182,8 +188,7 @@ type Stats struct {
 	Stages map[string]StageStats
 }
 
-// Stats snapshots the per-stage counters since construction (or the last
-// ResetStats).
+// Stats snapshots the per-stage counters since construction.
 func (c *Cache) Stats() Stats {
 	out := Stats{Stages: make(map[string]StageStats)}
 	if c == nil {
@@ -195,17 +200,6 @@ func (c *Cache) Stats() Stats {
 	}
 	c.mu.Unlock()
 	return out
-}
-
-// ResetStats zeroes the per-stage counters, keeping the stored entries. Used
-// between runs that share one cache to attribute traffic per run.
-func (c *Cache) ResetStats() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats = make(statsMap)
-	c.mu.Unlock()
 }
 
 // Total sums the per-stage counters.

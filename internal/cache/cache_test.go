@@ -104,7 +104,6 @@ func TestNilCacheSafe(t *testing.T) {
 	}
 	c.Put("s", key(1), []byte("v"))
 	c.Delete(key(1))
-	c.ResetStats()
 	if c.Len() != 0 {
 		t.Error("nil cache has entries")
 	}
@@ -160,6 +159,36 @@ func TestDiskTierPromotion(t *testing.T) {
 	c2.Get("s", key(7))
 	if r2 := c2.Stats().Total().BytesRead; r2 != r1 {
 		t.Error("second Get read from disk again; promotion failed")
+	}
+}
+
+// TestDiskPromotionCountsEvictions promotes two disk entries into a memory
+// tier that fits one: the second promotion evicts the first, and the
+// eviction must show in the stats like one caused by a Put.
+func TestDiskPromotionCountsEvictions(t *testing.T) {
+	dir := t.TempDir()
+	val := make([]byte, 256)
+	c1, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.Put("s", key(1), val)
+	c1.Put("s", key(2), val)
+
+	c2, err := New(Config{Dir: dir, MemBytes: 256 + entryOverhead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []Key{key(1), key(2)} {
+		if _, ok := c2.Get("s", k); !ok {
+			t.Fatalf("disk tier miss on %x", k[0])
+		}
+	}
+	if ev := c2.Stats().Total().Evictions; ev != 1 {
+		t.Errorf("evictions = %d, want 1", ev)
+	}
+	if n := c2.Len(); n != 1 {
+		t.Errorf("memory tier holds %d entries, want 1", n)
 	}
 }
 

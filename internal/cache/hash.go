@@ -6,11 +6,11 @@ import (
 	"math"
 )
 
-// Hasher accumulates a canonical, collision-resistant encoding of a stage's
-// inputs and folds it into a Key. Every write is framed with a type tag
-// (and, for variable-length data, a length prefix), so distinct field
-// sequences can never collide by concatenation — H("ab","c") ≠ H("a","bc"),
-// H(int 1, int 2) ≠ H(string "\x01\x02").
+// Hasher accumulates a canonical, collision-resistant encoding of a
+// computation's inputs and folds it into a Key. Every write is framed with
+// a type tag (and, for variable-length data, a length prefix), so distinct
+// field sequences can never collide by concatenation — H("ab","c") ≠
+// H("a","bc"), H(int 1, int 2) ≠ H(string "\x01\x02").
 //
 // Floats are hashed by their IEEE-754 bit pattern: the cache key must
 // distinguish inputs the flow's float arithmetic distinguishes, bit for bit.
@@ -18,14 +18,13 @@ type Hasher struct {
 	buf []byte
 }
 
-// Tag bytes framing each written field.
+// Tag bytes framing each written field. The values are part of every key,
+// so a retired tag leaves a gap rather than renumbering the rest.
 const (
 	tagString byte = 0x01
-	tagBytes  byte = 0x02
 	tagI64    byte = 0x03
 	tagF64    byte = 0x04
 	tagBool   byte = 0x05
-	tagKey    byte = 0x06
 	tagList   byte = 0x07
 )
 
@@ -50,14 +49,6 @@ func (h *Hasher) Str(s string) *Hasher {
 	h.buf = append(h.buf, tagString)
 	h.u64(uint64(len(s)))
 	h.buf = append(h.buf, s...)
-	return h
-}
-
-// Bytes appends a length-prefixed raw byte field.
-func (h *Hasher) Bytes(b []byte) *Hasher {
-	h.buf = append(h.buf, tagBytes)
-	h.u64(uint64(len(b)))
-	h.buf = append(h.buf, b...)
 	return h
 }
 
@@ -89,15 +80,6 @@ func (h *Hasher) Bool(v bool) *Hasher {
 	return h
 }
 
-// Key appends another content address (hierarchical keying: a stage input
-// that is itself the output of a keyed stage contributes its producer's key,
-// not its bytes).
-func (h *Hasher) Key(k Key) *Hasher {
-	h.buf = append(h.buf, tagKey)
-	h.buf = append(h.buf, k[:]...)
-	return h
-}
-
 // List appends a list header with the element count; callers then write the
 // elements. The explicit count keeps adjacent lists from merging.
 func (h *Hasher) List(n int) *Hasher {
@@ -109,11 +91,3 @@ func (h *Hasher) List(n int) *Hasher {
 // Sum finalizes the accumulated encoding into a Key. The Hasher remains
 // usable (further writes extend the same encoding).
 func (h *Hasher) Sum() Key { return Key(sha256.Sum256(h.buf)) }
-
-// Reset truncates the accumulated encoding in place — keeping the backing
-// buffer — and re-seeds it with salt, so one Hasher can key many records
-// without reallocating.
-func (h *Hasher) Reset(salt string) *Hasher {
-	h.buf = h.buf[:0]
-	return h.Str(salt)
-}

@@ -11,9 +11,10 @@ import (
 // TestCacheConcurrentSharing is the service-workload property: two
 // simultaneous flows over the same design sharing one Options.Cache must
 // interleave safely (the race CI job runs this under -race), produce
-// byte-identical DEFs, and leave the store warm enough that a follow-up run
-// replays >= 90% of its cluster builds. This is exactly what a job server
-// does when two clients submit the same design at once.
+// byte-identical DEFs, and leave an entry that a follow-up run replays with
+// one hit and no miss. This is exactly what a job server does when two
+// clients submit the same design at once: each computes, and a later
+// repeat replays.
 func TestCacheConcurrentSharing(t *testing.T) {
 	base := runCacheFlow(t, cacheTestDesign(21), func(o *Options) { o.Workers = 1 })
 
@@ -55,15 +56,11 @@ func TestCacheConcurrentSharing(t *testing.T) {
 		}
 	}
 
-	// The pair left the store warm: a third run must replay nearly all of
-	// its cluster builds (>= 90% — the cachesmoke oracle's bar).
+	// The pair left the store warm: a third run must replay it.
 	prev := c.Stats()
 	warm := runCacheFlow(t, cacheTestDesign(21), func(o *Options) { o.Cache = c })
 	if warm.def != base.def || warm.fp != base.fp {
 		t.Error("warm follow-up run differs from the uncached serial run")
 	}
-	cs := c.Stats().Sub(prev).Stages[stageCluster]
-	if total := cs.Hits + cs.Misses; total == 0 || float64(cs.Hits)/float64(total) < 0.9 {
-		t.Errorf("warm follow-up cluster replay rate %d/%d, want >= 90%%", cs.Hits, cs.Hits+cs.Misses)
-	}
+	checkFullReplay(t, "warm follow-up run", c.Stats().Sub(prev))
 }

@@ -19,7 +19,6 @@ func cacheTestDesign(seed int64) *design.Design {
 type cacheFlowOut struct {
 	def string
 	fp  string
-	res *Result
 }
 
 func runCacheFlow(t *testing.T, d *design.Design, mut func(*Options)) cacheFlowOut {
@@ -33,7 +32,7 @@ func runCacheFlow(t *testing.T, d *design.Design, mut func(*Options)) cacheFlowO
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cacheFlowOut{def: ExportDEF(d, res).WriteDEF(), fp: tree.Fingerprint(res.Tree), res: res}
+	return cacheFlowOut{def: ExportDEF(d, res).WriteDEF(), fp: tree.Fingerprint(res.Tree)}
 }
 
 // TestCacheByteIdentity is the cache's core correctness property: attaching
@@ -43,12 +42,10 @@ func runCacheFlow(t *testing.T, d *design.Design, mut func(*Options)) cacheFlowO
 // dropped a field, a key missed an input, or replay skipped a side effect
 // the result depends on.
 //
-// It is also the stage cache's purity check: every warm run must hit each
-// stage it consults and miss none. A stage that is not a pure function of
-// its key (one that reads state the key omits, or mutates an argument the
-// next stage's key covers) leaves a warm run keyed differently from the cold
-// run that filled the store. Only the multilevel design partitions above
-// level 0, where node delays are nonzero and flow into the cluster keys.
+// It is also the run cache's purity check: every warm run must be one hit
+// and no miss. A flow that read state the key omits would export a
+// different DEF on a warm run than the uncached run does. The multilevel
+// design partitions above level 0, where node delays are nonzero.
 func TestCacheByteIdentity(t *testing.T) {
 	designs := map[string]func() *design.Design{
 		"golden": goldenDesign,
@@ -104,63 +101,20 @@ func TestCacheByteIdentity(t *testing.T) {
 }
 
 // checkFullReplay fails t unless delta, the store traffic of one warm run,
-// consulted some stage and shows for each stage at least one hit and no
-// miss.
+// is one hit on the run stage and no miss.
 func checkFullReplay(t *testing.T, label string, delta cache.Stats) {
 	t.Helper()
-	if len(delta.Stages) == 0 {
-		t.Errorf("%s: consulted no cached stage", label)
-	}
-	for _, stage := range delta.StageNames() {
-		if s := delta.Stages[stage]; s.Hits == 0 || s.Misses != 0 {
-			t.Errorf("%s: stage %s hit %d and missed %d times, want a full replay", label, stage, s.Hits, s.Misses)
-		}
-	}
-}
-
-// TestCacheWarmHitRates pins the replay economics: an identical re-run must
-// hit on every consulted stage — partition once per level, one cluster build
-// per cluster, one top net, one timing pass — and recompute nothing.
-func TestCacheWarmHitRates(t *testing.T) {
-	d := cacheTestDesign(7)
-	c, err := cache.New(cache.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := runCacheFlow(t, d, func(o *Options) { o.Cache = c })
-	prev := c.Stats()
-	warm := runCacheFlow(t, cacheTestDesign(7), func(o *Options) { o.Cache = c })
-	delta := c.Stats().Sub(prev)
-
-	if warm.fp != cold.fp {
-		t.Fatal("warm replay fingerprint differs from cold run")
-	}
-	total := delta.Total()
-	if total.Misses != 0 {
-		t.Errorf("warm run missed %d times, want 0 (per stage: %+v)", total.Misses, delta.Stages)
-	}
-	clusters := 0
-	for _, k := range cold.res.Clusters[:len(cold.res.Clusters)-1] {
-		clusters += k
-	}
-	if got := delta.Stages[stageCluster].Hits; got != int64(clusters) {
-		t.Errorf("cluster stage hits = %d, want one per cluster = %d", got, clusters)
-	}
-	if got := delta.Stages[stagePartition].Hits; got != int64(cold.res.Levels-1) {
-		t.Errorf("partition hits = %d, want one per partitioned level = %d", got, cold.res.Levels-1)
-	}
-	for _, stage := range []string{stageTopNet, stageTiming} {
-		if got := delta.Stages[stage].Hits; got != 1 {
-			t.Errorf("%s hits = %d, want 1", stage, got)
-		}
+	s := delta.Stages[stageRun]
+	if len(delta.Stages) != 1 || s.Hits != 1 || s.Misses != 0 {
+		t.Errorf("%s: store traffic %+v, want one %s hit and no miss", label, delta.Stages, stageRun)
 	}
 }
 
 // TestCacheWarmReplayQoR pins what a warm replay reports: the store is
-// warmed with observability off, so every stored cluster and top-net entry
-// must still carry its net's QoR. Each level record of an observed replay
-// must then match an uncached observed run's (kernel counters aside:
-// nothing runs on a replay).
+// warmed with observability off, so the stored entry must still carry every
+// level's QoR. Each level record of an observed replay must then match an
+// uncached observed run's (kernel counters aside: nothing runs on a
+// replay).
 func TestCacheWarmReplayQoR(t *testing.T) {
 	c, err := cache.New(cache.Config{})
 	if err != nil {
@@ -170,9 +124,7 @@ func TestCacheWarmReplayQoR(t *testing.T) {
 	prev := c.Stats()
 	warm := obs.New(obs.NewManualClock(1))
 	runCacheFlow(t, cacheTestDesign(17), func(o *Options) { o.Cache = c; o.Obs = warm })
-	if d := c.Stats().Sub(prev).Total(); d.Misses != 0 {
-		t.Fatalf("warm run missed %d times, want a full replay", d.Misses)
-	}
+	checkFullReplay(t, "observed warm run", c.Stats().Sub(prev))
 	fresh := obs.New(obs.NewManualClock(1))
 	runCacheFlow(t, cacheTestDesign(17), func(o *Options) { o.Obs = fresh })
 
@@ -180,7 +132,8 @@ func TestCacheWarmReplayQoR(t *testing.T) {
 		return obs.LevelQoR{
 			Level: q.Level, Nodes: q.Nodes, Clusters: q.Clusters,
 			WL: q.WL, Skew: q.Skew, MaxLatency: q.MaxLatency, MaxClusterCap: q.MaxClusterCap,
-			Buffers: q.Buffers, BufArea: q.BufArea, AssignMethod: q.AssignMethod,
+			Buffers: q.Buffers, BufArea: q.BufArea, KMeansRestarts: q.KMeansRestarts,
+			AssignMethod: q.AssignMethod,
 		}
 	}
 	got, want := warm.Snapshot().Levels, fresh.Snapshot().Levels
@@ -195,8 +148,8 @@ func TestCacheWarmReplayQoR(t *testing.T) {
 }
 
 // TestCacheDiskWarm round-trips the flow through the on-disk tier: a second
-// Cache over the same directory (cold memory) must replay every stage from
-// disk and produce a byte-identical result.
+// Cache over the same directory (cold memory) must replay the run from disk
+// and produce a byte-identical result.
 func TestCacheDiskWarm(t *testing.T) {
 	dir := t.TempDir()
 	c1, err := cache.New(cache.Config{Dir: dir})
@@ -213,21 +166,16 @@ func TestCacheDiskWarm(t *testing.T) {
 	if warm.fp != cold.fp || warm.def != cold.def {
 		t.Error("disk-warmed replay differs from cold run")
 	}
-	total := c2.Stats().Total()
-	if total.Misses != 0 {
-		t.Errorf("disk-warmed run missed %d times, want 0", total.Misses)
-	}
-	if total.BytesRead == 0 {
+	checkFullReplay(t, "disk-warmed run", c2.Stats())
+	if c2.Stats().Total().BytesRead == 0 {
 		t.Error("disk-warmed run read 0 bytes from the disk tier")
 	}
 }
 
-// TestCacheECO is the incremental re-run property: after moving one sink,
-// the warm run must (a) stay byte-identical to an uncached run of the moved
-// design, and (b) replay the clusters the move did not dirty — the point of
-// hierarchical identity propagation. SA refinement is off here: annealing
-// acceptance cascades make cluster membership chaotic under perturbation,
-// which is an ECO-economics property of the partitioner, not of the cache.
+// TestCacheECO re-runs a design after moving one sink against the store
+// the original run filled: the moved design is a different run key, so the
+// run must miss and stay byte-identical to an uncached run of the moved
+// design.
 func TestCacheECO(t *testing.T) {
 	mk := func() *design.Design {
 		return designgen.Generate(designgen.Spec{Name: "ecogen", Insts: 900, FFs: 180, Util: 0.6}, 11)
@@ -242,32 +190,66 @@ func TestCacheECO(t *testing.T) {
 		}
 		return d
 	}
-	noSA := func(o *Options) { o.UseSA = false }
 
 	c, err := cache.New(cache.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runCacheFlow(t, mk(), func(o *Options) { noSA(o); o.Cache = c })
+	runCacheFlow(t, mk(), func(o *Options) { o.Cache = c })
 
 	prev := c.Stats()
-	eco := runCacheFlow(t, move(mk()), func(o *Options) { noSA(o); o.Cache = c })
-	delta := c.Stats().Sub(prev)
-
-	plain := runCacheFlow(t, move(mk()), noSA)
+	eco := runCacheFlow(t, move(mk()), func(o *Options) { o.Cache = c })
+	if d := c.Stats().Sub(prev).Total(); d.Hits != 0 || d.Misses != 1 {
+		t.Errorf("ECO run hit %d and missed %d times, want one miss", d.Hits, d.Misses)
+	}
+	plain := runCacheFlow(t, move(mk()), nil)
 	if eco.fp != plain.fp || eco.def != plain.def {
-		t.Error("ECO replay differs from uncached run of the moved design")
+		t.Error("ECO run differs from uncached run of the moved design")
 	}
+}
 
-	cs := delta.Stages[stageCluster]
-	if cs.Hits == 0 {
-		t.Errorf("ECO run replayed no clusters (hits=0, misses=%d): dirtiness is not localized", cs.Misses)
+// TestCacheUndecodableEntry stores a truncated payload under a design's run
+// key. It passes the store's checks but not the run-entry codec, so the run
+// must drop it, recompute the uncached run's DEF byte for byte and leave a
+// decodable entry in its place (a memory-tier Put never replaces an
+// existing key, so that entry proves the bad one was deleted).
+func TestCacheUndecodableEntry(t *testing.T) {
+	d := cacheTestDesign(23)
+	base := runCacheFlow(t, d, nil)
+	opts := DefaultOptions()
+	opts.SAIters = 40
+	key := runKey(opts, d.ClockRoot, d.Net().Sinks)
+
+	filled, err := cache.New(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cs.Misses == 0 {
-		t.Error("ECO run rebuilt no clusters: the moved sink's cluster should have missed")
+	runCacheFlow(t, d, func(o *Options) { o.Cache = filled })
+	good, ok := filled.Get(stageRun, key)
+	if !ok {
+		t.Fatal("cold run stored no entry under its run key")
 	}
-	t.Logf("ECO cluster economics: %d replayed, %d rebuilt (hit rate %.0f%%)",
-		cs.Hits, cs.Misses, 100*cs.HitRate())
+	c, err := cache.New(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(stageRun, key, good[:len(good)/2])
+
+	prev := c.Stats()
+	got := runCacheFlow(t, d, func(o *Options) { o.Cache = c })
+	if got.def != base.def || got.fp != base.fp {
+		t.Error("run over an undecodable entry differs from the uncached run")
+	}
+	if s := c.Stats().Sub(prev).Stages[stageRun]; s.Puts != 1 {
+		t.Errorf("run over an undecodable entry stored %d entries, want 1 (a recompute)", s.Puts)
+	}
+	data, ok := c.Get(stageRun, key)
+	if !ok {
+		t.Fatal("no entry left under the run key")
+	}
+	if _, _, err := decodeRunEntry(data); err != nil {
+		t.Errorf("entry left under the run key does not decode: %v", err)
+	}
 }
 
 // TestCacheReportSection checks the obs integration: a cached run's report

@@ -6,35 +6,27 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sllt/internal/cache"
 	"sllt/internal/geom"
+	"sllt/internal/tree"
 )
 
-// goldenKeys derives every key kind from fixed inputs. The fixture pins the
+// goldenSinks is the fixed design the golden and sensitivity tests key.
+func goldenSinks() []tree.PinSink {
+	return []tree.PinSink{
+		{Name: "ff_a/CK", Loc: geom.Pt(10, 10), Cap: 1.5},
+		{Name: "ff_b/CK", Loc: geom.Pt(30, 10), Cap: 1.5},
+	}
+}
+
+// goldenKeys derives the run key from fixed inputs. The fixture pins the
 // whole derivation chain — salt, tag framing, field order, fingerprints —
 // so any change to key derivation fails here and forces a deliberate
 // cacheSalt bump (stale entries must become unreachable, not wrong).
 func goldenKeys() map[string]string {
 	opts := DefaultOptions()
 	opts.SAIters = 100
-	base := runBase(opts)
-
-	s0 := sinkID(base, "ff_a", 10, 10, 1.5, 0)
-	s1 := sinkID(base, "ff_b", 30, 10, 1.5, 1)
-	nodes := []clockNode{
-		{loc: geom.Pt(10, 10), cap: 1.5, delay: 0},
-		{loc: geom.Pt(30, 10), cap: 1.5, delay: 2.25},
-	}
-	ids := []cache.Key{s0, s1}
-	ck := clusterKey(base, 40, nodes, ids)
-	tk := topNetKey(base, 20, 20, 40, nodes, ids)
 	return map[string]string{
-		"run_base":      base.String(),
-		"sink_id":       s0.String(),
-		"partition_key": partitionKey(base, 0, nodes).String(),
-		"cluster_key":   ck.String(),
-		"top_net_key":   tk.String(),
-		"timing_key":    timingKey(base, tk).String(),
+		"run_key": runKey(opts, geom.Pt(20, 20), goldenSinks()).String(),
 	}
 }
 
@@ -74,13 +66,15 @@ func TestCacheKeyGolden(t *testing.T) {
 	}
 }
 
-// TestCacheKeySensitivity checks that every keyed input actually reaches its
-// key: perturbing any single knob, constraint, library coefficient or node
-// field must change the derived key, while Workers and Obs must not.
+// TestCacheKeySensitivity checks that every keyed input actually reaches the
+// run key: perturbing any single knob, constraint, technology parameter,
+// sink field, the sink order or the clock root must change it, while
+// Workers must not.
 func TestCacheKeySensitivity(t *testing.T) {
 	base := DefaultOptions()
 	base.SAIters = 100
-	k0 := runBase(base)
+	root := geom.Pt(20, 20)
+	k0 := runKey(base, root, goldenSinks())
 
 	perturb := map[string]func(*Options){
 		"skew bound":    func(o *Options) { o.Cons.SkewBound++ },
@@ -101,38 +95,29 @@ func TestCacheKeySensitivity(t *testing.T) {
 	for name, f := range perturb {
 		o := base
 		f(&o)
-		if runBase(o) == k0 {
-			t.Errorf("perturbing %s did not change the run base key", name)
+		if runKey(o, root, goldenSinks()) == k0 {
+			t.Errorf("perturbing %s did not change the run key", name)
 		}
 	}
-	neutral := map[string]func(*Options){
-		"workers": func(o *Options) { o.Workers = 8 },
-	}
-	for name, f := range neutral {
-		o := base
-		f(&o)
-		if runBase(o) != k0 {
-			t.Errorf("perturbing %s changed the run base key; it is byte-identity-neutral and must not be keyed", name)
-		}
+	o := base
+	o.Workers = 8
+	if runKey(o, root, goldenSinks()) != k0 {
+		t.Error("perturbing workers changed the run key; it is byte-identity-neutral and must not be keyed")
 	}
 
-	// Node-level sensitivity: identity, geometry, cap, delay each reach the
-	// cluster key; a member's id changing (upstream dirt) re-keys the cluster.
-	s := sinkID(k0, "s", 1, 2, 3, 0)
-	nodes := []clockNode{{loc: geom.Pt(1, 2), cap: 3, delay: 4}}
-	ck := clusterKey(k0, 10, nodes, []cache.Key{s})
-	for name, alt := range map[string]func() cache.Key{
-		"member loc":   func() cache.Key { n := nodes[0]; n.loc.X++; return clusterKey(k0, 10, []clockNode{n}, []cache.Key{s}) },
-		"member cap":   func() cache.Key { n := nodes[0]; n.cap++; return clusterKey(k0, 10, []clockNode{n}, []cache.Key{s}) },
-		"member delay": func() cache.Key { n := nodes[0]; n.delay++; return clusterKey(k0, 10, []clockNode{n}, []cache.Key{s}) },
-		"member id": func() cache.Key {
-			s2 := sinkID(k0, "s2", 1, 2, 3, 0)
-			return clusterKey(k0, 10, nodes, []cache.Key{s2})
-		},
-		"level bound": func() cache.Key { return clusterKey(k0, 11, nodes, []cache.Key{s}) },
-	} {
-		if alt() == ck {
-			t.Errorf("perturbing %s did not change the cluster key", name)
+	design := map[string]func(s []tree.PinSink) geom.Point{
+		"sink name":  func(s []tree.PinSink) geom.Point { s[0].Name = "ff_c/CK"; return root },
+		"sink x":     func(s []tree.PinSink) geom.Point { s[1].Loc.X++; return root },
+		"sink y":     func(s []tree.PinSink) geom.Point { s[1].Loc.Y++; return root },
+		"sink cap":   func(s []tree.PinSink) geom.Point { s[0].Cap++; return root },
+		"sink order": func(s []tree.PinSink) geom.Point { s[0], s[1] = s[1], s[0]; return root },
+		"clock root": func(s []tree.PinSink) geom.Point { return geom.Pt(20, 21) },
+	}
+	for name, f := range design {
+		sinks := goldenSinks()
+		r := f(sinks)
+		if runKey(base, r, sinks) == k0 {
+			t.Errorf("perturbing %s did not change the run key", name)
 		}
 	}
 }

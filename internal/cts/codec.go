@@ -2,32 +2,25 @@ package cts
 
 import (
 	"fmt"
-	"sort"
 
 	"sllt/internal/cache"
 	"sllt/internal/geom"
 	"sllt/internal/obs"
-	"sllt/internal/timing"
 	"sllt/internal/tree"
 )
 
-// Stage-value codecs: canonical byte encodings of each cached stage's
-// output, exact enough that a decoded replay is byte-identical to a fresh
-// build — the DEF exporter and tree.Fingerprint read every field encoded
-// here (kind, name, location, edge length, pin cap, buffer cell, sink
-// index, child order), so all of them round-trip bit-for-bit. Floats travel
-// as IEEE-754 bit patterns (cache.Enc.F64); child order is preserved, not
-// sorted: the deterministic flow makes structural order canonical already.
-
-// minNodeBytes is the smallest encoding of one node (7 fixed u64 fields +
-// two empty strings + child count); used to bound the child-count a decoder
-// will trust before allocating.
-const minNodeBytes = 8 * 8
+// The run-entry codec: a canonical byte encoding of a completed run, exact
+// enough that a decoded replay is byte-identical to a fresh build — the DEF
+// exporter, timing.Analyze and tree.Fingerprint read every node field
+// encoded here (kind, name, location, edge length, pin cap, buffer cell,
+// sink index, child order), so all of them round-trip bit-for-bit. Floats
+// travel as IEEE-754 bit patterns (cache.Enc.F64); child order is
+// preserved, not sorted: the deterministic flow makes structural order
+// canonical already.
 
 // encodeNode writes n's record then recurses over its children, preserving
-// child order. Every byte lands in the encoder's growing buffer; the warm
-// path re-encodes whole level trees per run, so the walk itself stays
-// allocation-free.
+// child order. Every byte lands in the encoder's growing buffer, so the
+// walk itself stays allocation-free.
 func encodeNode(e *cache.Enc, n *tree.Node) {
 	e.Int(int(n.Kind))
 	e.Str(n.Name)
@@ -82,185 +75,64 @@ func decodeNode(d *cache.Dec, remaining int) (*tree.Node, error) {
 // remotely this deep, so the limit only rejects corrupt entries.
 const maxTreeDepth = 10000
 
-// partitionValue is the partition stage's output record.
-type partitionValue struct {
-	k      int
-	method string
-	assign []int
-}
-
-func encodePartitionValue(v partitionValue) []byte {
-	e := cache.NewEnc(8*len(v.assign) + 64)
-	e.Int(v.k)
-	e.Str(v.method)
-	e.Int(len(v.assign))
-	for _, a := range v.assign {
-		e.Int(a)
-	}
-	return e.Bytes()
-}
-
-func decodePartitionValue(data []byte, wantNodes int) (partitionValue, error) {
-	d := cache.NewDec(data)
-	var v partitionValue
-	v.k = d.Int()
-	v.method = d.Str()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return v, err
-	}
-	if n != wantNodes {
-		return v, fmt.Errorf("cts: cache entry: partition over %d nodes, want %d", n, wantNodes)
-	}
-	v.assign = make([]int, n)
-	for i := range v.assign {
-		v.assign[i] = d.Int()
-		if a := v.assign[i]; d.Err() == nil && (a < 0 || a >= v.k) {
-			return v, fmt.Errorf("cts: cache entry: assignment %d out of range [0,%d)", a, v.k)
-		}
-	}
-	if !d.Done() {
-		if err := d.Err(); err != nil {
-			return v, err
-		}
-		return v, fmt.Errorf("cts: cache entry: trailing bytes after partition value")
-	}
-	return v, nil
-}
-
-// clusterValue is one cluster build's output record: the detached driver
-// subtree that becomes the next level's balancing point, its annotation, and
-// the net's own QoR (measured before grafting, needed so warm runs report
-// the same per-level resources as cold ones).
-type clusterValue struct {
-	driver *tree.Node
-	loc    geom.Point
-	cap    float64 // unit: fF
-	delay  float64 // unit: ps
-	qor    obs.NetQoR
-}
-
-func encodeClusterValue(v clusterValue) []byte {
-	e := cache.NewEnc(1024)
-	e.F64(v.loc.X)
-	e.F64(v.loc.Y)
-	e.F64(v.cap)
-	e.F64(v.delay)
-	e.F64(v.qor.WL)
-	e.Int(v.qor.Buffers)
-	e.F64(v.qor.BufArea)
-	encodeNode(e, v.driver)
-	return e.Bytes()
-}
-
-func decodeClusterValue(data []byte) (clusterValue, error) {
-	d := cache.NewDec(data)
-	var v clusterValue
-	x := d.F64()
-	y := d.F64()
-	v.loc = geom.Pt(x, y)
-	v.cap = d.F64()
-	v.delay = d.F64()
-	v.qor.WL = d.F64()
-	v.qor.Buffers = d.Int()
-	v.qor.BufArea = d.F64()
-	n, err := decodeNode(d, maxTreeDepth)
-	if err != nil {
-		return v, err
-	}
-	if !d.Done() {
-		return v, fmt.Errorf("cts: cache entry: trailing bytes after cluster value")
-	}
-	v.driver = n
-	return v, nil
-}
-
-// topNetValue is the top-net stage's output: the finished tree (lower
-// levels grafted in) plus the net's own QoR.
-type topNetValue struct {
-	root *tree.Node
-	qor  obs.NetQoR
-}
-
-func encodeTopNetValue(v topNetValue) []byte {
+// encodeRunEntry writes a completed run: its level records, bottom-up and
+// ending with the top net's, then the finished tree. A record keeps the
+// fields that follow from the run's inputs; the kernel counters and SA
+// statistics describe work a replay does not do, so they are left out.
+func encodeRunEntry(levels []obs.LevelQoR, root *tree.Node) []byte {
 	e := cache.NewEnc(4096)
-	e.F64(v.qor.WL)
-	e.Int(v.qor.Buffers)
-	e.F64(v.qor.BufArea)
-	encodeNode(e, v.root)
+	e.Int(len(levels))
+	for _, q := range levels {
+		e.Int(q.Nodes)
+		e.Int(q.Clusters)
+		e.F64(q.WL)
+		e.F64(q.Skew)
+		e.F64(q.MaxLatency)
+		e.F64(q.MaxClusterCap)
+		e.Int(q.Buffers)
+		e.F64(q.BufArea)
+		e.Int(q.KMeansRestarts)
+		e.Str(q.AssignMethod)
+	}
+	encodeNode(e, root)
 	return e.Bytes()
 }
 
-func decodeTopNetValue(data []byte) (topNetValue, error) {
-	d := cache.NewDec(data)
-	var v topNetValue
-	v.qor.WL = d.F64()
-	v.qor.Buffers = d.Int()
-	v.qor.BufArea = d.F64()
-	n, err := decodeNode(d, maxTreeDepth)
-	if err != nil {
-		return v, err
-	}
-	if !d.Done() {
-		return v, fmt.Errorf("cts: cache entry: trailing bytes after top net value")
-	}
-	v.root = n
-	return v, nil
-}
+// minLevelBytes is the smallest encoding of one level record (nine fixed
+// fields and the method's length prefix); it bounds the level count a
+// decoder trusts before allocating.
+const minLevelBytes = 10 * 8
 
-func encodeTimingReport(r *timing.Report) []byte {
-	e := cache.NewEnc(512 + 16*len(r.SinkLatency))
-	e.F64(r.MaxLatency)
-	e.F64(r.MinLatency)
-	e.F64(r.Skew)
-	e.F64(r.MaxSlew)
-	e.Int(r.Buffers)
-	e.F64(r.BufArea)
-	e.F64(r.ClockCap)
-	e.F64(r.WL)
-	e.F64(r.MaxStgCap)
-	idxs := make([]int, 0, len(r.SinkLatency))
-	for i := range r.SinkLatency {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	e.Int(len(idxs))
-	for _, i := range idxs {
-		e.Int(i)
-		e.F64(r.SinkLatency[i])
-	}
-	return e.Bytes()
-}
-
-func decodeTimingReport(data []byte) (*timing.Report, error) {
+func decodeRunEntry(data []byte) ([]obs.LevelQoR, *tree.Node, error) {
 	d := cache.NewDec(data)
-	r := &timing.Report{}
-	r.MaxLatency = d.F64()
-	r.MinLatency = d.F64()
-	r.Skew = d.F64()
-	r.MaxSlew = d.F64()
-	r.Buffers = d.Int()
-	r.BufArea = d.F64()
-	r.ClockCap = d.F64()
-	r.WL = d.F64()
-	r.MaxStgCap = d.F64()
 	n := d.Int()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if n < 0 || n > len(data) {
-		return nil, fmt.Errorf("cts: cache entry: implausible sink count %d", n)
+	if n < 1 || n > len(data)/minLevelBytes {
+		return nil, nil, fmt.Errorf("cts: cache entry: implausible level count %d", n)
 	}
-	r.SinkLatency = make(map[int]float64, n)
-	for i := 0; i < n; i++ {
-		idx := d.Int()
-		r.SinkLatency[idx] = d.F64()
+	levels := make([]obs.LevelQoR, n)
+	for i := range levels {
+		q := &levels[i]
+		q.Level = i
+		q.Nodes = d.Int()
+		q.Clusters = d.Int()
+		q.WL = d.F64()
+		q.Skew = d.F64()
+		q.MaxLatency = d.F64()
+		q.MaxClusterCap = d.F64()
+		q.Buffers = d.Int()
+		q.BufArea = d.F64()
+		q.KMeansRestarts = d.Int()
+		q.AssignMethod = d.Str()
+	}
+	root, err := decodeNode(d, maxTreeDepth)
+	if err != nil {
+		return nil, nil, err
 	}
 	if !d.Done() {
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("cts: cache entry: trailing bytes after timing report")
+		return nil, nil, fmt.Errorf("cts: cache entry: trailing bytes after run entry")
 	}
-	return r, nil
+	return levels, root, nil
 }

@@ -82,9 +82,9 @@ const (
 
 // TopoBuilder builds a routing topology for one clock net under the given
 // DME options (model, per-level skew bound, sink delay annotations).
-// Builders run inside cached stages, so every value of this type must be a
-// pure function of (net, dopts): no clock, no unseeded randomness, no
-// mutable package state, no mutation of the net.
+// The run cache replays whole runs keyed on BuildID, so every value of this
+// type must be a pure function of (net, dopts): no clock, no unseeded
+// randomness, no mutable package state, no mutation of the net.
 type TopoBuilder func(net *tree.Net, dopts dme.Options) (*tree.Tree, error)
 
 // CBSBuilder returns the default engine: the paper's CBS construction.
@@ -146,10 +146,10 @@ type Options struct {
 	// synthesized tree is byte-identical either way — the recorder observes,
 	// it never feeds back into any algorithm decision.
 	Obs *obs.Recorder
-	// Cache, when non-nil, replays content-addressed stage results instead of
-	// recomputing them (see cachedriver.go). Requires a non-empty BuildID;
-	// results are byte-identical with the cache on or off, cold or warm —
-	// the property TestCacheByteIdentity enforces.
+	// Cache, when non-nil, replays a stored run instead of recomputing it
+	// (see runcache.go). Requires a non-empty BuildID; results are
+	// byte-identical with the cache on or off, cold or warm — the property
+	// TestCacheByteIdentity enforces.
 	Cache *cache.Cache
 	// BuildID names the Build function for cache keying: closures cannot be
 	// content-hashed, so the caller vouches for the builder's identity with a
@@ -160,9 +160,9 @@ type Options struct {
 	// observes it at every stage boundary (before each level, the top net and
 	// the timing pass) and between cluster-build tasks, returning ctx.Err()
 	// wrapped with the stage it refused to start. nil means never cancelled.
-	// Like Workers and Obs, Ctx is deliberately unkeyed by the stage cache:
+	// Like Workers and Obs, Ctx is deliberately unkeyed by the run cache:
 	// cancellation changes when a run stops, never what a completed run
-	// produces — a cancelled run returns an error and stores nothing partial.
+	// produces — a cancelled run returns an error and stores nothing.
 	Ctx context.Context
 }
 
@@ -202,11 +202,11 @@ type clockNode struct {
 	sub   *tree.Node
 }
 
-// Run synthesizes the clock tree for the design. The whole flow is a pure
-// function of (d, opts) — the contract the content-addressed stage cache
-// keys against. TestCacheByteIdentity checks it at runtime: a warm replay
-// of a multi-level flow must hit every stage it consults and export the
-// uncached run's DEF byte for byte.
+// Run synthesizes the clock tree for the design. The result is a pure
+// function of (d, opts) that Workers, Obs and Ctx never change — the
+// contract the run cache keys against (see runcache.go). With a store
+// attached, Run consults it once: a hit replays the stored tree and level
+// records, a miss synthesizes and, once the run completes, stores them.
 func Run(d *design.Design, opts Options) (*Result, error) {
 	if err := opts.Cons.validate(); err != nil {
 		return nil, err
@@ -215,94 +215,53 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 	if err := flat.Validate(); err != nil {
 		return nil, err
 	}
-	nodes := make([]clockNode, len(flat.Sinks))
-	for i, s := range flat.Sinks {
-		leaf := tree.NewNode(tree.Sink, s.Loc)
-		leaf.Name = s.Name
-		leaf.PinCap = s.Cap
-		leaf.SinkIdx = i
-		nodes[i] = clockNode{loc: s.Loc, cap: s.Cap, delay: 0, sub: leaf}
-	}
-
 	opts.Obs.SetMeta(d.Name, "sllt-cts", opts.Seed, opts.Workers)
-	// The cache driver sits outside the stages: sc keys each stage's inputs,
-	// replays stored results and records fresh ones. It is nil when caching
-	// is off, and a nil sc misses every get and drops every put, so each
-	// stage below is one get-or-compute-then-put sequence either way.
-	// Workers/Obs never reach a key, so a cache warmed under one
-	// configuration serves all the others.
-	sc := newStageCache(opts, flat.Sinks)
-	res := &Result{}
-	ins := buffering.NewInserter(opts.Lib, opts.Tech, opts.Cons.MaxCap)
-	ins.Margin = opts.BufferMargin
-	ins.ForceCell = opts.ForceCell
-	ins.Kernel = opts.Obs.Kernel()
 
-	// Per-net skew spans telescope across levels (a net's span adds to the
-	// spread its cluster roots already carry), so every level gets an equal
-	// share of the global budget and the shares sum to the bound.
-	levelBound := levelShare(opts.Cons.SkewBound, estLevels(len(nodes), opts.Cons.MaxFanout))
-	for len(nodes) > opts.Cons.MaxFanout {
-		if err := ctxErr(opts.Ctx, "level", res.Levels); err != nil {
-			return nil, err
-		}
-		next, k, err := buildLevel(nodes, opts, ins, levelBound, res.Levels, sc)
-		if err != nil {
-			return nil, fmt.Errorf("cts level %d: %w", res.Levels, err)
-		}
-		if len(next) >= len(nodes) {
-			return nil, fmt.Errorf("cts level %d: no progress (%d -> %d nodes)", res.Levels, len(nodes), len(next))
-		}
-		nodes = next
-		res.Clusters = append(res.Clusters, k)
-		res.Levels++
+	// Caching is off without a store, or without a BuildID to vouch for
+	// the builder's identity.
+	store := opts.Cache
+	if opts.BuildID == "" {
+		store = nil
 	}
-
-	if err := ctxErr(opts.Ctx, "top_net", -1); err != nil {
-		return nil, err
+	var (
+		key    cache.Key
+		prev   cache.Stats
+		res    *Result
+		levels []obs.LevelQoR
+	)
+	if store != nil {
+		key, prev = runKey(opts, d.ClockRoot, flat.Sinks), store.Stats()
+		res, levels = loadRun(store, key)
 	}
-	topKey := sc.topNetKey(d.ClockRoot, levelBound, nodes)
-	top, ok := sc.getTopNet(topKey)
-	if ok {
-		opts.Obs.Begin("top_net").End()
+	hit := res != nil
+	if hit {
+		for _, q := range levels {
+			opts.Obs.AddLevel(q)
+		}
 	} else {
 		var err error
-		if top, err = buildTopNet(d.ClockRoot, nodes, opts, ins, levelBound); err != nil {
-			return nil, fmt.Errorf("cts top net: %w", err)
+		if res, levels, err = synthesize(flat.Sinks, d.ClockRoot, opts, store != nil); err != nil {
+			return nil, err
 		}
-		sc.putTopNet(topKey, top)
 	}
-	res.Levels++
-	res.Clusters = append(res.Clusters, 1)
-	res.Tree = &tree.Tree{Root: top.root}
-	opts.Obs.AddLevel(obs.LevelQoR{
-		Level:    res.Levels - 1,
-		Nodes:    len(nodes),
-		Clusters: 1,
-		WL:       top.qor.WL,
-		Buffers:  top.qor.Buffers,
-		BufArea:  top.qor.BufArea,
-	})
 
 	if err := ctxErr(opts.Ctx, "timing", -1); err != nil {
 		return nil, err
 	}
 	asp := opts.Obs.Begin("timing")
-	tkey := sc.timingKey(topKey)
-	rep, ok := sc.getTiming(tkey)
-	var err error
-	if !ok {
-		if rep, err = timing.Analyze(res.Tree, opts.Lib, opts.Tech, opts.SourceSlew); err == nil {
-			sc.putTiming(tkey, rep)
-		}
-	}
+	rep, err := timing.Analyze(res.Tree, opts.Lib, opts.Tech, opts.SourceSlew)
 	asp.End()
 	if err != nil {
 		return nil, err
 	}
 	res.Report = rep
+	if store != nil && !hit {
+		store.Put(stageRun, key, encodeRunEntry(levels, res.Tree.Root))
+	}
 	if opts.Obs.Enabled() {
-		opts.Obs.SetCache(sc.report())
+		if store != nil {
+			opts.Obs.SetCache(cacheReport(store.Stats().Sub(prev)))
+		}
 		opts.Obs.SetTotals(obs.Totals{
 			WL:          rep.WL,
 			Skew:        rep.Skew,
@@ -315,6 +274,77 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 		})
 	}
 	return res, nil
+}
+
+// synthesize is the flow proper: the level loop over the sinks, then the
+// top net from the clock root. Each level's QoR record reaches the recorder
+// as the level completes. Records are built only when a recorder is
+// attached or keep asks for them (the run cache stores them); synthesize
+// returns those it built.
+func synthesize(sinks []tree.PinSink, root geom.Point, opts Options, keep bool) (*Result, []obs.LevelQoR, error) {
+	nodes := make([]clockNode, len(sinks))
+	for i, s := range sinks {
+		leaf := tree.NewNode(tree.Sink, s.Loc)
+		leaf.Name = s.Name
+		leaf.PinCap = s.Cap
+		leaf.SinkIdx = i
+		nodes[i] = clockNode{loc: s.Loc, cap: s.Cap, delay: 0, sub: leaf}
+	}
+	var levels []obs.LevelQoR
+	var addLevel func(obs.LevelQoR)
+	if keep || opts.Obs.Enabled() {
+		addLevel = func(q obs.LevelQoR) {
+			opts.Obs.AddLevel(q)
+			levels = append(levels, q)
+		}
+	}
+	res := &Result{}
+	ins := buffering.NewInserter(opts.Lib, opts.Tech, opts.Cons.MaxCap)
+	ins.Margin = opts.BufferMargin
+	ins.ForceCell = opts.ForceCell
+	ins.Kernel = opts.Obs.Kernel()
+
+	// Per-net skew spans telescope across levels (a net's span adds to the
+	// spread its cluster roots already carry), so every level gets an equal
+	// share of the global budget and the shares sum to the bound.
+	levelBound := levelShare(opts.Cons.SkewBound, estLevels(len(nodes), opts.Cons.MaxFanout))
+	for len(nodes) > opts.Cons.MaxFanout {
+		if err := ctxErr(opts.Ctx, "level", res.Levels); err != nil {
+			return nil, nil, err
+		}
+		next, k, err := buildLevel(nodes, opts, ins, levelBound, res.Levels, addLevel)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cts level %d: %w", res.Levels, err)
+		}
+		if len(next) >= len(nodes) {
+			return nil, nil, fmt.Errorf("cts level %d: no progress (%d -> %d nodes)", res.Levels, len(nodes), len(next))
+		}
+		nodes = next
+		res.Clusters = append(res.Clusters, k)
+		res.Levels++
+	}
+
+	if err := ctxErr(opts.Ctx, "top_net", -1); err != nil {
+		return nil, nil, err
+	}
+	top, q, err := buildTopNet(root, nodes, opts, ins, levelBound)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cts top net: %w", err)
+	}
+	res.Levels++
+	res.Clusters = append(res.Clusters, 1)
+	res.Tree = &tree.Tree{Root: top}
+	if addLevel != nil {
+		addLevel(obs.LevelQoR{
+			Level:    res.Levels - 1,
+			Nodes:    len(nodes),
+			Clusters: 1,
+			WL:       q.WL,
+			Buffers:  q.Buffers,
+			BufArea:  q.BufArea,
+		})
+	}
+	return res, levels, nil
 }
 
 // ctxErr reports ctx's cancellation wrapped with the stage the flow refused
@@ -358,10 +388,8 @@ func levelShare(skew float64, levelsLeft int) float64 {
 // balancing points (restarted and silhouette-scored when asked), min-cost
 // flow assignment under the fanout cap, and optional SA refinement. It
 // returns each node's cluster, the cluster count and the assignment method
-// that ran, plus the SA stats when observability wants them — a pure
-// function of (nodes, opts, level), which is what makes the partition stage
-// cacheable on that key.
-func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (partitionValue, *partition.SAStats, error) {
+// that ran, plus the SA stats when observability wants them.
+func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (levelPartition, *partition.SAStats, error) {
 	pts := make([]geom.Point, len(nodes))
 	caps := make([]float64, len(nodes))
 	var capTotal float64
@@ -382,7 +410,7 @@ func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (p
 	defer psp.End()
 	centers, err := bestClustering(pts, k, opts, level, psp)
 	if err != nil {
-		return partitionValue{}, nil, err
+		return levelPartition{}, nil, err
 	}
 	assign, method := partition.BalancedAssignK(pts, centers, opts.Cons.MaxFanout, opts.Obs.Kernel())
 	var saStats *partition.SAStats
@@ -405,33 +433,30 @@ func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (p
 		}
 		assign = partition.RefineSA(pts, caps, k, assign, sa)
 	}
-	return partitionValue{k: k, method: method, assign: assign}, saStats, nil
+	return levelPartition{k: k, method: method, assign: assign}, saStats, nil
+}
+
+// levelPartition is partitionLevel's result: the cluster count, the
+// assignment method that ran and each node's cluster.
+type levelPartition struct {
+	k      int
+	method string
+	assign []int
 }
 
 // buildLevel partitions the nodes, builds one buffered net per cluster and
-// returns the next level's nodes. The partition and each cluster build
-// consult the content-addressed store first (sc may be nil: every lookup
-// then misses); SA/k-means kernel stats are zero for replayed stages
-// (nothing ran), while QoR and latency observations replay from the stored
-// values.
+// returns the next level's nodes with the cluster count. A non-nil addLevel
+// receives the level's QoR record.
 //
 // unit: levelBound ps ->
-func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64, level int, sc *stageCache) ([]clockNode, int, error) {
+func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64, level int, addLevel func(obs.LevelQoR)) ([]clockNode, int, error) {
 	lv := opts.Obs.Begin("level")
 	defer lv.End()
 	kprev := opts.Obs.Kernel().Snapshot()
 
-	pkey := sc.partitionKey(level, nodes)
-	part, ok := sc.getPartition(pkey, len(nodes))
-	var saStats *partition.SAStats
-	if ok {
-		lv.Begin("partition").End()
-	} else {
-		var err error
-		if part, saStats, err = partitionLevel(nodes, opts, level, lv); err != nil {
-			return nil, 0, err
-		}
-		sc.putPartition(pkey, part)
+	part, saStats, err := partitionLevel(nodes, opts, level, lv)
+	if err != nil {
+		return nil, 0, err
 	}
 
 	// Bucket members per cluster: ascending cluster id, then ascending node
@@ -442,7 +467,6 @@ func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelB
 	for i, a := range part.assign {
 		buckets[a] = append(buckets[a], i)
 	}
-	var members [][]int
 	var clusters [][]clockNode
 	for _, mem := range buckets {
 		if len(mem) == 0 {
@@ -452,10 +476,8 @@ func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelB
 		for i, m := range mem {
 			cluster[i] = nodes[m]
 		}
-		members = append(members, mem)
 		clusters = append(clusters, cluster)
 	}
-	ckeys := sc.clusterKeys(levelBound, clusters, members)
 
 	// The clusters are independent nets: each build touches only its own
 	// members' subtrees, the Inserter is read-only (see buffering.Inserter),
@@ -467,38 +489,32 @@ func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelB
 	latDist := opts.Obs.Dist("cts.cluster.latency", obs.UnitPs, latencyBounds)
 	qors := make([]obs.NetQoR, len(clusters))
 	next := make([]clockNode, len(clusters))
-	err := parallel.ForEachSpanCtx(opts.Ctx, opts.Workers, len(clusters), csp, "cluster", func(ci int) error {
-		v, ok := sc.getCluster(ckeys, ci)
-		if !ok {
-			cluster := clusters[ci]
-			sub, q, err := buildNet(centroidOf(cluster), cluster, opts, ins, levelBound)
-			if err != nil {
-				return err
-			}
-			// The cluster tree is rooted at a Source node at the centroid
-			// whose only child is the driver buffer; the driver is the next
-			// level's balancing point.
-			driver := sub.Root.Children[0]
-			driver.Detach()
-			est, err := estimateLatency(driver, opts)
-			if err != nil {
-				return err
-			}
-			v = clusterValue{driver: driver, loc: driver.Loc, cap: driver.PinCap, delay: est, qor: q}
-			sc.putCluster(ckeys, ci, v)
+	err = parallel.ForEachSpanCtx(opts.Ctx, opts.Workers, len(clusters), csp, "cluster", func(ci int) error {
+		cluster := clusters[ci]
+		sub, q, err := buildNet(centroidOf(cluster), cluster, opts, ins, levelBound)
+		if err != nil {
+			return err
 		}
-		qors[ci] = v.qor
-		latDist.Observe(v.delay)
-		next[ci] = clockNode{loc: v.loc, cap: v.cap, delay: v.delay, sub: v.driver}
+		// The cluster tree is rooted at a Source node at the centroid whose
+		// only child is the driver buffer; the driver is the next level's
+		// balancing point.
+		driver := sub.Root.Children[0]
+		driver.Detach()
+		est, err := estimateLatency(driver, opts)
+		if err != nil {
+			return err
+		}
+		qors[ci] = q
+		latDist.Observe(est)
+		next[ci] = clockNode{loc: driver.Loc, cap: driver.PinCap, delay: est, sub: driver}
 		return nil
 	})
 	csp.End()
 	if err != nil {
 		return nil, 0, err
 	}
-	sc.nextLevel(ckeys)
-	if opts.Obs.Enabled() {
-		opts.Obs.AddLevel(levelQoR(level, nodes, clusters, next, qors, part.method, saStats, opts, kprev))
+	if addLevel != nil {
+		addLevel(levelQoR(level, nodes, clusters, next, qors, part.method, saStats, opts, kprev))
 	}
 	return next, len(clusters), nil
 }
@@ -624,14 +640,14 @@ func bestClustering(pts []geom.Point, k int, opts Options, level int, sp *obs.Sp
 // pulls the lower levels in).
 //
 // unit: levelBound ps ->
-func buildTopNet(root geom.Point, nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64) (topNetValue, error) {
+func buildTopNet(root geom.Point, nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64) (*tree.Node, obs.NetQoR, error) {
 	tsp := opts.Obs.Begin("top_net")
 	defer tsp.End()
 	top, q, err := buildNet(root, nodes, opts, ins, levelBound)
 	if err != nil {
-		return topNetValue{}, err
+		return nil, obs.NetQoR{}, err
 	}
-	return topNetValue{root: top.Root, qor: q}, nil
+	return top.Root, q, nil
 }
 
 // silhouetteSample deterministically subsamples points (stride sampling)

@@ -6,12 +6,8 @@ import (
 
 	"sllt/internal/cache"
 	"sllt/internal/geom"
-	"sllt/internal/timing"
 	"sllt/internal/tree"
 )
-
-// guardSinkB keeps the compiler from discarding the guarded calls.
-var guardSinkB []byte
 
 // guardStar returns a buffer driving n named sinks.
 func guardStar(n int) *tree.Node {
@@ -23,27 +19,15 @@ func guardStar(n int) *tree.Node {
 	return root
 }
 
-// allocScalingGuards pins the stage-value encoders, whose output buffers
-// are allocated once per call but whose per-element loops must not
-// allocate: at(n) returns the encode of an n-element value, and it must
-// allocate as often at n as at 16n. encodeNode writes into a copy of one
-// presized encoder, so it allocates nothing at all.
+// allocScalingGuards pins kernels whose per-element loops must not
+// allocate: at(n) returns the kernel's call on an n-element input, and it
+// must allocate as often at n as at 16n. encodeNode writes into a copy of
+// one presized encoder, so it allocates nothing at all.
 var allocScalingGuards = []struct {
 	name string
 	n    int
 	at   func(n int) func()
 }{
-	{"encodePartitionValue", 64, func(n int) func() {
-		v := partitionValue{k: 4, method: "kmeans", assign: make([]int, n)}
-		return func() { guardSinkB = encodePartitionValue(v) }
-	}},
-	{"encodeTimingReport", 64, func(n int) func() {
-		r := &timing.Report{SinkLatency: make(map[int]float64, n)}
-		for i := 0; i < n; i++ {
-			r.SinkLatency[i] = float64(i)
-		}
-		return func() { guardSinkB = encodeTimingReport(r) }
-	}},
 	{"encodeNode", 64, func(n int) func() {
 		root, presized := guardStar(n), cache.NewEnc(128*(n+1))
 		return func() {

@@ -127,8 +127,8 @@ type mnode struct {
 // clock tree rooted at the net's source. The topology must cover all sinks
 // of the net exactly once (tree.Topo.Validate). The result is a pure
 // function of (net, topo, opts), with no clock, randomness or mutable
-// package state read, which the stage cache relies on when it replays the
-// cluster builds that call it.
+// package state read, which the run cache relies on when it replays a run
+// whose cluster builds call it.
 func Build(net *tree.Net, topo *tree.Topo, opts Options) (*tree.Tree, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err

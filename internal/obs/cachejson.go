@@ -1,7 +1,8 @@
 package obs
 
-// CacheStageJSON is one flow stage's content-addressed cache traffic in the
-// run report (schema v1.1, optional "cache" section).
+// CacheStageJSON is one cache stage label's traffic in the run report
+// (schema v1.1, optional "cache" section). The cts flow uses one label,
+// "run".
 type CacheStageJSON struct {
 	Stage        string  `json:"stage"`
 	Hits         int64   `json:"hits"`
@@ -12,8 +13,8 @@ type CacheStageJSON struct {
 	BytesWritten int64   `json:"bytes_written"` // unit: B // admitted to the store
 }
 
-// CacheJSON is the report's stage-cache section: per-stage counters (sorted
-// by stage name) plus run totals. Absent ("cache" omitted) when the run had
+// CacheJSON is the report's cache section: per-stage counters (sorted by
+// stage name) plus run totals. Absent ("cache" omitted) when the run had
 // no cache attached — the section is additive, which is why v1 -> v1.1 is a
 // minor bump.
 type CacheJSON struct {
@@ -28,7 +29,7 @@ type CacheJSON struct {
 	DiskErrors   int64            `json:"disk_errors"`
 }
 
-// SetCache records the run's stage-cache counters for the report. The
+// SetCache records the run's cache counters for the report. The
 // recorder takes ownership of c.
 func (r *Recorder) SetCache(c *CacheJSON) {
 	if r == nil {

@@ -72,9 +72,9 @@
 //	    "buffers": 0, "buf_area_um2": 0.0, "clock_cap_ff": 0.0,
 //	    "max_stage_cap_ff": 0.0, "max_slew_ps": 0.0
 //	  },
-//	  "cache": {             // OPTIONAL (v1.1): stage-cache traffic
+//	  "cache": {             // OPTIONAL (v1.1): cache traffic
 //	    "stages": [          // sorted by stage name
-//	      {"stage": "cluster_build", "hits": 0, "misses": 0, "puts": 0,
+//	      {"stage": "run", "hits": 0, "misses": 0, "puts": 0,
 //	       "hit_rate": 0.0, "bytes_read": 0, "bytes_written": 0}, ...
 //	    ],
 //	    "hits": 0, "misses": 0, "puts": 0, "hit_rate": 0.0,

@@ -7,7 +7,7 @@ import (
 
 // SchemaVersion identifies the run-report JSON layout. Bump on any
 // backwards-incompatible change and extend ValidateReport accordingly.
-// v1.1 adds the optional "cache" section (stage-cache hit/miss/byte
+// v1.1 adds the optional "cache" section (per-stage cache hit/miss/byte
 // counters); everything in v1 is unchanged.
 const SchemaVersion = "sllt.obs.report/v1.1"
 

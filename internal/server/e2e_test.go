@@ -12,11 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
 	"sllt/internal/designgen"
 	"sllt/internal/lefdef"
 	"sllt/internal/liberty"
+	"sllt/internal/obs"
 	"sllt/internal/server"
 	"sllt/internal/tree"
 )
@@ -210,6 +212,57 @@ func TestE2EByteIdentity(t *testing.T) {
 	// Artifact endpoints refuse unfinished/unknown jobs cleanly.
 	if code, _ := getBytes(t, ts.URL+"/jobs/nope/def"); code != http.StatusNotFound {
 		t.Errorf("GET unknown def = %d, want 404", code)
+	}
+}
+
+// TestE2ECachedRepeat submits one design twice to a daemon with a shared
+// run cache. The repeat must replay: its DEF equals the first job's and the
+// offline reference, its report's cache section is one hit and no miss,
+// and its progress stream still carries the level records.
+func TestE2ECachedRepeat(t *testing.T) {
+	lefSrc, defSrc := fixtureSources(400, 80, 13)
+	wantDEF, _ := offlineReference(t, lefSrc, defSrc)
+
+	store, err := cache.New(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Config{QueueDepth: 4, Runners: 1, Cache: store})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var defs [2][]byte
+	var id string
+	for i := range defs {
+		var st server.JobStatus
+		if resp := postJob(t, ts.URL, &server.JobRequest{LEF: lefSrc, DEF: defSrc}, &st); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %d: POST /jobs = %d, want 202", i+1, resp.StatusCode)
+		}
+		id = st.JobID
+		pollUntil(t, ts.URL, id, func(s server.JobStatus) bool { return s.State == server.StateDone })
+		var code int
+		if code, defs[i] = getBytes(t, ts.URL+"/jobs/"+id+"/def"); code != http.StatusOK {
+			t.Fatalf("job %d: GET def = %d, want 200", i+1, code)
+		}
+	}
+	if !bytes.Equal(defs[1], defs[0]) || !bytes.Equal(defs[1], wantDEF) {
+		t.Error("repeated job's DEF differs from the first job's or the offline reference")
+	}
+
+	code, data := getBytes(t, ts.URL+"/jobs/"+id+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET report = %d, want 200", code)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cache == nil || rep.Cache.Hits != 1 || rep.Cache.Misses != 0 {
+		t.Errorf("repeated job's cache section = %+v, want one hit and no miss", rep.Cache)
+	}
+	if code, events := getBytes(t, ts.URL+"/jobs/"+id+"/events"); code != http.StatusOK || !strings.Contains(string(events), `"kind":"level"`) {
+		t.Errorf("repeated job's progress stream (status %d) carries no level record", code)
 	}
 }
 

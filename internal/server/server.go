@@ -32,7 +32,7 @@ var (
 
 // Config sizes and wires a Server. The zero value is usable: depth-8 queue,
 // one runner, GOMAXPROCS worker budget, wall clock, sequential job IDs, the
-// production flow, and no stage cache.
+// production flow, and no run cache.
 type Config struct {
 	// QueueDepth bounds the jobs waiting for a runner (admission control
 	// sheds beyond it). <= 0 selects 8.
@@ -50,8 +50,10 @@ type Config struct {
 	// NewJobID mints job identifiers. nil selects sequential "job-%06d"
 	// IDs — no global randomness anywhere in the server.
 	NewJobID func() string
-	// Cache, when non-nil, is shared by every job: concurrent submissions
-	// of the same design converge on one set of stage computations.
+	// Cache, when non-nil, is shared by every job: a job that repeats a
+	// completed one (same design and options) replays its stored result.
+	// Nothing deduplicates jobs in flight, so concurrent identical jobs
+	// each compute.
 	Cache *cache.Cache
 	// Flow executes one job. nil selects RunFlow; tests substitute slow or
 	// failing flows to exercise the queue.
