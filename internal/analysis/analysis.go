@@ -4,16 +4,21 @@
 // (`go list -export`), typechecks them from source against compiler export
 // data, and runs Analyzers over the typed syntax trees.
 //
-// The framework exists to machine-check the properties every result in this
-// repository depends on: determinism (bit-identical trees for a given seed)
-// and cancellable server loops. The six rules live in the analyzer
-// subpackages (maporder, floatcmp, seededrand, wallclock, sharedstate,
-// ctxguard), registry.All lists them, and cmd/slltlint drives them. Three
-// contracts are not lint rules but runtime tests: allocation-free kernels
-// are measured by the AllocsPerRun guards in each kernel package's
-// hot_guard_test.go, the purity of the cached run by the run cache's
-// replay tests in internal/cts, and the unit system (µm, fF, kΩ, ps) by
-// the pinned flow digests and the timing and Liberty tests.
+// The framework machine-checks the properties no run-to-run comparison can
+// see, because their violations behave the same on every run: exact float
+// comparison in geometry code, wall-clock and environment reads in the
+// algorithm packages, and cancellable server loops. The three rules live
+// in the analyzer subpackages (floatcmp, wallclock, ctxguard), registry.All
+// lists them, and the registry's TestLintClean runs them over the module
+// as part of `go test ./...`. Violations that make a run's output change
+// from one run to the next (map iteration order, the global math/rand
+// source, racing goroutine writes) are left to the tests that compare runs
+// and to the race detector. Three more contracts are runtime tests, not
+// lint rules: allocation-free kernels are measured by the AllocsPerRun
+// guards in each kernel package's hot_guard_test.go, the purity of the
+// cached run by the run cache's replay tests in internal/cts, and the unit
+// system (µm, fF, kΩ, ps) by the pinned flow digests and the timing and
+// Liberty tests.
 package analysis
 
 import (
@@ -21,7 +26,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -33,11 +37,6 @@ type Analyzer struct {
 
 	// Doc is a one-paragraph description of what the analyzer checks.
 	Doc string
-
-	// URL points at the analyzer's long-form documentation (conventionally
-	// a DESIGN.md anchor). SARIF output emits it as the rule's helpUri so
-	// code-scanning UIs can link each finding to its contract.
-	URL string
 
 	// Run applies the rule to one package, reporting findings through
 	// pass.Reportf. A non-nil error aborts the whole lint run (reserved
@@ -53,17 +52,12 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// GoVersion is the module language version ("go1.22"), empty when the
-	// go tool did not report one.
-	GoVersion string
-
 	diags *[]Diagnostic
 }
 
 // A Diagnostic is a single finding.
 type Diagnostic struct {
-	Pos      token.Pos
-	Position token.Position // resolved from Pos at report time
+	Position token.Position
 	Analyzer string
 	Message  string
 }
@@ -76,48 +70,10 @@ func (d Diagnostic) String() string {
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pos,
 		Position: p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// FileVersion returns the effective language version of the file containing
-// pos: the module version from go.mod, possibly lowered by the file's
-// //go:build goN.M constraint (the typechecker records the per-file result
-// in TypesInfo.FileVersions). Empty when unknown.
-func (p *Pass) FileVersion(pos token.Pos) string {
-	tf := p.Fset.File(pos)
-	if tf == nil {
-		return p.GoVersion
-	}
-	for _, f := range p.Files {
-		if p.Fset.File(f.Pos()) == tf {
-			if v, ok := p.TypesInfo.FileVersions[f]; ok && v != "" {
-				return v
-			}
-			return p.GoVersion
-		}
-	}
-	return p.GoVersion
-}
-
-// VersionAtLeast reports whether language version v ("go1.22") is at least
-// go<major>.<minor>. Unknown or malformed versions report false, so callers
-// default to the conservative pre-1.22 semantics.
-func VersionAtLeast(v string, major, minor int) bool {
-	v = strings.TrimPrefix(v, "go")
-	parts := strings.SplitN(v, ".", 3)
-	if len(parts) < 2 {
-		return false
-	}
-	maj, err1 := strconv.Atoi(parts[0])
-	min, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	return maj > major || (maj == major && min >= minor)
 }
 
 // TypeOf returns the type of expression e, or nil if unknown.
@@ -183,10 +139,4 @@ func (p *Pass) Preorder(fn func(ast.Node)) {
 func IsFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-// IsMap reports whether t's underlying type is a map.
-func IsMap(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Map)
-	return ok
 }

@@ -10,7 +10,7 @@ import (
 
 // wantRe matches expectation comments in fixture files:
 //
-//	for k := range m { // want "range over map"
+//	return a == b // want "exact float comparison"
 //
 // Each quoted string is a substring one diagnostic on that line must
 // contain. Lines without a want comment must produce no diagnostics.

@@ -35,7 +35,6 @@ const parallelPath = "sllt/internal/parallel"
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxguard",
 	Doc:  "daemon-readiness context discipline: thread context.Context into callees instead of calling context.Background/TODO, make infinite channel or fan-out loops cancellable, and give unbuffered sends in goroutines an escape",
-	URL:  "DESIGN.md#purity--cancellation-contracts",
 	Run:  run,
 }
 

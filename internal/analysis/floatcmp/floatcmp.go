@@ -32,7 +32,6 @@ var GeometryPackages = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "floatcmp",
 	Doc:  "flags ==/!= on floating-point operands in geometry/timing code; use geom.AlmostEqual or geom.Sign",
-	URL:  "DESIGN.md#determinism--invariants",
 	Run:  run,
 }
 

@@ -20,22 +20,18 @@ import (
 // A Package is one loaded, typechecked target package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
 	TypesInfo  *types.Info
 
-	// ModDir is the root directory of the module containing the package;
-	// SARIF and baseline output relativize file paths against it.
-	ModDir string
-	// GoVersion is the module's language version ("go1.22"); per-file
-	// //go:build downgrades are recorded in TypesInfo.FileVersions.
+	// GoVersion is the module's language version ("go1.22"), the version
+	// the package is typechecked at; empty when the go tool reports none.
 	GoVersion string
 
 	// TypeErrors holds typechecking problems. A package with type errors
 	// still carries partial information, but analyzer results on it are
-	// unreliable; cmd/slltlint treats these as hard failures.
+	// unreliable; the registry's lint gate fails on any of them.
 	TypeErrors []error
 }
 
@@ -48,7 +44,7 @@ type listPkg struct {
 	Export     string
 	DepOnly    bool
 	Standard   bool
-	Module     *struct{ Dir, GoVersion string }
+	Module     *struct{ GoVersion string }
 	Error      *struct{ Err string }
 }
 
@@ -134,33 +130,27 @@ func check(fset *token.FileSet, imp types.Importer, t listPkg) (*Package, error)
 	}
 	pkg := &Package{
 		ImportPath: t.ImportPath,
-		Dir:        t.Dir,
 		Fset:       fset,
 		Files:      files,
 		TypesInfo: &types.Info{
-			Types:        make(map[ast.Expr]types.TypeAndValue),
-			Defs:         make(map[*ast.Ident]types.Object),
-			Uses:         make(map[*ast.Ident]types.Object),
-			Implicits:    make(map[ast.Node]types.Object),
-			Selections:   make(map[*ast.SelectorExpr]*types.Selection),
-			Scopes:       make(map[ast.Node]*types.Scope),
-			FileVersions: make(map[*ast.File]string),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Implicits:  make(map[ast.Node]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Scopes:     make(map[ast.Node]*types.Scope),
 		},
 	}
 	conf := types.Config{
 		Importer: imp,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	if t.Module != nil {
-		pkg.ModDir = t.Module.Dir
-		if v := t.Module.GoVersion; v != "" {
-			pkg.GoVersion = "go" + v
-			// Setting the language version makes the typechecker apply
-			// per-file //go:build downgrades and record them in
-			// FileVersions, which the sharedstate analyzer consults for
-			// pre/post-1.22 loop-variable semantics.
-			conf.GoVersion = pkg.GoVersion
-		}
+	if t.Module != nil && t.Module.GoVersion != "" {
+		// Typecheck at the module's language version, as the compiler does,
+		// so version-gated features are accepted and per-file //go:build
+		// downgrades apply.
+		pkg.GoVersion = "go" + t.Module.GoVersion
+		conf.GoVersion = pkg.GoVersion
 	}
 	tp, err := conf.Check(t.ImportPath, fset, files, pkg.TypesInfo)
 	if err != nil && len(pkg.TypeErrors) == 0 {

@@ -43,8 +43,8 @@ func TestLoadTypechecksModulePackage(t *testing.T) {
 	}
 }
 
-// A pattern naming a directory that does not exist must be a load error
-// (exit 2 territory for cmd/slltlint), not an empty success.
+// A pattern naming a directory that does not exist must be a load error,
+// not an empty success.
 func TestLoadNonexistentPackage(t *testing.T) {
 	_, err := Load(".", "./testdata/src/does-not-exist")
 	if err == nil {

@@ -1,16 +1,13 @@
-// Package registry is the single source of truth for the slltlint analyzer
-// roster. cmd/slltlint drives it, CI runs it, and the framework test
-// asserts every entry carries complete rule metadata (name, doc, URL) so
-// SARIF uploads never ship anonymous rules.
+// Package registry is the single source of truth for the analyzer roster.
+// Its TestLintClean runs the roster over the module inside `go test ./...`
+// and fails on any finding, and its metadata test asserts every entry is
+// named and documented.
 package registry
 
 import (
 	"sllt/internal/analysis"
 	"sllt/internal/analysis/ctxguard"
 	"sllt/internal/analysis/floatcmp"
-	"sllt/internal/analysis/maporder"
-	"sllt/internal/analysis/seededrand"
-	"sllt/internal/analysis/sharedstate"
 	"sllt/internal/analysis/wallclock"
 )
 
@@ -20,9 +17,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxguard.Analyzer,
 		floatcmp.Analyzer,
-		maporder.Analyzer,
-		seededrand.Analyzer,
-		sharedstate.Analyzer,
 		wallclock.Analyzer,
 	}
 }

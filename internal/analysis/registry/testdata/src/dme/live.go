@@ -8,18 +8,8 @@ package dme
 
 import (
 	"context"
-	"math/rand"
 	"time"
 )
-
-// RangeMap trips maporder: a float fold over randomized iteration order.
-func RangeMap(m map[int]float64) float64 {
-	var total float64
-	for _, v := range m {
-		total += v
-	}
-	return total
-}
 
 // Stamp trips wallclock.
 func Stamp() time.Time {
@@ -31,11 +21,6 @@ func EqualCoords(a, b float64) bool {
 	return a == b
 }
 
-// Draw trips seededrand.
-func Draw() int {
-	return rand.Intn(10)
-}
-
 func lookup(ctx context.Context, key string) string {
 	_ = ctx
 	return key
@@ -45,18 +30,4 @@ func lookup(ctx context.Context, key string) string {
 // context.Background anyway.
 func Detached(ctx context.Context, key string) string {
 	return lookup(context.Background(), key)
-}
-
-// Fan trips sharedstate: a goroutine closure writing captured state.
-func Fan(xs []float64) float64 {
-	var total float64
-	done := make(chan struct{})
-	go func() {
-		for _, x := range xs {
-			total += x
-		}
-		close(done)
-	}()
-	<-done
-	return total
 }

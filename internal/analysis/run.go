@@ -8,7 +8,7 @@ import (
 
 // IgnorePrefix is the comment directive that suppresses diagnostics:
 //
-//	//slltlint:ignore maporder iteration feeds a commutative sum
+//	//slltlint:ignore floatcmp exact tie-break keeps the comparator transitive
 //
 // placed on the flagged line or the line directly above it. The analyzer
 // name list may contain several comma-separated names. The reason after the
@@ -31,7 +31,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				GoVersion: pkg.GoVersion,
 				diags:     &found,
 			}
 			if err := az.Run(pass); err != nil {

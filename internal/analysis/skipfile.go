@@ -35,15 +35,15 @@ func IsGeneratedFile(f *ast.File) bool {
 // IsTestFile reports whether pos sits in a _test.go file. The loader does
 // not load test packages today, but analyzers guard anyway so the rule set
 // stays correct if test loading is ever enabled (tests are free to compare
-// floats against goldens, spawn raw goroutines, read the wall clock, ...).
+// floats against goldens, read the wall clock, ...).
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // SkipFile is the shared skip policy for every analyzer in the suite: test
 // files and generated files are exempt from the lint rules. Hoisted here so
-// sharedstate, ctxguard and Pass.Preorder agree on one definition instead of
-// carrying copies.
+// ctxguard and Pass.Preorder agree on one definition instead of carrying
+// copies.
 func SkipFile(fset *token.FileSet, f *ast.File) bool {
 	return IsTestFile(fset, f.Pos()) || IsGeneratedFile(f)
 }

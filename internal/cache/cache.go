@@ -16,13 +16,14 @@
 // observationally identical to recomputing them — a property the cached
 // vs. uncached byte-identity tests in internal/cts enforce at runtime,
 // including that a warm run is one hit and no miss. Counters are kept per
-// caller-chosen stage label.
+// caller-chosen stage label, and each Get, Put and Reject also returns the
+// counts it added, so a caller sharing the store with others can report
+// its own traffic.
 package cache
 
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -39,7 +40,7 @@ type Cache struct {
 	mem  *memLRU
 	disk *DiskStore // nil: memory only
 
-	stats statsMap
+	stats map[string]StageStats
 }
 
 // Config sizes a Cache.
@@ -64,7 +65,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		mem:   newMemLRU(cfg.MemBytes),
-		stats: make(statsMap),
+		stats: make(map[string]StageStats),
 	}
 	if cfg.Dir != "" {
 		d, err := NewDiskStore(cfg.Dir)
@@ -76,18 +77,21 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Get returns the value stored under key, or (nil, false). stage labels the
-// lookup for the per-stage hit statistics; it never affects addressing.
-// The returned slice must not be modified by the caller.
-func (c *Cache) Get(stage string, key Key) ([]byte, bool) {
+// Get returns the value stored under key and whether it was found, and
+// what the lookup did: one hit, with the bytes it read from the disk tier
+// and the evictions its promotion into memory caused, or one miss. The
+// same counts go into the store's statistics under stage, which never
+// affects addressing. The returned slice must not be modified by the
+// caller.
+func (c *Cache) Get(stage string, key Key) ([]byte, bool, StageStats) {
 	if c == nil {
-		return nil, false
+		return nil, false, StageStats{}
 	}
 	c.mu.Lock()
 	if v, ok := c.mem.get(key); ok {
-		c.stats.bump(stage, func(s *StageStats) { s.Hits++ })
+		did := c.count(stage, StageStats{Hits: 1})
 		c.mu.Unlock()
-		return v, true
+		return v, true, did
 	}
 	disk := c.disk
 	c.mu.Unlock()
@@ -95,35 +99,29 @@ func (c *Cache) Get(stage string, key Key) ([]byte, bool) {
 		if v, ok := disk.Get(key); ok {
 			c.mu.Lock()
 			evicted := c.mem.put(key, v)
-			c.stats.bump(stage, func(s *StageStats) {
-				s.Hits++
-				s.BytesRead += int64(len(v))
-				s.Evictions += int64(evicted)
-			})
+			did := c.count(stage, StageStats{Hits: 1, BytesRead: int64(len(v)), Evictions: int64(evicted)})
 			c.mu.Unlock()
-			return v, true
+			return v, true, did
 		}
 	}
 	c.mu.Lock()
-	c.stats.bump(stage, func(s *StageStats) { s.Misses++ })
+	did := c.count(stage, StageStats{Misses: 1})
 	c.mu.Unlock()
-	return nil, false
+	return nil, false, did
 }
 
-// Put stores value under key. Values are immutable: a second Put of the same
+// Put stores value under key and returns what the store did: one put, the
+// bytes admitted, the evictions that made room, and a disk error if the
+// disk tier failed to write. Values are immutable: a second Put of the same
 // key is a no-op in memory and overwrites the identical bytes on disk. The
 // cache takes ownership of value; callers must not modify it afterwards.
-func (c *Cache) Put(stage string, key Key, value []byte) {
+func (c *Cache) Put(stage string, key Key, value []byte) StageStats {
 	if c == nil {
-		return
+		return StageStats{}
 	}
 	c.mu.Lock()
 	evicted := c.mem.put(key, value)
-	c.stats.bump(stage, func(s *StageStats) {
-		s.Puts++
-		s.BytesWritten += int64(len(value))
-		s.Evictions += int64(evicted)
-	})
+	did := c.count(stage, StageStats{Puts: 1, BytesWritten: int64(len(value)), Evictions: int64(evicted)})
 	disk := c.disk
 	c.mu.Unlock()
 	if disk != nil {
@@ -131,26 +129,31 @@ func (c *Cache) Put(stage string, key Key, value []byte) {
 		// operation; they must never fail the flow.
 		if err := disk.Put(key, value); err != nil {
 			c.mu.Lock()
-			c.stats.bump(stage, func(s *StageStats) { s.DiskErrors++ })
+			did = did.Add(c.count(stage, StageStats{DiskErrors: 1}))
 			c.mu.Unlock()
 		}
 	}
+	return did
 }
 
-// Delete removes key from both tiers. Used when a stored value fails its
-// caller-level decode (a codec/schema skew the entry checksum cannot see):
-// dropping the entry turns a persistent decode failure into one recompute.
-func (c *Cache) Delete(key Key) {
+// Reject removes key from both tiers after the value a Get returned failed
+// its caller-level decode (a codec/schema skew the entry checksum cannot
+// see): dropping the entry turns a persistent decode failure into one
+// recompute. That lookup found nothing usable, so Reject recounts it under
+// stage as a miss instead of a hit and returns the correction.
+func (c *Cache) Reject(stage string, key Key) StageStats {
 	if c == nil {
-		return
+		return StageStats{}
 	}
 	c.mu.Lock()
 	c.mem.delete(key)
+	did := c.count(stage, StageStats{Hits: -1, Misses: 1})
 	disk := c.disk
 	c.mu.Unlock()
 	if disk != nil {
 		os.Remove(disk.path(key))
 	}
+	return did
 }
 
 // StageStats counts one stage's cache traffic.
@@ -172,15 +175,24 @@ func (s StageStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-type statsMap map[string]*StageStats
-
-func (m statsMap) bump(stage string, f func(*StageStats)) {
-	s, ok := m[stage]
-	if !ok {
-		s = &StageStats{}
-		m[stage] = s
+// Add returns the counter-wise sum s + o.
+func (s StageStats) Add(o StageStats) StageStats {
+	return StageStats{
+		Hits:         s.Hits + o.Hits,
+		Misses:       s.Misses + o.Misses,
+		Puts:         s.Puts + o.Puts,
+		BytesRead:    s.BytesRead + o.BytesRead,
+		BytesWritten: s.BytesWritten + o.BytesWritten,
+		Evictions:    s.Evictions + o.Evictions,
+		DiskErrors:   s.DiskErrors + o.DiskErrors,
 	}
-	f(s)
+}
+
+// count adds one call's counts to stage's counters and returns them. The
+// caller holds c.mu.
+func (c *Cache) count(stage string, did StageStats) StageStats {
+	c.stats[stage] = c.stats[stage].Add(did)
+	return did
 }
 
 // Stats is a point-in-time copy of the per-stage counters.
@@ -196,7 +208,7 @@ func (c *Cache) Stats() Stats {
 	}
 	c.mu.Lock()
 	for name, s := range c.stats {
-		out.Stages[name] = *s
+		out.Stages[name] = s
 	}
 	c.mu.Unlock()
 	return out
@@ -206,48 +218,9 @@ func (c *Cache) Stats() Stats {
 func (s Stats) Total() StageStats {
 	var t StageStats
 	for _, st := range s.Stages {
-		t.Hits += st.Hits
-		t.Misses += st.Misses
-		t.Puts += st.Puts
-		t.BytesRead += st.BytesRead
-		t.BytesWritten += st.BytesWritten
-		t.Evictions += st.Evictions
-		t.DiskErrors += st.DiskErrors
+		t = t.Add(st)
 	}
 	return t
-}
-
-// StageNames returns the stages with recorded traffic, sorted.
-func (s Stats) StageNames() []string {
-	names := make([]string, 0, len(s.Stages))
-	for n := range s.Stages {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Sub returns the per-stage difference s - prev, dropping stages with no
-// traffic in the interval. Used to attribute counters to one run when a
-// cache is shared across runs.
-func (s Stats) Sub(prev Stats) Stats {
-	out := Stats{Stages: make(map[string]StageStats)}
-	for name, cur := range s.Stages {
-		p := prev.Stages[name]
-		d := StageStats{
-			Hits:         cur.Hits - p.Hits,
-			Misses:       cur.Misses - p.Misses,
-			Puts:         cur.Puts - p.Puts,
-			BytesRead:    cur.BytesRead - p.BytesRead,
-			BytesWritten: cur.BytesWritten - p.BytesWritten,
-			Evictions:    cur.Evictions - p.Evictions,
-			DiskErrors:   cur.DiskErrors - p.DiskErrors,
-		}
-		if d != (StageStats{}) {
-			out.Stages[name] = d
-		}
-	}
-	return out
 }
 
 // Len returns the number of entries resident in the memory tier.

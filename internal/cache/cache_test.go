@@ -21,11 +21,11 @@ func TestGetPutRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := []byte("payload")
-	if _, ok := c.Get("s", key(1)); ok {
+	if _, ok, _ := c.Get("s", key(1)); ok {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put("s", key(1), v)
-	got, ok := c.Get("s", key(1))
+	got, ok, _ := c.Get("s", key(1))
 	if !ok || !bytes.Equal(got, v) {
 		t.Fatalf("Get = %q, %v; want %q, true", got, ok, v)
 	}
@@ -57,11 +57,11 @@ func TestLRUEviction(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("len after eviction = %d, want 3", c.Len())
 	}
-	if _, ok := c.Get("s", key(2)); ok {
+	if _, ok, _ := c.Get("s", key(2)); ok {
 		t.Error("LRU entry 2 survived eviction")
 	}
 	for _, b := range []byte{1, 3, 4} {
-		if _, ok := c.Get("s", key(b)); !ok {
+		if _, ok, _ := c.Get("s", key(b)); !ok {
 			t.Errorf("entry %d evicted, want resident", b)
 		}
 	}
@@ -81,29 +81,37 @@ func TestOversizedValueNotAdmitted(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
+// TestReject checks that Reject removes an entry from both tiers and
+// recounts the lookup that returned it as a miss.
+func TestReject(t *testing.T) {
 	dir := t.TempDir()
 	c, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Put("s", key(1), []byte("v"))
-	c.Delete(key(1))
-	if _, ok := c.Get("s", key(1)); ok {
-		t.Error("deleted entry still readable")
+	if _, ok, _ := c.Get("s", key(1)); !ok {
+		t.Fatal("stored entry not readable")
+	}
+	c.Reject("s", key(1))
+	if s := c.Stats().Stages["s"]; s.Hits != 0 || s.Misses != 1 {
+		t.Errorf("after Reject the store counts hits %d and misses %d, want 0 and 1", s.Hits, s.Misses)
+	}
+	if _, ok, _ := c.Get("s", key(1)); ok {
+		t.Error("rejected entry still readable")
 	}
 	if _, err := os.Stat(c.disk.path(key(1))); !os.IsNotExist(err) {
-		t.Error("deleted entry still on disk")
+		t.Error("rejected entry still on disk")
 	}
 }
 
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache
-	if _, ok := c.Get("s", key(1)); ok {
+	if _, ok, _ := c.Get("s", key(1)); ok {
 		t.Error("nil cache hit")
 	}
 	c.Put("s", key(1), []byte("v"))
-	c.Delete(key(1))
+	c.Reject("s", key(1))
 	if c.Len() != 0 {
 		t.Error("nil cache has entries")
 	}
@@ -112,24 +120,39 @@ func TestNilCacheSafe(t *testing.T) {
 	}
 }
 
-func TestStatsSub(t *testing.T) {
+// TestCallCounts checks that Get, Put and Reject each return exactly the
+// counts they add to the store's statistics, so a caller that sums its own
+// calls sees its own traffic and nobody else's.
+func TestCallCounts(t *testing.T) {
 	c, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put("a", key(1), []byte("v"))
-	prev := c.Stats()
-	c.Get("a", key(1))
-	c.Get("b", key(2))
-	d := c.Stats().Sub(prev)
-	if d.Stages["a"].Hits != 1 || d.Stages["a"].Puts != 0 {
-		t.Errorf("delta a = %+v, want exactly 1 hit", d.Stages["a"])
+	put := c.Put("a", key(1), []byte("val"))
+	_, found, hit := c.Get("a", key(1))
+	_, missFound, miss := c.Get("b", key(2))
+	reject := c.Reject("a", key(1))
+	if !found || missFound {
+		t.Fatalf("Get found the stored key %v and the missing key %v, want true and false", found, missFound)
 	}
-	if d.Stages["b"].Misses != 1 {
-		t.Errorf("delta b = %+v, want 1 miss", d.Stages["b"])
+	for _, tc := range []struct {
+		call      string
+		got, want StageStats
+	}{
+		{"Put", put, StageStats{Puts: 1, BytesWritten: 3}},
+		{"Get of the stored key", hit, StageStats{Hits: 1}},
+		{"Get of the missing key", miss, StageStats{Misses: 1}},
+		{"Reject", reject, StageStats{Hits: -1, Misses: 1}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s returned %+v, want %+v", tc.call, tc.got, tc.want)
+		}
 	}
-	if names := d.StageNames(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("stage names = %v, want [a b]", names)
+	if got, want := c.Stats().Total(), put.Add(hit).Add(miss).Add(reject); got != want {
+		t.Errorf("store totals %+v, want the calls' sum %+v", got, want)
+	}
+	if a := c.Stats().Stages["a"]; a != (StageStats{Misses: 1, Puts: 1, BytesWritten: 3}) {
+		t.Errorf("stage a counts %+v, want one miss and one put", a)
 	}
 }
 
@@ -148,7 +171,7 @@ func TestDiskTierPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c2.Get("s", key(7))
+	got, ok, _ := c2.Get("s", key(7))
 	if !ok || !bytes.Equal(got, v) {
 		t.Fatal("disk tier miss on warm directory")
 	}
@@ -180,7 +203,7 @@ func TestDiskPromotionCountsEvictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []Key{key(1), key(2)} {
-		if _, ok := c2.Get("s", k); !ok {
+		if _, ok, _ := c2.Get("s", k); !ok {
 			t.Fatalf("disk tier miss on %x", k[0])
 		}
 	}
@@ -227,7 +250,7 @@ func TestCorruptDiskEntryFallsBack(t *testing.T) {
 			}
 			c.Put("s", key(3), []byte("precious bytes")) // restore
 			corrupt(mut)
-			if _, ok := fresh.Get("s", key(3)); ok {
+			if _, ok, _ := fresh.Get("s", key(3)); ok {
 				t.Fatal("corrupt entry served as a hit")
 			}
 			if _, err := os.Stat(p); !os.IsNotExist(err) {
@@ -235,7 +258,7 @@ func TestCorruptDiskEntryFallsBack(t *testing.T) {
 			}
 			// The recompute path rewrites it; the rewrite must be readable.
 			fresh.Put("s", key(3), []byte("precious bytes"))
-			if _, ok := fresh.Get("s", key(3)); !ok {
+			if _, ok, _ := fresh.Get("s", key(3)); !ok {
 				t.Error("rewrite after corruption not readable")
 			}
 		})
@@ -287,7 +310,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := key(byte(i % 32))
-				if got, ok := c.Get("s", k); ok {
+				if got, ok, _ := c.Get("s", k); ok {
 					if !bytes.Equal(got, valFor(i)) {
 						t.Errorf("goroutine %d: key %d returned %q, want %q", g, i%32, got, valFor(i))
 						return

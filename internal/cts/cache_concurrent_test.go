@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"sllt/internal/cache"
+	"sllt/internal/dme"
+	"sllt/internal/obs"
 	"sllt/internal/tree"
 )
 
@@ -62,5 +64,47 @@ func TestCacheConcurrentSharing(t *testing.T) {
 	if warm.def != base.def || warm.fp != base.fp {
 		t.Error("warm follow-up run differs from the uncached serial run")
 	}
-	checkFullReplay(t, "warm follow-up run", c.Stats().Sub(prev))
+	checkFullReplay(t, "warm follow-up run", prev, c.Stats())
+}
+
+// TestCacheSectionCountsOwnTraffic runs design A with a recorder on a fresh
+// store and holds its first net build until a run of design B on the same
+// store has finished, so all of B's store traffic falls inside A's run. A's
+// cache section must count only A's own lookup and store: one miss and one
+// put.
+func TestCacheSectionCountsOwnTraffic(t *testing.T) {
+	c, err := cache.New(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	rec := obs.New(obs.NewManualClock(1))
+	errA := make(chan error, 1)
+	go func() {
+		opts := DefaultOptions()
+		opts.SAIters = 40
+		opts.Cache = c
+		opts.Obs = rec
+		build := opts.Build
+		opts.Build = func(net *tree.Net, dopts dme.Options) (*tree.Tree, error) {
+			once.Do(func() { close(entered); <-release })
+			return build(net, dopts)
+		}
+		_, err := Run(cacheTestDesign(31), opts)
+		errA <- err
+	}()
+	select {
+	case <-entered:
+	case err := <-errA:
+		t.Fatalf("run A returned before its first net build: %v", err)
+	}
+	func() {
+		defer close(release)
+		runCacheFlow(t, cacheTestDesign(37), func(o *Options) { o.Cache = c })
+	}()
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+	checkSection(t, "run A", rec, 0, 1, 1)
 }

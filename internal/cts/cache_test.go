@@ -73,7 +73,7 @@ func TestCacheByteIdentity(t *testing.T) {
 				prev := c.Stats()
 				got := runCacheFlow(t, mk(), variants[label])
 				if label != "cold W=1" {
-					checkFullReplay(t, label, c.Stats().Sub(prev))
+					checkFullReplay(t, label, prev, c.Stats())
 				}
 				if got.fp != base.fp {
 					t.Errorf("%s: tree fingerprint differs from uncached W=1", label)
@@ -95,18 +95,34 @@ func TestCacheByteIdentity(t *testing.T) {
 			if got.fp != base.fp || got.def != base.def {
 				t.Error("W=1 replay of a W=8-warmed cache differs from uncached run")
 			}
-			checkFullReplay(t, "W=1 run against W=8-warmed cache", c2.Stats().Sub(prev))
+			checkFullReplay(t, "W=1 run against W=8-warmed cache", prev, c2.Stats())
 		})
 	}
 }
 
-// checkFullReplay fails t unless delta, the store traffic of one warm run,
-// is one hit on the run stage and no miss.
-func checkFullReplay(t *testing.T, label string, delta cache.Stats) {
+// checkFullReplay fails t unless the store's counters went from before to
+// after by one hit on the run stage and no miss: the traffic of one warm
+// run that had the store to itself.
+func checkFullReplay(t *testing.T, label string, before, after cache.Stats) {
 	t.Helper()
-	s := delta.Stages[stageRun]
-	if len(delta.Stages) != 1 || s.Hits != 1 || s.Misses != 0 {
-		t.Errorf("%s: store traffic %+v, want one %s hit and no miss", label, delta.Stages, stageRun)
+	b, a := before.Stages[stageRun], after.Stages[stageRun]
+	if len(after.Stages) != 1 || a.Hits-b.Hits != 1 || a.Misses != b.Misses {
+		t.Errorf("%s: store traffic went from %+v to %+v, want one %s hit and no miss",
+			label, before.Stages, after.Stages, stageRun)
+	}
+}
+
+// checkSection fails t unless the report rec recorded carries a cache
+// section of exactly the given hits, misses and puts.
+func checkSection(t *testing.T, label string, rec *obs.Recorder, hits, misses, puts int64) {
+	t.Helper()
+	s := rec.Snapshot().Cache
+	if s == nil {
+		t.Fatalf("%s: report has no cache section", label)
+	}
+	if s.Hits != hits || s.Misses != misses || s.Puts != puts {
+		t.Errorf("%s: cache section reads hits %d, misses %d, puts %d; want %d, %d, %d",
+			label, s.Hits, s.Misses, s.Puts, hits, misses, puts)
 	}
 }
 
@@ -124,7 +140,7 @@ func TestCacheWarmReplayQoR(t *testing.T) {
 	prev := c.Stats()
 	warm := obs.New(obs.NewManualClock(1))
 	runCacheFlow(t, cacheTestDesign(17), func(o *Options) { o.Cache = c; o.Obs = warm })
-	checkFullReplay(t, "observed warm run", c.Stats().Sub(prev))
+	checkFullReplay(t, "observed warm run", prev, c.Stats())
 	fresh := obs.New(obs.NewManualClock(1))
 	runCacheFlow(t, cacheTestDesign(17), func(o *Options) { o.Obs = fresh })
 
@@ -166,7 +182,7 @@ func TestCacheDiskWarm(t *testing.T) {
 	if warm.fp != cold.fp || warm.def != cold.def {
 		t.Error("disk-warmed replay differs from cold run")
 	}
-	checkFullReplay(t, "disk-warmed run", c2.Stats())
+	checkFullReplay(t, "disk-warmed run", cache.Stats{}, c2.Stats())
 	if c2.Stats().Total().BytesRead == 0 {
 		t.Error("disk-warmed run read 0 bytes from the disk tier")
 	}
@@ -197,10 +213,10 @@ func TestCacheECO(t *testing.T) {
 	}
 	runCacheFlow(t, mk(), func(o *Options) { o.Cache = c })
 
-	prev := c.Stats()
+	prev := c.Stats().Total()
 	eco := runCacheFlow(t, move(mk()), func(o *Options) { o.Cache = c })
-	if d := c.Stats().Sub(prev).Total(); d.Hits != 0 || d.Misses != 1 {
-		t.Errorf("ECO run hit %d and missed %d times, want one miss", d.Hits, d.Misses)
+	if now := c.Stats().Total(); now.Hits != prev.Hits || now.Misses-prev.Misses != 1 {
+		t.Errorf("ECO run hit %d and missed %d times, want one miss", now.Hits-prev.Hits, now.Misses-prev.Misses)
 	}
 	plain := runCacheFlow(t, move(mk()), nil)
 	if eco.fp != plain.fp || eco.def != plain.def {
@@ -212,7 +228,9 @@ func TestCacheECO(t *testing.T) {
 // key. It passes the store's checks but not the run-entry codec, so the run
 // must drop it, recompute the uncached run's DEF byte for byte and leave a
 // decodable entry in its place (a memory-tier Put never replaces an
-// existing key, so that entry proves the bad one was deleted).
+// existing key, so that entry proves the bad one was deleted). The lookup
+// found nothing usable, so both the run's cache section and the store's
+// counters must count it as a miss, not a hit.
 func TestCacheUndecodableEntry(t *testing.T) {
 	d := cacheTestDesign(23)
 	base := runCacheFlow(t, d, nil)
@@ -225,7 +243,7 @@ func TestCacheUndecodableEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	runCacheFlow(t, d, func(o *Options) { o.Cache = filled })
-	good, ok := filled.Get(stageRun, key)
+	good, ok, _ := filled.Get(stageRun, key)
 	if !ok {
 		t.Fatal("cold run stored no entry under its run key")
 	}
@@ -235,15 +253,16 @@ func TestCacheUndecodableEntry(t *testing.T) {
 	}
 	c.Put(stageRun, key, good[:len(good)/2])
 
-	prev := c.Stats()
-	got := runCacheFlow(t, d, func(o *Options) { o.Cache = c })
+	rec := obs.New(obs.NewManualClock(1))
+	got := runCacheFlow(t, d, func(o *Options) { o.Cache = c; o.Obs = rec })
 	if got.def != base.def || got.fp != base.fp {
 		t.Error("run over an undecodable entry differs from the uncached run")
 	}
-	if s := c.Stats().Sub(prev).Stages[stageRun]; s.Puts != 1 {
-		t.Errorf("run over an undecodable entry stored %d entries, want 1 (a recompute)", s.Puts)
+	checkSection(t, "run over an undecodable entry", rec, 0, 1, 1)
+	if s := c.Stats().Stages[stageRun]; s.Hits != 0 || s.Misses != 1 {
+		t.Errorf("store counts hits %d and misses %d after the run, want 0 and 1", s.Hits, s.Misses)
 	}
-	data, ok := c.Get(stageRun, key)
+	data, ok, _ := c.Get(stageRun, key)
 	if !ok {
 		t.Fatal("no entry left under the run key")
 	}

@@ -225,13 +225,13 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 	}
 	var (
 		key    cache.Key
-		prev   cache.Stats
+		did    cache.StageStats // this run's own store traffic
 		res    *Result
 		levels []obs.LevelQoR
 	)
 	if store != nil {
-		key, prev = runKey(opts, d.ClockRoot, flat.Sinks), store.Stats()
-		res, levels = loadRun(store, key)
+		key = runKey(opts, d.ClockRoot, flat.Sinks)
+		res, levels, did = loadRun(store, key)
 	}
 	hit := res != nil
 	if hit {
@@ -256,11 +256,11 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 	}
 	res.Report = rep
 	if store != nil && !hit {
-		store.Put(stageRun, key, encodeRunEntry(levels, res.Tree.Root))
+		did = did.Add(store.Put(stageRun, key, encodeRunEntry(levels, res.Tree.Root)))
 	}
 	if opts.Obs.Enabled() {
 		if store != nil {
-			opts.Obs.SetCache(cacheReport(store.Stats().Sub(prev)))
+			opts.Obs.SetCache(cacheReport(did))
 		}
 		opts.Obs.SetTotals(obs.Totals{
 			WL:          rep.WL,

@@ -7,8 +7,9 @@ import (
 	"sllt/internal/designgen"
 )
 
-// TestRunDeterministicDEF is the end-to-end determinism regression the
-// slltlint suite exists to protect: running the full hierarchical flow
+// TestRunDeterministicDEF is the end-to-end determinism regression: it
+// catches map-order, global-rand and goroutine-schedule leaks, which change
+// a run's output from one run to the next. Running the full hierarchical flow
 // on a Table-4-class synthetic design must export byte-identical DEF — not
 // just matching aggregate report numbers, which can agree while buffer
 // placements or net decompositions silently differ. The check covers both

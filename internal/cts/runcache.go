@@ -73,48 +73,47 @@ func runKey(opts Options, root geom.Point, sinks []tree.PinSink) cache.Key {
 // loadRun replays the run stored under key: a Result without its timing
 // report, and the level records. An entry that passes the store's checksum
 // but not this codec (a schema skew the salt should have caught) is
-// deleted, and the caller recomputes. A miss returns nil.
-func loadRun(store *cache.Cache, key cache.Key) (*Result, []obs.LevelQoR) {
-	data, ok := store.Get(stageRun, key)
+// rejected, which deletes it and counts the lookup as a miss, and the
+// caller recomputes. A miss returns nil. The counts are the lookup's own
+// store traffic.
+func loadRun(store *cache.Cache, key cache.Key) (*Result, []obs.LevelQoR, cache.StageStats) {
+	data, ok, did := store.Get(stageRun, key)
 	if !ok {
-		return nil, nil
+		return nil, nil, did
 	}
 	levels, root, err := decodeRunEntry(data)
 	if err != nil {
-		store.Delete(key)
-		return nil, nil
+		return nil, nil, did.Add(store.Reject(stageRun, key))
 	}
 	res := &Result{Tree: &tree.Tree{Root: root}, Levels: len(levels)}
 	for _, q := range levels {
 		res.Clusters = append(res.Clusters, q.Clusters)
 	}
-	return res, levels
+	return res, levels, did
 }
 
-// cacheReport converts one run's store traffic into the report's cache
-// section.
-func cacheReport(delta cache.Stats) *obs.CacheJSON {
-	out := &obs.CacheJSON{}
-	for _, name := range delta.StageNames() {
-		s := delta.Stages[name]
-		out.Stages = append(out.Stages, obs.CacheStageJSON{
-			Stage:        name,
+// cacheReport converts one run's own store traffic, all of it under
+// stageRun, into the report's cache section. Counting the run's calls
+// rather than the store's totals keeps runs that share a store out of each
+// other's sections.
+func cacheReport(s cache.StageStats) *obs.CacheJSON {
+	return &obs.CacheJSON{
+		Stages: []obs.CacheStageJSON{{
+			Stage:        stageRun,
 			Hits:         s.Hits,
 			Misses:       s.Misses,
 			Puts:         s.Puts,
 			HitRate:      s.HitRate(),
 			BytesRead:    s.BytesRead,
 			BytesWritten: s.BytesWritten,
-		})
+		}},
+		Hits:         s.Hits,
+		Misses:       s.Misses,
+		Puts:         s.Puts,
+		HitRate:      s.HitRate(),
+		BytesRead:    s.BytesRead,
+		BytesWritten: s.BytesWritten,
+		Evictions:    s.Evictions,
+		DiskErrors:   s.DiskErrors,
 	}
-	t := delta.Total()
-	out.Hits = t.Hits
-	out.Misses = t.Misses
-	out.Puts = t.Puts
-	out.HitRate = t.HitRate()
-	out.BytesRead = t.BytesRead
-	out.BytesWritten = t.BytesWritten
-	out.Evictions = t.Evictions
-	out.DiskErrors = t.DiskErrors
-	return out
 }

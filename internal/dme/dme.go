@@ -44,11 +44,11 @@ func (m Model) String() string {
 	return "elmore"
 }
 
-// SinkFn annotates a sink with a per-sink scalar (its downstream delay or
-// load capacitance). Values of this type are called from inside the
-// bottom-up merge, so any side effect or hidden input would leak into the
-// embedding; implementations must be pure functions of (i, s) and whatever
-// immutable data they close over.
+// SinkFn annotates a sink with a per-sink scalar, its downstream delay.
+// Values of this type are called from inside the bottom-up merge, so any
+// side effect or hidden input would leak into the embedding;
+// implementations must be pure functions of (i, s) and whatever immutable
+// data they close over.
 type SinkFn func(i int, s tree.PinSink) float64
 
 // Options configures a DME run.
@@ -64,9 +64,6 @@ type Options struct {
 	// (hierarchical CTS balances cluster roots that already drive subtrees).
 	// Nil means zero for all sinks.
 	SinkDelay SinkFn
-	// SinkCap optionally overrides each sink's load capacitance for Elmore
-	// merging. Nil uses s.Cap.
-	SinkCap SinkFn
 	// RegionGreed in (0,1] controls how much of the skew slack merging
 	// regions may consume. Small values approach classic ZST-style merging
 	// segments (one split per merge); 1 grows each region to the full union
@@ -151,15 +148,11 @@ func bottomUp(net *tree.Net, tn *tree.TopoNode, opts Options) (*mnode, error) {
 		if opts.SinkDelay != nil {
 			d0 = opts.SinkDelay(tn.SinkIdx, s)
 		}
-		c := s.Cap
-		if opts.SinkCap != nil {
-			c = opts.SinkCap(tn.SinkIdx, s)
-		}
 		return &mnode{
 			ms:      geom.OctFromPoint(s.Loc),
 			lo:      d0,
 			hi:      d0,
-			cap:     c,
+			cap:     s.Cap,
 			sinkIdx: tn.SinkIdx,
 		}, nil
 	}
@@ -468,63 +461,6 @@ func clampF(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// elmoreSplit computes child edge lengths under the Elmore model. The skew
-// constraints translate into a band on δ = g_a(e_a) − g_b(e_b), the relative
-// delay shift between the subtrees:
-//
-//	δlo = b.hi − a.lo − B   (b's slowest vs a's fastest)
-//	δhi = B − a.hi + b.lo   (a's slowest vs b's fastest)
-//
-// with δlo ≤ δhi whenever both child spans are within the bound. Along the
-// no-detour family e_a = t, e_b = d−t, the shift h(t) = g_a(t) − g_b(d−t)
-// is strictly increasing, so feasibility at total length d reduces to an
-// interval test and the split to one binary search; when the band lies
-// outside h's range, exactly one side is snaked by the closed-form inverse.
-//
-// unit: d um -> um, um
-func elmoreSplit(a, b *mnode, d, B float64, opts Options) (ea, eb float64) {
-	dlo := b.hi - a.lo - B
-	dhi := B - a.hi + b.lo
-	// Midpoint alignment minimizes the merged span.
-	dc := clampF(((b.hi+b.lo)-(a.hi+a.lo))/2, dlo, dhi)
-	h := func(t float64) float64 {
-		return opts.delayAdd(t, a.cap) - opts.delayAdd(d-t, b.cap)
-	}
-	switch {
-	case h(d) < dlo:
-		// Even with all of d on a's side, a stays too fast: snake a.
-		return opts.invDelayAdd(dlo, a.cap), 0
-	case h(0) > dhi:
-		// b too fast: snake b (−dhi = a.hi − b.lo − B > g_b(d) here).
-		return 0, opts.invDelayAdd(-dhi, b.cap)
-	default:
-		// Feasible at total length d: solve h(t) = target.
-		target := clampF(dc, h(0), h(d))
-		lo, hi := 0.0, d
-		for i := 0; i < 64 && hi-lo > 1e-12*(d+1); i++ {
-			mid := (lo + hi) / 2
-			if h(mid) < target {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		t := (lo + hi) / 2
-		return t, d - t
-	}
-}
-
-// linearMergeCost returns the total wire length a linear-model merge of a
-// and b would need under skew bound B, without allocating. Used by the
-// Greedy-Merge topology generator's O(n³) pair scan.
-//
-// unit: -> um
-func linearMergeCost(a, b *mnode, B float64) float64 {
-	d := a.ms.Dist(b.ms)
-	ea, eb := linearSplit(a, b, d, B)
-	return ea + eb
 }
 
 // wireCap returns the wire capacitance a merge adds; zero under Linear,

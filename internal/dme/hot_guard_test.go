@@ -51,9 +51,6 @@ var allocFreeGuards = map[string][]func(){
 		func() { guardSinkF, guardSinkF2 = linearSplit(guardA, guardB, 0, 2) },
 		func() { guardSinkF, guardSinkF2 = linearSplit(guardB, guardA, 0, 2) },
 	},
-	"linearMergeCost": {
-		func() { guardSinkF = linearMergeCost(guardA, guardB, 2) },
-	},
 }
 
 func TestAllocFreeGuards(t *testing.T) {

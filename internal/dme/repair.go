@@ -48,9 +48,6 @@ func RepairSkew(t *tree.Tree, net *tree.Net, opts Options) error {
 				if opts.SinkDelay != nil {
 					d0 = opts.SinkDelay(n.SinkIdx, s)
 				}
-				if opts.SinkCap != nil {
-					ownCap = opts.SinkCap(n.SinkIdx, s)
-				}
 			}
 			return d0, d0, ownCap, nil
 		}

@@ -79,12 +79,8 @@ func (o Options) LengthBudget(net *tree.Net) float64 {
 		return o.SkewBound
 	}
 	var avgCap float64
-	for i, s := range net.Sinks {
-		c := s.Cap
-		if o.SinkCap != nil {
-			c = o.SinkCap(i, s)
-		}
-		avgCap += c
+	for _, s := range net.Sinks {
+		avgCap += s.Cap
 	}
 	if len(net.Sinks) > 0 {
 		avgCap /= float64(len(net.Sinks))

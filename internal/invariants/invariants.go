@@ -1,8 +1,9 @@
 // Package invariants provides a runtime checker for clock-tree structural
 // and electrical invariants, for use in test suites after every tree
-// construction or transformation. It complements the static slltlint
-// analyzers: the analyzers keep the algorithms deterministic at the source
-// level, this package keeps the trees they build well-formed at run time.
+// construction or transformation. It complements the determinism tests,
+// which compare runs, and the lint gate (internal/analysis): those keep the
+// algorithms reproducible, this package keeps the trees they build
+// well-formed at run time.
 //
 // CheckTree is the entry point; the finer-grained checks (CheckLoad,
 // CheckSkew, CheckGamma) let suites assert the electrical bounds their

@@ -2,12 +2,14 @@
 // concurrent loop in the CTS flow. The paper's hierarchy (§3, Fig. 3)
 // synthesizes each level's clusters independently, which makes the hot
 // loops embarrassingly parallel — but the repository's contract is byte
-// reproducibility for a fixed seed, so raw goroutines-plus-channels (whose
-// completion order leaks into append order, float accumulation order, or
-// error selection) are banned from algorithm packages by the slltlint
-// sharedstate rule. ForEach is the sanctioned shape: an indexed fan-out
-// whose tasks may only write state partitioned by their own index, so the
-// observable result is identical for any worker count and any schedule.
+// reproducibility for a fixed seed, so algorithm packages do not use raw
+// goroutines-plus-channels, whose completion order leaks into append
+// order, float accumulation order, or error selection. A leak of that kind
+// changes a run's output from one schedule to the next, which the
+// WorkersInvariant tests, the pinned flow digests and the race detector
+// catch. ForEach is the sanctioned shape: an indexed fan-out whose tasks
+// may only write state partitioned by their own index, so the observable
+// result is identical for any worker count and any schedule.
 //
 // Determinism rules for code built on this package:
 //
