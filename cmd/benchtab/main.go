@@ -12,7 +12,6 @@
 //	benchtab -table 6 -workers 8      # spread independent work over 8 cores
 //	benchtab -table smoke -workers 8  # print the smoke flow's DEF digest
 //	benchtab -table 2 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	benchtab -table 6 -stages         # per-stage wall clock
 //	benchtab -table cachesmoke        # smoke flow twice vs one store
 //
 // -workers parallelizes the independent units of each table (per-cluster
@@ -28,7 +27,8 @@
 // digest.
 //
 // Performance is not recorded here: cmd/slltbench is the repository's
-// benchmark (see BENCHMARK.json).
+// benchmark (see BENCHMARK.json), and `slltcts -report`/`-trace` show one
+// run's per-stage span tree.
 package main
 
 import (
@@ -50,7 +50,6 @@ func main() {
 	nets := flag.Int("nets", 400, "random nets per cell for tables 2/3 (paper: 10000)")
 	seed := flag.Int64("seed", 1, "seed")
 	scale := flag.Float64("scale", 1.0, "design size scale factor for tables 6/7")
-	stages := flag.Bool("stages", false, "append a per-stage wall-clock table to tables 6/7 (runs with observability on; QoR columns unchanged)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for independent work (<=1 serial; capped at GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -111,16 +110,7 @@ func main() {
 		return nil
 	})
 	flowTable := func(title string, specs []designgen.Spec) error {
-		var results []bench.FlowResult
-		if *stages {
-			results = bench.RunFlowsObs(specs, *seed, *workers)
-		} else {
-			results = bench.RunFlows(specs, *seed, *workers)
-		}
-		fmt.Println(bench.FormatFlowTable(title, results))
-		if *stages {
-			fmt.Println(bench.FormatStageTable("Per-stage wall clock", results))
-		}
+		fmt.Println(bench.FormatFlowTable(title, bench.RunFlows(specs, *seed, *workers)))
 		return nil
 	}
 	run("6", func() error {

@@ -8,7 +8,6 @@ import (
 	"sllt/internal/baseline"
 	"sllt/internal/cts"
 	"sllt/internal/designgen"
-	"sllt/internal/obs"
 )
 
 // FlowNames in paper column order.
@@ -42,11 +41,7 @@ type FlowResult struct {
 	Cap     float64 // fF
 	WL      float64 // µm
 	Runtime float64 // s
-	// Stages holds per-stage wall-clock sums (span name -> ns), filled
-	// only by RunFlowsObs; FormatFlowTable ignores it, so the default
-	// table output is identical with and without observability.
-	Stages map[string]int64 // unit: ns
-	Err    error
+	Err     error
 }
 
 // RunFlows synthesizes every design with every flow. Designs are generated
@@ -55,31 +50,13 @@ type FlowResult struct {
 // compare, so they must not compete for cores — while each synthesis
 // spreads its own cluster builds over the given workers.
 func RunFlows(specs []designgen.Spec, seed int64, workers int) []FlowResult {
-	return runFlows(specs, seed, workers, false)
-}
-
-// RunFlowsObs is RunFlows with observability: each (design, flow) cell
-// synthesizes under its own obs.Recorder and its row carries the per-stage
-// wall-clock sums from the recorder's span tree. The QoR columns are
-// identical to RunFlows — the recorder observes, it never feeds back.
-func RunFlowsObs(specs []designgen.Spec, seed int64, workers int) []FlowResult {
-	return runFlows(specs, seed, workers, true)
-}
-
-func runFlows(specs []designgen.Spec, seed int64, workers int, withObs bool) []FlowResult {
 	flows := FlowOptions(workers)
 	var out []FlowResult
 	for _, spec := range specs {
 		d := designgen.Generate(spec, seed)
 		for _, fname := range FlowNames {
-			opts := flows[fname]
-			var rec *obs.Recorder
-			if withObs {
-				rec = obs.New(nil)
-				opts.Obs = rec
-			}
 			start := time.Now()
-			res, err := cts.Run(d, opts)
+			res, err := cts.Run(d, flows[fname])
 			fr := FlowResult{Design: spec.Name, Flow: fname, Runtime: time.Since(start).Seconds(), Err: err}
 			if err == nil {
 				fr.Latency = res.Report.MaxLatency
@@ -89,42 +66,10 @@ func runFlows(specs []designgen.Spec, seed int64, workers int, withObs bool) []F
 				fr.Cap = res.Report.ClockCap
 				fr.WL = res.Report.WL
 			}
-			if rec != nil {
-				fr.Stages = rec.Snapshot().StageNs()
-			}
 			out = append(out, fr)
 		}
 	}
 	return out
-}
-
-// StageNames are the per-stage columns of FormatStageTable, in flow order:
-// the level loop's partitioning and cluster builds, the top-level net, and
-// the final STA pass.
-var StageNames = []string{"partition", "clusters", "top_net", "timing"}
-
-// FormatStageTable renders the per-stage wall clock of RunFlowsObs results
-// as a companion table to FormatFlowTable. Rows without stage data
-// (RunFlows results, failed cells) are skipped.
-func FormatStageTable(title string, results []FlowResult) string {
-	var b strings.Builder
-	b.WriteString(title + "\n")
-	fmt.Fprintf(&b, "%-10s %-5s", "Case", "Flow")
-	for _, s := range StageNames {
-		fmt.Fprintf(&b, " %12s", s+"(s)")
-	}
-	b.WriteString("\n")
-	for _, r := range results {
-		if r.Err != nil || r.Stages == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "%-10s %-5s", r.Design, r.Flow)
-		for _, s := range StageNames {
-			fmt.Fprintf(&b, " %12.3f", float64(r.Stages[s])/1e9)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }
 
 // FormatFlowTable renders results in the paper's Table 6/7 layout, including

@@ -12,6 +12,7 @@ import (
 	"sllt/internal/liberty"
 	"sllt/internal/obs"
 	"sllt/internal/tech"
+	"sllt/internal/timing"
 	"sllt/internal/tree"
 )
 
@@ -106,7 +107,7 @@ func NewInserter(lib *liberty.Library, tc tech.Tech, maxCap float64) *Inserter {
 // unit: cap fF -> um
 func (ins *Inserter) CriticalLength(cell *liberty.BufferCell, cap float64) float64 {
 	r, c := ins.Tech.RPerUm, ins.Tech.CPerUm
-	den := r * c * (math.Log(9)*cell.WS + 1)
+	den := r * c * (timing.Ln9*cell.WS + 1)
 	if den <= 0 {
 		return math.Inf(1)
 	}
@@ -246,29 +247,7 @@ func (ins *Inserter) decoupleSlowWires(t *tree.Tree) int {
 	}
 	total := 0
 	for iter := 0; iter < 128; iter++ {
-		// Stage capacitance below each node (cut at buffer inputs).
-		caps := make(map[*tree.Node]float64)
-		var capOf func(n *tree.Node) float64
-		capOf = func(n *tree.Node) float64 {
-			switch n.Kind {
-			case tree.Sink:
-				caps[n] = n.PinCap
-				return n.PinCap
-			case tree.Buffer:
-				for _, c := range n.Children {
-					capOf(c)
-				}
-				caps[n] = n.PinCap
-				return n.PinCap
-			}
-			var c float64
-			for _, ch := range n.Children {
-				c += ins.Tech.WireCap(ch.EdgeLen) + capOf(ch)
-			}
-			caps[n] = c
-			return c
-		}
-		capOf(t.Root)
+		caps := timing.StageCaps(t.Root, ins.Tech)
 
 		var worst *tree.Node
 		worstD := ins.MaxWireDelay

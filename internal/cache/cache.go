@@ -98,7 +98,7 @@ func (c *Cache) Get(stage string, key Key) ([]byte, bool, StageStats) {
 	if disk != nil {
 		if v, ok := disk.Get(key); ok {
 			c.mu.Lock()
-			evicted := c.mem.put(key, v)
+			_, evicted := c.mem.put(key, v)
 			did := c.count(stage, StageStats{Hits: 1, BytesRead: int64(len(v)), Evictions: int64(evicted)})
 			c.mu.Unlock()
 			return v, true, did
@@ -111,17 +111,23 @@ func (c *Cache) Get(stage string, key Key) ([]byte, bool, StageStats) {
 }
 
 // Put stores value under key and returns what the store did: one put, the
-// bytes admitted, the evictions that made room, and a disk error if the
-// disk tier failed to write. Values are immutable: a second Put of the same
-// key is a no-op in memory and overwrites the identical bytes on disk. The
-// cache takes ownership of value; callers must not modify it afterwards.
+// value bytes the memory tier admitted (none when the key is resident or
+// the value exceeds the whole budget), the evictions that made room, and a
+// disk error if the disk tier failed to write. Values are immutable: a
+// second Put of the same key is a no-op in memory and overwrites the
+// identical bytes on disk. The cache takes ownership of value; callers must
+// not modify it afterwards.
 func (c *Cache) Put(stage string, key Key, value []byte) StageStats {
 	if c == nil {
 		return StageStats{}
 	}
 	c.mu.Lock()
-	evicted := c.mem.put(key, value)
-	did := c.count(stage, StageStats{Puts: 1, BytesWritten: int64(len(value)), Evictions: int64(evicted)})
+	admitted, evicted := c.mem.put(key, value)
+	did := StageStats{Puts: 1, Evictions: int64(evicted)}
+	if admitted {
+		did.BytesWritten = int64(len(value))
+	}
+	did = c.count(stage, did)
 	disk := c.disk
 	c.mu.Unlock()
 	if disk != nil {
@@ -160,7 +166,7 @@ func (c *Cache) Reject(stage string, key Key) StageStats {
 type StageStats struct {
 	Hits         int64
 	Misses       int64
-	Puts         int64
+	Puts         int64 // Put calls, whether or not the memory tier admitted the value
 	BytesRead    int64 // value bytes read from the disk tier
 	BytesWritten int64 // value bytes admitted (memory tier)
 	Evictions    int64

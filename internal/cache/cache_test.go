@@ -81,6 +81,38 @@ func TestOversizedValueNotAdmitted(t *testing.T) {
 	}
 }
 
+// TestBytesWrittenCountsAdmittedOnly checks that BytesWritten counts only
+// the bytes the memory tier keeps: a Put of a resident key and a Put of a
+// value over the whole budget each count one put and no bytes.
+func TestBytesWrittenCountsAdmittedOnly(t *testing.T) {
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put("s", key(1), []byte("val"))
+	c.Put("s", key(1), []byte("val"))
+	if s := c.Stats().Stages["s"]; s.Puts != 2 || s.BytesWritten != 3 {
+		t.Errorf("two Puts of one key count puts %d and bytes %d, want 2 and 3", s.Puts, s.BytesWritten)
+	}
+	if c.Len() != 1 {
+		t.Errorf("memory tier holds %d entries, want 1", c.Len())
+	}
+
+	small, err := New(Config{MemBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if did := small.Put("s", key(1), make([]byte, 1000)); did.Puts != 1 || did.BytesWritten != 0 {
+		t.Errorf("oversized Put returned puts %d and bytes %d, want 1 and 0", did.Puts, did.BytesWritten)
+	}
+	if s := small.Stats().Stages["s"]; s.BytesWritten != 0 {
+		t.Errorf("oversized Put counts %d bytes written, want 0", s.BytesWritten)
+	}
+	if small.Len() != 0 {
+		t.Errorf("memory tier holds %d entries, want 0", small.Len())
+	}
+}
+
 // TestReject checks that Reject removes an entry from both tiers and
 // recounts the lookup that returned it as a miss.
 func TestReject(t *testing.T) {

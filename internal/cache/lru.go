@@ -38,16 +38,18 @@ func (m *memLRU) get(key Key) ([]byte, bool) {
 }
 
 // put admits the value, evicting least-recently-used entries to stay under
-// budget, and returns how many entries were evicted. A value larger than the
-// whole budget is not admitted (it would evict everything for one entry that
-// can never be joined by another).
-func (m *memLRU) put(key Key, value []byte) (evicted int) {
+// budget, and reports whether it admitted the value and how many entries it
+// evicted. A resident key is not admitted again (values are immutable: same
+// key implies same bytes), and neither is a value larger than the whole
+// budget (it would evict everything for one entry that can never be joined
+// by another).
+func (m *memLRU) put(key Key, value []byte) (admitted bool, evicted int) {
 	if _, ok := m.entries[key]; ok {
-		return 0 // immutable: same key implies same bytes
+		return false, 0
 	}
 	cost := int64(len(value)) + entryOverhead
 	if cost > m.budget {
-		return 0
+		return false, 0
 	}
 	for m.used+cost > m.budget {
 		back := m.order.Back()
@@ -63,7 +65,7 @@ func (m *memLRU) put(key Key, value []byte) (evicted int) {
 	el := m.order.PushFront(&memEntry{key: key, value: value})
 	m.entries[key] = el
 	m.used += cost
-	return evicted
+	return true, evicted
 }
 
 func (m *memLRU) delete(key Key) {

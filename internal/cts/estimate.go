@@ -35,12 +35,12 @@ func estimateLatency(driver *tree.Node, opts Options) (float64, error) {
 //
 // unit: -> ps
 func lowerBoundLatency(driver *tree.Node, opts Options) float64 {
-	caps := stageCaps(driver, opts)
+	caps := timing.StageCaps(driver, opts.Tech)
 	var maxLat float64
 	var walk func(n *tree.Node, d float64)
 	walk = func(n *tree.Node, d float64) {
 		if n.Kind == tree.Buffer {
-			d += opts.Lib.InsertionDelayLowerBound(bufferLoad(n, caps, opts))
+			d += opts.Lib.InsertionDelayLowerBound(timing.BufferLoad(n, caps, opts.Tech))
 		}
 		if n.Kind == tree.Sink && d > maxLat {
 			maxLat = d
@@ -53,51 +53,6 @@ func lowerBoundLatency(driver *tree.Node, opts Options) float64 {
 	return maxLat
 }
 
-// stageCaps computes downstream capacitance per node, cut at buffer inputs.
-//
-// unit: -> fF
-func stageCaps(root *tree.Node, opts Options) map[*tree.Node]float64 {
-	caps := make(map[*tree.Node]float64)
-	var rec func(n *tree.Node) float64
-	rec = func(n *tree.Node) float64 {
-		var c float64
-		switch n.Kind {
-		case tree.Sink, tree.Buffer:
-			c = n.PinCap
-		}
-		if n.Kind == tree.Buffer && n != root {
-			for _, ch := range n.Children {
-				rec(ch)
-			}
-			caps[n] = n.PinCap
-			return n.PinCap
-		}
-		for _, ch := range n.Children {
-			c += opts.Tech.WireCap(ch.EdgeLen) + rec(ch)
-		}
-		if n.Kind == tree.Buffer {
-			// root buffer: record its cone, present upstream as pin cap
-			caps[n] = c - n.PinCap
-			return n.PinCap
-		}
-		caps[n] = c
-		return c
-	}
-	rec(root)
-	return caps
-}
-
-// bufferLoad returns the stage load a buffer drives.
-//
-// unit: caps fF -> fF
-func bufferLoad(n *tree.Node, caps map[*tree.Node]float64, opts Options) float64 {
-	var load float64
-	for _, c := range n.Children {
-		load += opts.Tech.WireCap(c.EdgeLen) + caps[c]
-	}
-	return load
-}
-
 // repairBuffered restores the per-net skew bound after buffer insertion by
 // snaking the edges of too-fast subtrees, exactly like dme.RepairSkew but
 // with buffer stage delays in the delay model. Because added wire loads the
@@ -107,7 +62,7 @@ func bufferLoad(n *tree.Node, caps map[*tree.Node]float64, opts Options) float64
 // unit: bound ps ->
 func repairBuffered(t *tree.Tree, opts Options, dopts dme.Options, bound float64) {
 	for iter := 0; iter < 4; iter++ {
-		caps := stageCaps(t.Root, opts)
+		caps := timing.StageCaps(t.Root, opts.Tech)
 		padded := false
 
 		type interval struct{ lo, hi float64 }
@@ -123,7 +78,7 @@ func repairBuffered(t *tree.Tree, opts Options, dopts dme.Options, bound float64
 			var bufDelay float64
 			if n.Kind == tree.Buffer {
 				if cell := opts.Lib.Cell(n.BufCell); cell != nil {
-					bufDelay = cell.Delay(opts.SourceSlew, bufferLoad(n, caps, opts))
+					bufDelay = cell.Delay(opts.SourceSlew, timing.BufferLoad(n, caps, opts.Tech))
 				}
 			}
 			type kid struct {
@@ -144,7 +99,7 @@ func repairBuffered(t *tree.Tree, opts Options, dopts dme.Options, bound float64
 				e := opts.Tech.WireElmore(k.n.EdgeLen, caps[k.n])
 				if target := hmax - bound - k.slo; e < target-1e-9 {
 					// Extend this edge so its subtree is no longer fast.
-					newLen := invWireElmore(target, caps[k.n], opts)
+					newLen := opts.Tech.ElmoreLength(target, caps[k.n])
 					if newLen > k.n.EdgeLen {
 						k.n.EdgeLen = newLen
 						padded = true
@@ -161,18 +116,4 @@ func repairBuffered(t *tree.Tree, opts Options, dopts dme.Options, bound float64
 			return
 		}
 	}
-}
-
-// invWireElmore returns the wire length whose Elmore delay into the given
-// load reaches target.
-//
-// unit: target ps, load fF -> um
-func invWireElmore(target, load float64, opts Options) float64 {
-	if target <= 0 {
-		return 0
-	}
-	r, c := opts.Tech.RPerUm, opts.Tech.CPerUm
-	a := r * c / 2
-	b := r * load
-	return (-b + math.Sqrt(b*b+4*a*target)) / (2 * a)
 }

@@ -67,9 +67,8 @@ func TestObsInvariance(t *testing.T) {
 	}
 }
 
-// TestRunReportSchema validates a real flow's run report against the
-// sllt.obs.report/v1.1 schema contract and cross-checks the report against
-// the synthesis result it describes — one level record per tree level,
+// TestRunReportSchema serializes a real flow's run report and cross-checks
+// it against the synthesis result it describes — one level record per tree level,
 // totals matching the timing report, and all four stage spans present.
 // The canonical byte-level fixture lives in internal/obs
 // (testdata/report_golden.json); this test pins the producer side.
@@ -84,12 +83,8 @@ func TestRunReportSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := opts.Obs.Snapshot()
-	data, err := rep.JSON()
-	if err != nil {
+	if _, err := rep.JSON(); err != nil {
 		t.Fatal(err)
-	}
-	if err := obs.ValidateReport(data); err != nil {
-		t.Fatalf("run report does not validate: %v\n%s", err, data)
 	}
 	if len(rep.Levels) != res.Levels {
 		t.Errorf("report has %d level records, flow built %d levels", len(rep.Levels), res.Levels)

@@ -241,18 +241,10 @@ func (o Options) delayAdd(length, subCap float64) float64 {
 //
 // unit: subCap fF -> um
 func (o Options) invDelayAdd(target, subCap float64) float64 {
-	if target <= 0 {
-		return 0
-	}
 	if o.Model == Linear {
-		return target
+		return math.Max(target, 0)
 	}
-	// Solve r·L·(c·L/2 + cap) = target for L >= 0.
-	r, c := o.Tech.RPerUm, o.Tech.CPerUm
-	a := r * c / 2
-	bq := r * subCap
-	// a·L² + b·L − target = 0
-	return (-bq + math.Sqrt(bq*bq+4*a*target)) / (2 * a)
+	return o.Tech.ElmoreLength(target, subCap)
 }
 
 // merge combines two subtrees under the skew bound, computing the merging

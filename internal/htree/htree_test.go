@@ -6,9 +6,7 @@ import (
 
 	"sllt/internal/geom"
 	"sllt/internal/invariants"
-	"sllt/internal/liberty"
 	"sllt/internal/rsmt"
-	"sllt/internal/tech"
 	"sllt/internal/tree"
 )
 
@@ -148,59 +146,5 @@ func TestDefaultFactors(t *testing.T) {
 	}
 	if len(DefaultFactors(1)) != 0 {
 		t.Error("single sink should need no branching")
-	}
-}
-
-func TestOptimalFactorsCoverAndWin(t *testing.T) {
-	lib := liberty.Default()
-	tc := tech.Default28nm()
-	for _, n := range []int{8, 64, 500, 5000} {
-		side := 100 + float64(n)/10
-		factors := OptimalFactors(n, side, lib, tc)
-		// The schedule must cover all n leaves.
-		prod := 1
-		for _, k := range factors {
-			if k < 2 || k > 9 {
-				t.Fatalf("n=%d: factor %d out of range", n, k)
-			}
-			prod *= k
-		}
-		if prod < n {
-			t.Errorf("n=%d: factors %v cover only %d leaves", n, factors, prod)
-		}
-		// The optimizer must beat (or match) the plain binary schedule and
-		// a flat max-branching schedule under its own cost model.
-		opt := EstimatedDelay(factors, n, side, lib, tc)
-		if bin := EstimatedDelay(nil, n, side, lib, tc); opt > bin+1e-9 {
-			t.Errorf("n=%d: optimal %g worse than binary %g", n, opt, bin)
-		}
-		wide := []int{9, 9, 9, 9, 9, 9}
-		if w := EstimatedDelay(wide, n, side, lib, tc); opt > w+1e-9 {
-			t.Errorf("n=%d: optimal %g worse than flat-9 %g", n, opt, w)
-		}
-	}
-}
-
-func TestOptimalFactorsBuildable(t *testing.T) {
-	lib := liberty.Default()
-	tc := tech.Default28nm()
-	rng := rand.New(rand.NewSource(35))
-	net := &tree.Net{Source: geom.Pt(50, 50)}
-	used := map[geom.Point]bool{}
-	for len(net.Sinks) < 48 {
-		p := geom.Pt(float64(rng.Intn(100)), float64(rng.Intn(100)))
-		if used[p] {
-			continue
-		}
-		used[p] = true
-		net.Sinks = append(net.Sinks, tree.PinSink{Loc: p, Cap: 1})
-	}
-	factors := OptimalFactors(len(net.Sinks), 100, lib, tc)
-	gh := BuildGH(net, factors)
-	if err := invariants.CheckTree(gh); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(gh.Sinks()); got != 48 {
-		t.Fatalf("sinks = %d", got)
 	}
 }

@@ -37,6 +37,5 @@ func FuzzParseLiberty(f *testing.F) {
 		_ = lib.Smallest()
 		_ = lib.Strongest()
 		_ = lib.InsertionDelayLowerBound(10)
-		_ = lib.PickForLoad(10, 0.9)
 	})
 }

@@ -141,15 +141,6 @@ func TestLibraryOrderingAndSelection(t *testing.T) {
 	if lib.Smallest().Name != "CLKBUFX2" || lib.Strongest().Name != "CLKBUFX16" {
 		t.Errorf("smallest/strongest = %s/%s", lib.Smallest().Name, lib.Strongest().Name)
 	}
-	if got := lib.PickForLoad(30, 1).Name; got != "CLKBUFX2" {
-		t.Errorf("PickForLoad(30) = %s, want CLKBUFX2", got)
-	}
-	if got := lib.PickForLoad(30, 0.5).Name; got != "CLKBUFX4" {
-		t.Errorf("PickForLoad(30, margin 0.5) = %s, want CLKBUFX4", got)
-	}
-	if got := lib.PickForLoad(1e6, 1).Name; got != "CLKBUFX16" {
-		t.Errorf("PickForLoad(huge) = %s, want strongest", got)
-	}
 }
 
 func TestInsertionDelayLowerBound(t *testing.T) {

@@ -62,23 +62,6 @@ func (l *Library) Smallest() *BufferCell { return l.Cells[0] }
 // Strongest returns the strongest buffer.
 func (l *Library) Strongest() *BufferCell { return l.Cells[len(l.Cells)-1] }
 
-// PickForLoad returns the smallest cell whose max_capacitance covers the
-// load with the given derating margin in (0,1]; the strongest cell if none
-// qualifies.
-//
-// unit: capLoad fF, margin 1 -> _
-func (l *Library) PickForLoad(capLoad, margin float64) *BufferCell {
-	if margin <= 0 || margin > 1 {
-		margin = 1
-	}
-	for _, c := range l.Cells {
-		if capLoad <= c.MaxCap*margin {
-			return c
-		}
-	}
-	return l.Strongest()
-}
-
 // MinWC returns min over cells of the load coefficient — the first term of
 // the paper's Equation (7) insertion-delay lower bound.
 //

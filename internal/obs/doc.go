@@ -42,10 +42,11 @@
 //
 // # Report schema
 //
-// Snapshot serializes the recorder as canonical JSON. The schema is
-// versioned by the Schema field ("sllt.obs.report/v1.1"); any
-// backwards-incompatible change to the layout below must bump the version
-// and extend ValidateReport:
+// Snapshot serializes the recorder as canonical JSON. The Report types are
+// the schema, versioned by the Schema field ("sllt.obs.report/v1.1"), and
+// testdata/report_golden.json pins their bytes; any backwards-incompatible
+// change to the layout below must bump the version and regenerate the
+// golden:
 //
 //	{
 //	  "schema":  "sllt.obs.report/v1.1",

@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// SchemaVersion identifies the run-report JSON layout. Bump on any
-// backwards-incompatible change and extend ValidateReport accordingly.
-// v1.1 adds the optional "cache" section (per-stage cache hit/miss/byte
+// SchemaVersion identifies the run-report JSON layout, which the Report
+// types define. Bump it on any backwards-incompatible change and regenerate
+// testdata/report_golden.json (go test ./internal/obs -run TestReportGolden
+// -update). v1.1 adds the optional "cache" section (per-stage cache hit/miss/byte
 // counters); everything in v1 is unchanged.
 const SchemaVersion = "sllt.obs.report/v1.1"
 

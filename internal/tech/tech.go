@@ -15,6 +15,8 @@
 // paper reports (Tables 2, 3, 6, 7).
 package tech
 
+import "math"
+
 // Tech is a process technology description.
 type Tech struct {
 	Name string
@@ -54,4 +56,18 @@ func (t Tech) WireRes(length float64) float64 { return t.RPerUm * length }
 // unit: length um, load fF -> ps
 func (t Tech) WireElmore(length, load float64) float64 {
 	return t.RPerUm * length * (t.CPerUm*length/2 + load)
+}
+
+// ElmoreLength inverts WireElmore: it returns the wire length whose Elmore
+// delay into the given load reaches target, the positive root of
+// r·L·(c·L/2 + load) = target, and 0 for a target that is not positive.
+//
+// unit: target ps, load fF -> um
+func (t Tech) ElmoreLength(target, load float64) float64 {
+	if target <= 0 {
+		return 0
+	}
+	a := t.RPerUm * t.CPerUm / 2
+	b := t.RPerUm * load
+	return (-b + math.Sqrt(b*b+4*a*target)) / (2 * a)
 }

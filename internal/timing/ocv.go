@@ -51,33 +51,7 @@ func AnalyzeOCV(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew flo
 		return nil, fmt.Errorf("timing: nil tree")
 	}
 	// Stage capacitances (nominal — variation on caps is second-order).
-	stageCap := make(map[*tree.Node]float64)
-	bufLoad := make(map[*tree.Node]float64)
-	var capOf func(n *tree.Node) float64
-	capOf = func(n *tree.Node) float64 {
-		var c float64
-		switch n.Kind {
-		case tree.Sink:
-			c = n.PinCap
-		case tree.Buffer:
-			for _, ch := range n.Children {
-				capOf(ch)
-			}
-			var cone float64
-			for _, ch := range n.Children {
-				cone += tc.WireCap(ch.EdgeLen) + stageCap[ch]
-			}
-			bufLoad[n] = cone
-			stageCap[n] = n.PinCap
-			return n.PinCap
-		}
-		for _, ch := range n.Children {
-			c += tc.WireCap(ch.EdgeLen) + capOf(ch)
-		}
-		stageCap[n] = c
-		return c
-	}
-	capOf(t.Root)
+	stageCap := StageCaps(t.Root, tc)
 
 	// nodeDelay returns the nominal delay contribution of n itself (its
 	// buffer, if any) plus the wire into n.
@@ -90,7 +64,7 @@ func AnalyzeOCV(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew flo
 			if c == nil {
 				return 0, 0, fmt.Errorf("timing: unknown buffer cell %q", n.BufCell)
 			}
-			cell = c.Delay(sourceSlew, bufLoad[n])
+			cell = c.Delay(sourceSlew, BufferLoad(n, stageCap, tc))
 		}
 		return wire, cell, nil
 	}

@@ -50,38 +50,7 @@ func Analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 		SinkLatency: make(map[int]float64),
 	}
 
-	// stageCap[n]: downstream capacitance seen from n, cut at buffer inputs.
-	// bufLoad[b]: the stage load each buffer drives.
-	stageCap := make(map[*tree.Node]float64)
-	bufLoad := make(map[*tree.Node]float64)
-	var capOf func(n *tree.Node) float64
-	capOf = func(n *tree.Node) float64 {
-		var c float64
-		switch n.Kind {
-		case tree.Sink:
-			c = n.PinCap
-		case tree.Buffer:
-			// A buffer's input pin terminates the upstream stage; its own
-			// fanout cone is a separate stage computed below.
-			for _, ch := range n.Children {
-				capOf(ch)
-			}
-			cone := 0.0
-			for _, ch := range n.Children {
-				cone += tc.WireCap(ch.EdgeLen) + stageCap[ch]
-			}
-			stageCap[n] = n.PinCap // as seen from upstream
-			// Remember the buffer's own load separately.
-			bufLoad[n] = cone
-			return n.PinCap
-		}
-		for _, ch := range n.Children {
-			c += tc.WireCap(ch.EdgeLen) + capOf(ch)
-		}
-		stageCap[n] = c
-		return c
-	}
-	capOf(t.Root)
+	stageCap := StageCaps(t.Root, tc)
 
 	var err error
 	var walk func(n *tree.Node, delay, slew float64)
@@ -96,7 +65,7 @@ func Analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 				err = fmt.Errorf("timing: unknown buffer cell %q at %v", n.BufCell, n.Loc)
 				return
 			}
-			load := bufLoad[n]
+			load := BufferLoad(n, stageCap, tc)
 			if load > rep.MaxStgCap {
 				rep.MaxStgCap = load
 			}
@@ -143,4 +112,46 @@ func Analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 	})
 	rep.ClockCap += tc.WireCap(rep.WL)
 	return rep, nil
+}
+
+// StageCaps returns each node's stage capacitance: the wire and pin
+// capacitance below it, cut at buffer inputs. A buffer's entry is its input
+// pin, the load it presents upstream; BufferLoad gives the load it drives.
+// This is the stage load of the paper's §3.4 buffering (Equations 6 and 7)
+// and of sign-off timing, and every walk that needs one reads it here.
+//
+// unit: -> fF
+func StageCaps(root *tree.Node, tc tech.Tech) map[*tree.Node]float64 {
+	caps := make(map[*tree.Node]float64)
+	var rec func(n *tree.Node) float64
+	rec = func(n *tree.Node) float64 {
+		var c float64
+		switch n.Kind {
+		case tree.Sink, tree.Buffer:
+			c = n.PinCap
+		}
+		for _, ch := range n.Children {
+			below := rec(ch)
+			if n.Kind != tree.Buffer {
+				c += tc.WireCap(ch.EdgeLen) + below
+			}
+		}
+		caps[n] = c
+		return c
+	}
+	rec(root)
+	return caps
+}
+
+// BufferLoad returns the stage load buffer n drives: the wires to its
+// children and their stage capacitances from caps, as StageCaps returns
+// them.
+//
+// unit: caps fF -> fF
+func BufferLoad(n *tree.Node, caps map[*tree.Node]float64, tc tech.Tech) float64 {
+	var load float64
+	for _, ch := range n.Children {
+		load += tc.WireCap(ch.EdgeLen) + caps[ch]
+	}
+	return load
 }

@@ -59,6 +59,60 @@ func TestAnalyzeChainByHand(t *testing.T) {
 	}
 }
 
+// TestStageCapsByHand checks the stage model below a branch, by hand: the
+// source feeds a Steiner point, which feeds sink a and a CLKBUFX2 (0.8 fF
+// input pin) that drives sinks c and d. Wire is 0.12 fF/µm.
+func TestStageCapsByHand(t *testing.T) {
+	lib := liberty.Default()
+	tc := tech.Default28nm()
+	tr := tree.New(geom.Pt(0, 0))
+	st := tree.NewNode(tree.Steiner, geom.Pt(50, 0))
+	tr.Root.AddChild(st)
+	sink := func(parent *tree.Node, x, y, pin float64, idx int) *tree.Node {
+		s := tree.NewNode(tree.Sink, geom.Pt(x, y))
+		s.PinCap = pin
+		s.SinkIdx = idx
+		parent.AddChild(s)
+		return s
+	}
+	a := sink(st, 50, 30, 2, 0)
+	buf := tree.NewNode(tree.Buffer, geom.Pt(80, 0))
+	buf.BufCell = "CLKBUFX2"
+	buf.PinCap = lib.Cell("CLKBUFX2").InputCap
+	st.AddChild(buf)
+	c := sink(buf, 80, 40, 1.5, 1)
+	d := sink(buf, 140, 0, 2.5, 2)
+
+	caps := StageCaps(tr.Root, tc)
+	for _, want := range []struct {
+		name string
+		n    *tree.Node
+		fF   float64
+	}{
+		{"sink a", a, 2},
+		{"sink c", c, 1.5},
+		{"sink d", d, 2.5},
+		{"buffer (input pin only)", buf, 0.8},
+		{"Steiner point", st, (30*0.12 + 2) + (30*0.12 + 0.8)}, // 10.0
+		{"source", tr.Root, 50*0.12 + 10},                      // 16.0
+	} {
+		if got := caps[want.n]; math.Abs(got-want.fF) > 1e-9 {
+			t.Errorf("StageCaps at %s = %g fF, want %g", want.name, got, want.fF)
+		}
+	}
+	load := (40*0.12 + 1.5) + (60*0.12 + 2.5) // 16.0
+	if got := BufferLoad(buf, caps, tc); math.Abs(got-load) > 1e-9 {
+		t.Errorf("BufferLoad = %g fF, want %g", got, load)
+	}
+	rep, err := Analyze(tr, lib, tc, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Buffers != 1 || math.Abs(rep.MaxStgCap-load) > 1e-9 {
+		t.Errorf("Analyze: buffers %d, max stage cap %g fF, want 1 and %g", rep.Buffers, rep.MaxStgCap, load)
+	}
+}
+
 // Buffers isolate downstream capacitance: adding load behind a buffer must
 // not change the delay of a sibling branch before the buffer.
 func TestBufferIsolatesCap(t *testing.T) {

@@ -9,25 +9,12 @@ import (
 
 // Unbuffered computes pure-wire Elmore sink delays of an unbuffered tree:
 // the "Wire Delay" metric of the paper's Table 3. Returns the maximum and
-// the spread (skew) over sinks, in ps.
+// the spread (skew) over sinks, in ps. Buffers, if any, cut stages as
+// everywhere else (StageCaps), but add no delay of their own.
 //
 // unit: -> ps, ps
 func Unbuffered(t *tree.Tree, tc tech.Tech) (maxDelay, skew float64) {
-	caps := make(map[*tree.Node]float64)
-	var capOf func(n *tree.Node) float64
-	capOf = func(n *tree.Node) float64 {
-		c := 0.0
-		if n.Kind == tree.Sink || n.Kind == tree.Buffer {
-			c = n.PinCap
-		}
-		for _, ch := range n.Children {
-			c += tc.WireCap(ch.EdgeLen) + capOf(ch)
-		}
-		caps[n] = c
-		return c
-	}
-	capOf(t.Root)
-
+	caps := StageCaps(t.Root, tc)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	var walk func(n *tree.Node, d float64)
 	walk = func(n *tree.Node, d float64) {
