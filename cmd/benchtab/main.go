@@ -77,38 +77,16 @@ func main() {
 		}
 	}
 
-	run("1", func() error {
-		rows, err := bench.RunTable1(bench.Table1Net(), *workers)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatTable1(rows))
-		return nil
-	})
-	run("2", func() error {
-		cfg := bench.DefaultT23Config()
-		cfg.Nets = *nets
-		cfg.Seed = *seed
-		cfg.Workers = *workers
-		cells, err := bench.RunTable2(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatTable2(cells, cfg))
-		return nil
-	})
-	run("3", func() error {
-		cfg := bench.DefaultT23Config()
-		cfg.Nets = *nets
-		cfg.Seed = *seed
-		cfg.Workers = *workers
-		cells, err := bench.RunTable3(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatTable3(cells, cfg))
-		return nil
-	})
+	for _, name := range []string{"1", "2", "3"} {
+		run(name, func() error {
+			text, err := paperTable(name, *nets, *seed, *workers)
+			if err != nil {
+				return err
+			}
+			fmt.Println(text)
+			return nil
+		})
+	}
 	flowTable := func(title string, specs []designgen.Spec) error {
 		fmt.Println(bench.FormatFlowTable(title, bench.RunFlows(specs, *seed, *workers)))
 		return nil
@@ -222,6 +200,34 @@ func cacheSmoke(seed int64, workers int) ([32]byte, error) {
 		}
 	}
 	return digests[0], nil
+}
+
+// paperTable runs Table 1, 2 or 3 and returns its text as benchtab prints
+// it; nets sets the random nets per cell of Tables 2 and 3.
+func paperTable(table string, nets int, seed int64, workers int) (string, error) {
+	if table == "1" {
+		rows, err := bench.RunTable1(bench.Table1Net(), workers)
+		if err != nil {
+			return "", err
+		}
+		return bench.FormatTable1(rows), nil
+	}
+	cfg := bench.DefaultT23Config()
+	cfg.Nets = nets
+	cfg.Seed = seed
+	cfg.Workers = workers
+	if table == "2" {
+		cells, err := bench.RunTable2(cfg)
+		if err != nil {
+			return "", err
+		}
+		return bench.FormatTable2(cells, cfg), nil
+	}
+	cells, err := bench.RunTable3(cfg)
+	if err != nil {
+		return "", err
+	}
+	return bench.FormatTable3(cells, cfg), nil
 }
 
 func scaleAll(specs []designgen.Spec, f float64) []designgen.Spec {

@@ -3,6 +3,8 @@ package main
 import (
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -107,6 +109,26 @@ func TestFlowDigests(t *testing.T) {
 		def := cts.ExportDEF(d, res).WriteDEF()
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(def))); got != c.digest {
 			t.Errorf("%s %s: DEF digest %s, want %s", c.design, c.flow, got, c.digest)
+		}
+	}
+}
+
+// TestPaperTables regenerates Tables 1-3 at seed 1, Tables 2 and 3 at 1000
+// nets per cell, and compares them byte for byte with the committed
+// table1.txt, table2.txt and table3.txt at the repository root.
+func TestPaperTables(t *testing.T) {
+	for _, table := range []string{"1", "2", "3"} {
+		text, err := paperTable(table, 1000, 1, runtime.GOMAXPROCS(0))
+		if err != nil {
+			t.Fatalf("table %s: %v", table, err)
+		}
+		file := filepath.Join("..", "..", "table"+table+".txt")
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := text + "\n"; got != string(want) {
+			t.Errorf("table %s differs from %s:\n%s", table, file, got)
 		}
 	}
 }
