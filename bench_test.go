@@ -105,10 +105,16 @@ func BenchmarkTable3(b *testing.B) {
 				}
 				bstWL += bst.Wirelength()
 				cbsWL += cbs.Wirelength()
-				d1, _ := timing.Unbuffered(bst, cfg.Tech)
-				d2, _ := timing.Unbuffered(cbs, cfg.Tech)
-				bstD += d1
-				cbsD += d2
+				d1, err := timing.Analyze(bst, nil, cfg.Tech, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d2, err := timing.Analyze(cbs, nil, cfg.Tech, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bstD += d1.MaxLatency
+				cbsD += d2.MaxLatency
 			}
 			n := float64(b.N)
 			b.ReportMetric(bstWL/n, "bst_wl_um")

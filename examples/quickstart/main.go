@@ -53,6 +53,9 @@ func main() {
 	fmt.Printf("lightness   β : %.3f  (wire / RSMT wire)\n", m.Beta)
 	fmt.Printf("skewness    γ : %.3f  (max path / mean path)\n", m.Gamma)
 
-	maxD, skew := timing.Unbuffered(t, tc)
-	fmt.Printf("wire delay    : %.2f ps (max), skew %.2f ps (bound 10)\n", maxD, skew)
+	rep, err := timing.Analyze(t, nil, tc, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wire delay    : %.2f ps (max), skew %.2f ps (bound 10)\n", rep.MaxLatency, rep.Skew)
 }

@@ -176,10 +176,16 @@ func RunTable3(cfg T23Config) ([]T3Cell, error) {
 			cell.CBSWL += cbs.Wirelength()
 			cell.BSTCap += net.TotalPinCap() + cfg.Tech.WireCap(bst.Wirelength())
 			cell.CBSCap += net.TotalPinCap() + cfg.Tech.WireCap(cbs.Wirelength())
-			bd, _ := timing.Unbuffered(bst, cfg.Tech)
-			cd, _ := timing.Unbuffered(cbs, cfg.Tech)
-			cell.BSTDelay += bd
-			cell.CBSDelay += cd
+			bd, err := timing.Analyze(bst, nil, cfg.Tech, 0)
+			if err != nil {
+				return fmt.Errorf("table3 BST %gps net %d: %w", bound, i, err)
+			}
+			cd, err := timing.Analyze(cbs, nil, cfg.Tech, 0)
+			if err != nil {
+				return fmt.Errorf("table3 CBS %gps net %d: %w", bound, i, err)
+			}
+			cell.BSTDelay += bd.MaxLatency
+			cell.CBSDelay += cd.MaxLatency
 		}
 		n := float64(cfg.Nets)
 		cell.BSTWL /= n

@@ -1,7 +1,6 @@
 package timing
 
 import (
-	"fmt"
 	"math"
 
 	"sllt/internal/liberty"
@@ -41,47 +40,26 @@ type OCVReport struct {
 	Pessimism float64 // unit: ps
 }
 
-// AnalyzeOCV computes variation-aware clock skew over a buffered tree. The
-// CPPR-corrected skew is found by a single tree DP: two sink paths diverge
-// at their lowest common ancestor, so the worst corrected pair through a
-// node v is (max late arrival below one child of v) − (min early arrival
-// below another), both measured from v.
+// AnalyzeOCV computes variation-aware clock skew over a buffered tree. It
+// derates the stage delays of Analyze's own walk, so with every derate at 1
+// NaiveSkew is Analyze's skew. The CPPR-corrected skew is found by a single
+// tree DP: two sink paths diverge at their lowest common ancestor, so the
+// worst corrected pair through a node v is (max late arrival below one
+// child of v) − (min early arrival below another), both measured from v.
 func AnalyzeOCV(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float64, p OCVParams) (*OCVReport, error) {
-	if t == nil || t.Root == nil {
-		return nil, fmt.Errorf("timing: nil tree")
-	}
-	// Stage capacitances (nominal — variation on caps is second-order).
-	stageCap := StageCaps(t.Root, tc)
-
-	// nodeDelay returns the nominal delay contribution of n itself (its
-	// buffer, if any) plus the wire into n.
-	nominalEdge := func(n *tree.Node) (wire, cell float64, err error) {
-		if n.Parent != nil {
-			wire = tc.WireElmore(n.EdgeLen, stageCap[n])
-		}
-		if n.Kind == tree.Buffer {
-			c := lib.Cell(n.BufCell)
-			if c == nil {
-				return 0, 0, fmt.Errorf("timing: unknown buffer cell %q", n.BufCell)
-			}
-			cell = c.Delay(sourceSlew, BufferLoad(n, stageCap, tc))
-		}
-		return wire, cell, nil
+	delays := make(map[*tree.Node]stageDelay)
+	if _, err := analyze(t, lib, tc, sourceSlew, delays); err != nil {
+		return nil, err
 	}
 
-	rep := &OCVReport{}
 	worstPair := math.Inf(-1)
 	globalLate, globalEarly := math.Inf(-1), math.Inf(1)
 
 	// DP: for every node, the extreme early/late arrivals of sinks in its
 	// subtree, measured from the node itself (after its own buffer).
 	type ext struct{ minEarly, maxLate float64 }
-	var analyzeErr error
 	var dp func(n *tree.Node, lateFromRoot, earlyFromRoot float64) ext
 	dp = func(n *tree.Node, lateFromRoot, earlyFromRoot float64) ext {
-		if analyzeErr != nil {
-			return ext{}
-		}
 		if n.Kind == tree.Sink {
 			if lateFromRoot > globalLate {
 				globalLate = lateFromRoot
@@ -93,13 +71,9 @@ func AnalyzeOCV(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew flo
 		}
 		kids := make([]ext, 0, len(n.Children))
 		for _, ch := range n.Children {
-			wire, cell, err := nominalEdge(ch)
-			if err != nil {
-				analyzeErr = err
-				return ext{}
-			}
-			late := wire*p.WireLate + cell*p.CellLate
-			early := wire*p.WireEarly + cell*p.CellEarly
+			d := delays[ch]
+			late := d.wire*p.WireLate + d.cell*p.CellLate
+			early := d.wire*p.WireEarly + d.cell*p.CellEarly
 			e := dp(ch, lateFromRoot+late, earlyFromRoot+early)
 			kids = append(kids, ext{e.minEarly + early, e.maxLate + late})
 		}
@@ -125,13 +99,7 @@ func AnalyzeOCV(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew flo
 		return out
 	}
 	dp(t.Root, 0, 0)
-	if analyzeErr != nil {
-		return nil, analyzeErr
-	}
-	if math.IsInf(globalLate, -1) {
-		return nil, fmt.Errorf("timing: tree has no sinks")
-	}
-	rep.NaiveSkew = globalLate - globalEarly
+	rep := &OCVReport{NaiveSkew: globalLate - globalEarly}
 	if math.IsInf(worstPair, -1) {
 		worstPair = 0 // single sink
 	}

@@ -66,10 +66,12 @@ func TestOCVZeroDerateMatchesNominal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxD, skew := Unbuffered(tr, tc)
-	_ = maxD
-	if math.Abs(rep.NaiveSkew-skew) > 1e-6 {
-		t.Errorf("unit-derate naive skew %g != nominal skew %g", rep.NaiveSkew, skew)
+	nom, err := Analyze(tr, lib, tc, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(rep.NaiveSkew-nom.Skew) > 1e-6 {
+		t.Errorf("unit-derate naive skew %g != nominal skew %g", rep.NaiveSkew, nom.Skew)
 	}
 	if rep.Skew > rep.NaiveSkew+1e-9 {
 		t.Error("CPPR skew exceeds naive skew")

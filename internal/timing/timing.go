@@ -35,13 +35,30 @@ type Report struct {
 
 // Analyze runs STA over the tree. The clock source drives the first stage
 // with the given input slew (sourceSlew, ps); buffers re-drive downstream
-// stages. lib resolves buffer cells by Node.BufCell.
+// stages. lib resolves buffer cells by Node.BufCell; it may be nil when the
+// tree holds no buffer, which makes the latencies pure-wire Elmore delays
+// (Table 3's wire delay).
 //
 // Analyze is the flow's terminal stage: the report is a pure function of
 // the tree and the library, so a cached replay keyed on both is sound.
 //
 // unit: sourceSlew ps -> _, _
 func Analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float64) (*Report, error) {
+	return analyze(t, lib, tc, sourceSlew, nil)
+}
+
+// stageDelay is one node's nominal delays: the wire into it, and its
+// buffer's cell delay at the slew propagated to the buffer's input.
+type stageDelay struct {
+	wire float64 // unit: ps
+	cell float64 // unit: ps
+}
+
+// analyze is Analyze's walk. A non-nil delays receives every node's
+// stageDelay, so AnalyzeOCV derates exactly the delays this STA sums.
+//
+// unit: sourceSlew ps -> _, _
+func analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float64, delays map[*tree.Node]stageDelay) (*Report, error) {
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("timing: nil tree")
 	}
@@ -53,11 +70,12 @@ func Analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 	stageCap := StageCaps(t.Root, tc)
 
 	var err error
-	var walk func(n *tree.Node, delay, slew float64)
-	walk = func(n *tree.Node, delay, slew float64) {
+	var walk func(n *tree.Node, delay, slew, wireDelay float64)
+	walk = func(n *tree.Node, delay, slew, wireDelay float64) {
 		if err != nil {
 			return
 		}
+		var cellDelay float64
 		switch n.Kind {
 		case tree.Buffer:
 			cell := lib.Cell(n.BufCell)
@@ -69,7 +87,8 @@ func Analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 			if load > rep.MaxStgCap {
 				rep.MaxStgCap = load
 			}
-			delay += cell.Delay(slew, load)
+			cellDelay = cell.Delay(slew, load)
+			delay += cellDelay
 			slew = cell.OutSlew(load)
 			rep.Buffers++
 			rep.BufArea += cell.Area
@@ -85,15 +104,18 @@ func Analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 				rep.MaxSlew = slew
 			}
 		}
+		if delays != nil {
+			delays[n] = stageDelay{wire: wireDelay, cell: cellDelay}
+		}
 		for _, ch := range n.Children {
 			wireDelay := tc.WireElmore(ch.EdgeLen, stageCap[ch])
 			// PERI slew degradation across the wire segment.
 			wireSlew := Ln9 * wireDelay
 			childSlew := math.Sqrt(slew*slew + wireSlew*wireSlew)
-			walk(ch, delay+wireDelay, childSlew)
+			walk(ch, delay+wireDelay, childSlew, wireDelay)
 		}
 	}
-	walk(t.Root, 0, sourceSlew)
+	walk(t.Root, 0, sourceSlew, 0)
 	if err != nil {
 		return nil, err
 	}
