@@ -5,9 +5,10 @@
 // algorithms reproducible, this package keeps the trees they build
 // well-formed at run time.
 //
-// CheckTree is the entry point; the finer-grained checks (CheckLoad,
-// CheckSkew, CheckGamma) let suites assert the electrical bounds their
-// algorithm declares.
+// The structural checks live in tree.(*Tree).Validate, the one tree
+// validator; CheckTree delegates to it. The electrical checks (CheckLoad,
+// CheckSkew, CheckGamma) let suites assert the bounds their algorithm
+// declares.
 package invariants
 
 import (
@@ -19,89 +20,8 @@ import (
 )
 
 // CheckTree verifies the structural invariants every clock tree in this
-// repository must satisfy:
-//
-//   - the tree and its root are non-nil, and the root has no parent and a
-//     zero incoming edge;
-//   - the node graph is acyclic and nodes are not shared between branches;
-//   - parent/child pointers are symmetric in both directions (each child's
-//     Parent is its parent, and each node's Parent lists it as a child);
-//   - sinks are leaves;
-//   - every edge length is finite, non-negative and at least the Manhattan
-//     distance between its endpoints (wire may snake, never tunnel);
-//   - coordinates are finite and pin capacitances are finite and
-//     non-negative.
-//
-// It returns the first violation found, or nil.
-func CheckTree(t *tree.Tree) error {
-	if t == nil || t.Root == nil {
-		return fmt.Errorf("invariants: nil tree")
-	}
-	if t.Root.Parent != nil {
-		return fmt.Errorf("invariants: root has a parent")
-	}
-	if t.Root.EdgeLen != 0 {
-		//slltlint:ignore floatcmp the root edge must be exactly zero, not merely small
-		return fmt.Errorf("invariants: root has incoming edge length %g", t.Root.EdgeLen)
-	}
-	seen := make(map[*tree.Node]bool)
-	var err error
-	var rec func(n *tree.Node) bool
-	rec = func(n *tree.Node) bool {
-		if seen[n] {
-			err = fmt.Errorf("invariants: cycle or shared node %q at %v", n.Name, n.Loc)
-			return false
-		}
-		seen[n] = true
-		if err = checkNodeScalars(n); err != nil {
-			return false
-		}
-		if n.Kind == tree.Sink && len(n.Children) > 0 {
-			err = fmt.Errorf("invariants: sink %q at %v has %d children", n.Name, n.Loc, len(n.Children))
-			return false
-		}
-		for _, c := range n.Children {
-			if c == nil {
-				err = fmt.Errorf("invariants: node at %v has a nil child", n.Loc)
-				return false
-			}
-			if c.Parent != n {
-				err = fmt.Errorf("invariants: child %q at %v points at the wrong parent", c.Name, c.Loc)
-				return false
-			}
-			// Scalars first: a non-finite child location would poison the
-			// Manhattan-distance comparison below.
-			if err = checkNodeScalars(c); err != nil {
-				return false
-			}
-			if md := n.Loc.Dist(c.Loc); c.EdgeLen < md-geom.Eps {
-				err = fmt.Errorf("invariants: edge %v→%v length %g below Manhattan distance %g",
-					n.Loc, c.Loc, c.EdgeLen, md)
-				return false
-			}
-			if !rec(c) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(t.Root)
-	return err
-}
-
-func checkNodeScalars(n *tree.Node) error {
-	if math.IsNaN(n.Loc.X) || math.IsInf(n.Loc.X, 0) ||
-		math.IsNaN(n.Loc.Y) || math.IsInf(n.Loc.Y, 0) {
-		return fmt.Errorf("invariants: node %q has non-finite location %v", n.Name, n.Loc)
-	}
-	if math.IsNaN(n.EdgeLen) || math.IsInf(n.EdgeLen, 0) || n.EdgeLen < 0 {
-		return fmt.Errorf("invariants: node %q at %v has bad edge length %g", n.Name, n.Loc, n.EdgeLen)
-	}
-	if math.IsNaN(n.PinCap) || math.IsInf(n.PinCap, 0) || n.PinCap < 0 {
-		return fmt.Errorf("invariants: node %q at %v has bad pin cap %g", n.Name, n.Loc, n.PinCap)
-	}
-	return nil
-}
+// repository must satisfy; it is tree.(*Tree).Validate, which lists them.
+func CheckTree(t *tree.Tree) error { return t.Validate() }
 
 // CheckLoad verifies the non-negative capacitance accounting of the tree:
 // every subtree's load (pin caps plus wire cap at capPerUnit fF per unit)

@@ -10,6 +10,7 @@ package tree
 
 import (
 	"fmt"
+	"math"
 
 	"sllt/internal/geom"
 )
@@ -190,9 +191,21 @@ func PathLength(n *Node) float64 {
 	return pl
 }
 
-// Validate checks structural invariants: parent/child links are mutual,
-// edge lengths are at least the Manhattan distance, sinks are leaves, and
-// there are no cycles. It returns the first violation found.
+// Validate verifies the structural invariants every clock tree in this
+// repository must satisfy:
+//
+//   - the tree and its root are non-nil, and the root has no parent and a
+//     zero incoming edge;
+//   - the node graph is acyclic and nodes are not shared between branches;
+//   - parent/child pointers are symmetric in both directions (each child's
+//     Parent is its parent, and each node's Parent lists it as a child);
+//   - sinks are leaves;
+//   - every edge length is finite, non-negative and at least the Manhattan
+//     distance between its endpoints (wire may snake, never tunnel);
+//   - coordinates are finite and pin capacitances are finite and
+//     non-negative.
+//
+// It returns the first violation found, or nil.
 func (t *Tree) Validate() error {
 	if t == nil || t.Root == nil {
 		return fmt.Errorf("tree: nil tree")
@@ -200,27 +213,43 @@ func (t *Tree) Validate() error {
 	if t.Root.Parent != nil {
 		return fmt.Errorf("tree: root has a parent")
 	}
+	//slltlint:ignore floatcmp the root edge must be exactly zero, not merely small
+	if t.Root.EdgeLen != 0 {
+		return fmt.Errorf("tree: root has incoming edge length %g", t.Root.EdgeLen)
+	}
 	seen := make(map[*Node]bool)
 	var err error
 	var rec func(n *Node) bool
 	rec = func(n *Node) bool {
 		if seen[n] {
-			err = fmt.Errorf("tree: cycle or shared node at %v", n.Loc)
+			err = fmt.Errorf("tree: cycle or shared node %q at %v", n.Name, n.Loc)
 			return false
 		}
 		seen[n] = true
+		if err = checkNodeScalars(n); err != nil {
+			return false
+		}
 		if n.Kind == Sink && len(n.Children) > 0 {
 			err = fmt.Errorf("tree: sink %q at %v has %d children", n.Name, n.Loc, len(n.Children))
 			return false
 		}
 		for _, c := range n.Children {
-			if c.Parent != n {
-				err = fmt.Errorf("tree: child at %v has wrong parent", c.Loc)
+			if c == nil {
+				err = fmt.Errorf("tree: node at %v has a nil child", n.Loc)
 				return false
 			}
-			if c.EdgeLen < n.Loc.Dist(c.Loc)-geom.Eps {
-				err = fmt.Errorf("tree: edge to %v shorter (%g) than Manhattan distance (%g)",
-					c.Loc, c.EdgeLen, n.Loc.Dist(c.Loc))
+			if c.Parent != n {
+				err = fmt.Errorf("tree: child %q at %v points at the wrong parent", c.Name, c.Loc)
+				return false
+			}
+			// Scalars first: a non-finite child location would poison the
+			// Manhattan-distance comparison below.
+			if err = checkNodeScalars(c); err != nil {
+				return false
+			}
+			if md := n.Loc.Dist(c.Loc); c.EdgeLen < md-geom.Eps {
+				err = fmt.Errorf("tree: edge %v→%v length %g below Manhattan distance %g",
+					n.Loc, c.Loc, c.EdgeLen, md)
 				return false
 			}
 			if !rec(c) {
@@ -231,6 +260,20 @@ func (t *Tree) Validate() error {
 	}
 	rec(t.Root)
 	return err
+}
+
+func checkNodeScalars(n *Node) error {
+	if math.IsNaN(n.Loc.X) || math.IsInf(n.Loc.X, 0) ||
+		math.IsNaN(n.Loc.Y) || math.IsInf(n.Loc.Y, 0) {
+		return fmt.Errorf("tree: node %q has non-finite location %v", n.Name, n.Loc)
+	}
+	if math.IsNaN(n.EdgeLen) || math.IsInf(n.EdgeLen, 0) || n.EdgeLen < 0 {
+		return fmt.Errorf("tree: node %q at %v has bad edge length %g", n.Name, n.Loc, n.EdgeLen)
+	}
+	if math.IsNaN(n.PinCap) || math.IsInf(n.PinCap, 0) || n.PinCap < 0 {
+		return fmt.Errorf("tree: node %q at %v has bad pin cap %g", n.Name, n.Loc, n.PinCap)
+	}
+	return nil
 }
 
 // BBox returns the bounding box of all node locations.
