@@ -9,6 +9,7 @@ import (
 
 	"sllt/internal/designgen"
 	"sllt/internal/dme"
+	"sllt/internal/geom"
 	"sllt/internal/tree"
 )
 
@@ -107,5 +108,20 @@ func TestRunCancelBeforeTiming(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "timing") {
 		t.Errorf("error %q does not name the timing stage", err)
+	}
+}
+
+// TestBestClusteringObservesCtx pins that the k-means restart fan-out
+// observes Ctx like the cluster builds: a cancelled context dispatches no
+// restart and surfaces ctx.Err().
+func TestBestClusteringObservesCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := DefaultOptions()
+	opts.KMeansRestarts = 3
+	opts.Ctx = ctx
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(0, 10), geom.Pt(10, 10)}
+	if _, err := bestClustering(pts, 2, opts, 0, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -158,8 +158,8 @@ type Options struct {
 	BuildID string
 	// Ctx, when non-nil, lets callers cancel a running synthesis: the flow
 	// observes it at every stage boundary (before each level, the top net and
-	// the timing pass) and between cluster-build tasks, returning ctx.Err()
-	// wrapped with the stage it refused to start. nil means never cancelled.
+	// the timing pass) and between k-means restarts and cluster-build tasks,
+	// returning ctx.Err() wrapped with the stage it refused to start. nil means never cancelled.
 	// Like Workers and Obs, Ctx is deliberately unkeyed by the run cache:
 	// cancellation changes when a run stops, never what a completed run
 	// produces — a cancelled run returns an error and stores nothing.
@@ -489,7 +489,7 @@ func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelB
 	latDist := opts.Obs.Dist("cts.cluster.latency", obs.UnitPs, latencyBounds)
 	qors := make([]obs.NetQoR, len(clusters))
 	next := make([]clockNode, len(clusters))
-	err = parallel.ForEachSpanCtx(opts.Ctx, opts.Workers, len(clusters), csp, "cluster", func(ci int) error {
+	err = parallel.ForEachSpan(opts.Ctx, opts.Workers, len(clusters), csp, "cluster", func(ci int) error {
 		cluster := clusters[ci]
 		sub, q, err := buildNet(centroidOf(cluster), cluster, opts, ins, levelBound)
 		if err != nil {
@@ -590,10 +590,11 @@ func levelQoR(level int, nodes []clockNode, clusters [][]clockNode, next []clock
 // from its index (base + r·1009), never from a shared stream — so they fan
 // out across workers, each task writing only its own slot; the best-score
 // reduction then runs serially in restart order so ties keep the earliest
-// restart, exactly like the serial loop. A restart can only fail by
-// panicking, which the fan-out surfaces as a *parallel.PanicError; it must
-// be propagated, not dropped — a swallowed panic here would hand the
-// assignment step zero-valued centers.
+// restart, exactly like the serial loop. The fan-out fails when a restart
+// panics (a *parallel.PanicError) or when opts.Ctx is cancelled before the
+// last restart starts; the error must be propagated, not dropped — a
+// swallowed failure here would hand the assignment step zero-valued
+// centers.
 func bestClustering(pts []geom.Point, k int, opts Options, level int, sp *obs.Span) ([]geom.Point, error) {
 	kern := opts.Obs.Kernel()
 	restarts := opts.KMeansRestarts
@@ -617,7 +618,7 @@ func bestClustering(pts []geom.Point, k int, opts Options, level int, sp *obs.Sp
 		score   float64
 	}
 	results := make([]restartResult, restarts)
-	if err := parallel.ForEachSpan(outer, restarts, sp, "restart", func(r int) error {
+	if err := parallel.ForEachSpan(opts.Ctx, outer, restarts, sp, "restart", func(r int) error {
 		c, a := partition.KMeansPK(pts, k, 24, base+int64(r)*1009, inner, kern)
 		s, sa := silhouetteSample(pts, a, 2500)
 		results[r] = restartResult{c, partition.SilhouetteP(s, sa, k, inner)}

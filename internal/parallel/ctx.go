@@ -6,23 +6,37 @@ import (
 	"sllt/internal/obs"
 )
 
-// ForEachCtx is ForEach with cooperative cancellation: no new task is
-// dispatched once ctx is cancelled. A nil ctx never cancels and behaves
-// exactly like ForEach.
+// ForEachSpan is ForEach with cooperative cancellation and per-task
+// observability spans.
 //
+// No new task is dispatched once ctx is cancelled; a nil ctx never cancels.
 // Cancellation keeps the package's determinism contract the same way errors
-// do: dispatch is monotone in the index, so when ForEachCtx returns
+// do: dispatch is monotone in the index, so when ForEachSpan returns
 // non-nil, callers must treat all per-index results as invalid. The
 // returned error is the lowest-index task error when one was recorded,
 // otherwise ctx.Err() when the fan-out was cut short — mirroring the serial
 // reference loop, which observes the context between consecutive tasks and
 // returns ctx.Err() in place of the task it refused to start. Tasks already
 // running when ctx fires are not interrupted (fn observes ctx itself if it
-// wants mid-task cancellation); ForEachCtx returns only after every started
-// task has finished, so no task goroutine outlives the call.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
+// wants mid-task cancellation); ForEachSpan returns only after every
+// started task has finished, so no task goroutine outlives the call.
+//
+// Task i runs inside parent.BeginTask(i, name), so the span tree records
+// every task's duration while serialization stays index-ascending
+// regardless of the schedule (task spans occupy index-pinned slots; see
+// obs.Span). A nil parent — observability disabled — adds nothing to the
+// hot path.
+func ForEachSpan(ctx context.Context, workers, n int, parent *obs.Span, name string, fn func(i int) error) error {
+	task := fn
+	if parent != nil {
+		task = func(i int) error {
+			sp := parent.BeginTask(i, name)
+			defer sp.End()
+			return fn(i)
+		}
+	}
 	if ctx == nil {
-		return ForEach(workers, n, fn)
+		return ForEach(workers, n, task)
 	}
 	// The claim-side check: a cancelled context reads as an error at the
 	// claimed index, which stops further dispatch exactly like a task
@@ -34,19 +48,6 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		return fn(i)
-	})
-}
-
-// ForEachSpanCtx is ForEachSpan with the cancellation semantics of
-// ForEachCtx: per-task observability spans, no dispatch after ctx fires.
-func ForEachSpanCtx(ctx context.Context, workers, n int, parent *obs.Span, name string, fn func(i int) error) error {
-	if parent == nil {
-		return ForEachCtx(ctx, workers, n, fn)
-	}
-	return ForEachCtx(ctx, workers, n, func(i int) error {
-		sp := parent.BeginTask(i, name)
-		defer sp.End()
-		return fn(i)
+		return task(i)
 	})
 }

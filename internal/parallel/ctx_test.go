@@ -10,12 +10,12 @@ import (
 	"sllt/internal/obs"
 )
 
-// TestForEachCtxNilCtx pins that a nil context is the zero-cost path: every
-// task runs, exactly like ForEach.
+// TestForEachCtxNilCtx pins that ForEachSpan with a nil context is the
+// zero-cost path: every task runs, exactly like ForEach.
 func TestForEachCtxNilCtx(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		if err := ForEachCtx(nil, workers, 50, func(i int) error {
+		if err := ForEachSpan(nil, workers, 50, nil, "", func(i int) error {
 			ran.Add(1)
 			return nil
 		}); err != nil {
@@ -34,7 +34,7 @@ func TestForEachCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEachCtx(ctx, workers, 50, func(i int) error {
+		err := ForEachSpan(ctx, workers, 50, nil, "", func(i int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -53,7 +53,7 @@ func TestForEachCtxCutsDispatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		err := ForEachCtx(ctx, workers, 10000, func(i int) error {
+		err := ForEachSpan(ctx, workers, 10000, nil, "", func(i int) error {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
@@ -76,7 +76,7 @@ func TestForEachCtxTaskErrorWins(t *testing.T) {
 	boom := fmt.Errorf("task 0 failed")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := ForEachCtx(ctx, 4, 100, func(i int) error {
+	err := ForEachSpan(ctx, 4, 100, nil, "", func(i int) error {
 		if i == 0 {
 			cancel()
 			return boom
@@ -88,12 +88,12 @@ func TestForEachCtxTaskErrorWins(t *testing.T) {
 	}
 }
 
-// TestForEachCtxPanicCapture pins that the ctx path keeps ForEach's
-// panic-to-error conversion.
+// TestForEachCtxPanicCapture pins that ForEachSpan's ctx path keeps
+// ForEach's panic-to-error conversion.
 func TestForEachCtxPanicCapture(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
-		err := ForEachCtx(ctx, workers, 8, func(i int) error {
+		err := ForEachSpan(ctx, workers, 8, nil, "", func(i int) error {
 			if i == 2 {
 				panic("kaboom")
 			}
@@ -106,12 +106,12 @@ func TestForEachCtxPanicCapture(t *testing.T) {
 	}
 }
 
-// TestForEachSpanCtx checks the span variant: spans are recorded per
-// dispatched task, and a nil parent degrades to ForEachCtx.
+// TestForEachSpanCtx checks the spans: one is recorded per dispatched task,
+// and a nil parent runs every task without one.
 func TestForEachSpanCtx(t *testing.T) {
 	rec := obs.New(obs.NewManualClock(1))
 	root := rec.Begin("fanout")
-	if err := ForEachSpanCtx(context.Background(), 2, 4, root, "task", func(i int) error {
+	if err := ForEachSpan(context.Background(), 2, 4, root, "task", func(i int) error {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestForEachSpanCtx(t *testing.T) {
 	}
 
 	var ran atomic.Int64
-	if err := ForEachSpanCtx(context.Background(), 2, 4, nil, "task", func(i int) error {
+	if err := ForEachSpan(context.Background(), 2, 4, nil, "task", func(i int) error {
 		ran.Add(1)
 		return nil
 	}); err != nil || ran.Load() != 4 {
