@@ -75,7 +75,7 @@ func Refine(net *tree.Net, initial *tree.Tree, opts Options) (*tree.Tree, error)
 	// re-attaches overlong paths, and Steinerizes — skew legality is broken
 	// here, exactly as the paper notes.
 	relaxed := initial.Clone()
-	salt.RelaxK(relaxed, opts.SALTEps, opts.DME.Kernel)
+	salt.Relax(relaxed, opts.SALTEps, opts.DME.Kernel)
 
 	// The BST seed leaves its Steiner points at delay-balance positions,
 	// which are poor for wirelength once balancing is deferred to Step 5.
@@ -87,7 +87,7 @@ func Refine(net *tree.Net, initial *tree.Tree, opts Options) (*tree.Tree, error)
 		if moved == 0 {
 			break
 		}
-		rsmt.SteinerizeK(relaxed, opts.DME.Kernel)
+		rsmt.Steinerize(relaxed, opts.DME.Kernel)
 		tree.RemoveRedundantSteiner(relaxed)
 	}
 
@@ -113,7 +113,7 @@ func Refine(net *tree.Net, initial *tree.Tree, opts Options) (*tree.Tree, error)
 // (balance-point drift) and exists to quantify that choice.
 func RefineReembed(net *tree.Net, initial *tree.Tree, opts Options) (*tree.Tree, error) {
 	relaxed := initial.Clone()
-	salt.Relax(relaxed, opts.SALTEps)
+	salt.Relax(relaxed, opts.SALTEps, nil)
 	tree.Canonicalize(relaxed)
 	topo, err := tree.ExtractTopo(relaxed, len(net.Sinks))
 	if err != nil {

@@ -22,48 +22,39 @@ import (
 
 // Build returns a rectilinear Steiner tree over the net's source and sinks,
 // rooted at the source. Edge lengths equal Manhattan distances (no snaking).
-func Build(net *tree.Net) *tree.Tree {
-	return BuildK(net, nil)
-}
-
-// BuildK is Build with kernel-counter attribution (MST builds and points,
-// Steiner insertions, edge-swap moves). A nil kern makes it exactly Build;
-// the counters never feed back into any construction decision.
-func BuildK(net *tree.Net, kern *obs.KernelCounters) *tree.Tree {
+// A non-nil kern receives the kernel counters (MST builds and points,
+// Steiner insertions, edge-swap moves); they never feed back into any
+// construction decision.
+func Build(net *tree.Net, kern *obs.KernelCounters) *tree.Tree {
 	if len(net.Sinks)+1 <= hananThreshold {
 		t := buildSmall(net)
-		SteinerizeK(t, kern)
-		ImproveK(t, kern)
+		Steinerize(t, kern)
+		Improve(t, kern)
 		return t
 	}
 	pts := make([]geom.Point, 0, len(net.Sinks)+1)
 	pts = append(pts, net.Source)
 	pts = append(pts, net.SinkPoints()...)
 
-	parent := MSTK(pts, kern)
+	parent := MST(pts, kern)
 	t := treeFromParents(net, pts, parent)
-	SteinerizeK(t, kern)
-	ImproveK(t, kern)
+	Steinerize(t, kern)
+	Improve(t, kern)
 	return t
 }
 
 // WL returns the wirelength of the heuristic RSMT over the net. It is the β
 // denominator used by tree.Measure callers.
-func WL(net *tree.Net) float64 { return Build(net).Wirelength() }
+func WL(net *tree.Net) float64 { return Build(net, nil).Wirelength() }
 
 // MST computes a minimum spanning tree over pts under Manhattan distance and
 // returns the parent index of each point, with parent[0] == -1 (point 0 is
 // the root). It is the exhaustive O(n²) Prim scan, which is exact and fast
 // at clock-net sizes (tens of pins): the lowest-index unvisited point among
 // the minima is picked each round, and ties for a point's best tree
-// neighbor keep the earliest-added one.
-func MST(pts []geom.Point) []int {
-	return MSTK(pts, nil)
-}
-
-// MSTK is MST with kernel-counter attribution: one MSTBuilds tick and the
-// point count into MSTPoints. Nil kern makes it exactly MST.
-func MSTK(pts []geom.Point, kern *obs.KernelCounters) []int {
+// neighbor keep the earliest-added one. A non-nil kern counts one MSTBuilds
+// tick and the point count into MSTPoints.
+func MST(pts []geom.Point, kern *obs.KernelCounters) []int {
 	if kern != nil {
 		kern.MSTBuilds.Add(1)
 		kern.MSTPoints.Add(int64(len(pts)))
@@ -109,7 +100,7 @@ func MSTK(pts []geom.Point, kern *obs.KernelCounters) []int {
 
 // MSTWL returns the total Manhattan wirelength of the MST over pts.
 func MSTWL(pts []geom.Point) float64 {
-	parent := MST(pts)
+	parent := MST(pts, nil)
 	var wl float64
 	for i, p := range parent {
 		if p >= 0 {
@@ -174,14 +165,9 @@ func treeFromParents(net *tree.Net, pts []geom.Point, parent []int) *tree.Tree {
 // Both sink-parent legality and redundancy cleanup are preserved: Steiner
 // insertion only happens below nodes with >= 2 children. Every accepted
 // move comes from a full rescan (bestSteinerMove): cluster nets have tens of
-// pins, so the rescan stays cheap.
-func Steinerize(t *tree.Tree) {
-	SteinerizeK(t, nil)
-}
-
-// SteinerizeK is Steinerize with accepted insertions counted into
-// kern.SteinerInserts (nil kern: exactly Steinerize).
-func SteinerizeK(t *tree.Tree, kern *obs.KernelCounters) {
+// pins, so the rescan stays cheap. A non-nil kern counts accepted
+// insertions into kern.SteinerInserts.
+func Steinerize(t *tree.Tree, kern *obs.KernelCounters) {
 	tree.LegalizeSinkLeaves(t)
 	for {
 		n, a, b, gain := bestSteinerMove(t)

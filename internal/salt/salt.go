@@ -22,8 +22,8 @@ import (
 // eps >= 0. The result satisfies PL(s) <= (1+eps)·MD(s) for every sink s.
 // eps = 0 yields a shortest-path Steiner tree (α = 1).
 func Build(net *tree.Net, eps float64) *tree.Tree {
-	t := rsmt.Build(net)
-	Relax(t, eps)
+	t := rsmt.Build(net, nil)
+	Relax(t, eps, nil)
 	return t
 }
 
@@ -33,14 +33,9 @@ func Build(net *tree.Net, eps float64) *tree.Tree {
 // it; a later BST pass restores it), and any vertex whose root path exceeds
 // (1+eps)·MD is reconnected to the cheapest visited vertex that restores the
 // bound. A final Steinerization pass recovers wirelength without lengthening
-// any path.
-func Relax(t *tree.Tree, eps float64) {
-	RelaxK(t, eps, nil)
-}
-
-// RelaxK is Relax with the final Steinerization pass's kernel counters
-// attributed to kern (nil kern: exactly Relax).
-func RelaxK(t *tree.Tree, eps float64, kern *obs.KernelCounters) {
+// any path. A non-nil kern receives the final Steinerization pass's kernel
+// counters.
+func Relax(t *tree.Tree, eps float64, kern *obs.KernelCounters) {
 	if t == nil || t.Root == nil {
 		return
 	}
@@ -91,7 +86,7 @@ func RelaxK(t *tree.Tree, eps float64, kern *obs.KernelCounters) {
 	}
 	dfs(root)
 
-	rsmt.SteinerizeK(t, kern)
+	rsmt.Steinerize(t, kern)
 	tree.RemoveRedundantSteiner(t)
 }
 

@@ -76,7 +76,7 @@ func TestEpsTradeoff(t *testing.T) {
 	var wlSeed float64
 	for trial := 0; trial < 25; trial++ {
 		net := randomNet(rng, 20, 150)
-		wlSeed += rsmt.Build(net).Wirelength()
+		wlSeed += rsmt.Build(net, nil).Wirelength()
 	}
 	if wlLoose > wlSeed*1.02 {
 		t.Errorf("loose SALT WL %g much worse than RSMT %g", wlLoose, wlSeed)
@@ -96,7 +96,7 @@ func TestRelaxOnSnakedTree(t *testing.T) {
 	tr.Root.AddChild(a)
 	tr.Root.AddChild(b)
 	a.EdgeLen = 30 // heavily snaked
-	Relax(tr, 0)
+	Relax(tr, 0, nil)
 	if err := invariants.CheckTree(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestRelaxPreservesSinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 15; trial++ {
 		net := randomNet(rng, 4+rng.Intn(20), 100)
-		tr := rsmt.Build(net)
-		Relax(tr, 0.2)
+		tr := rsmt.Build(net, nil)
+		Relax(tr, 0.2, nil)
 		if got := len(tr.Sinks()); got != len(net.Sinks) {
 			t.Fatalf("trial %d: %d sinks after relax, want %d", trial, got, len(net.Sinks))
 		}
