@@ -49,15 +49,10 @@ func Analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 
 // stageDelay is one node's nominal delays: the wire into it, and its
 // buffer's cell delay at the slew propagated to the buffer's input.
-type stageDelay struct {
-	wire float64 // unit: ps
-	cell float64 // unit: ps
-}
+type stageDelay struct{ wire, cell float64 } // unit: ps
 
 // analyze is Analyze's walk. A non-nil delays receives every node's
 // stageDelay, so AnalyzeOCV derates exactly the delays this STA sums.
-//
-// unit: sourceSlew ps -> _, _
 func analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float64, delays map[*tree.Node]stageDelay) (*Report, error) {
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("timing: nil tree")
