@@ -34,14 +34,6 @@ type Inserter struct {
 	MaxCap float64 // unit: fF
 	// Margin derates cell max_capacitance when choosing drive strengths.
 	Margin float64 // unit: 1
-	// NominalSlew is the assumed input slew (ps) for critical-length math.
-	NominalSlew float64 // unit: ps
-	// MaxWireDelay caps the Elmore delay any single unbuffered wire may
-	// contribute; edges above it get a decoupling repeater at the load end.
-	// The cap matters on die-spanning trunks, where the r·L·C cross term
-	// dwarfs what the critical-length formula (which assumes a fixed
-	// decoupled load) accounts for.
-	MaxWireDelay float64 // unit: ps
 	// ForceCell, when non-empty, overrides load-based sizing with one fixed
 	// cell (the OpenROAD-like baseline drives everything with large
 	// buffers).
@@ -53,6 +45,16 @@ type Inserter struct {
 	// unchanged.
 	Kernel *obs.KernelCounters
 }
+
+// nominalSlew is the input slew pick assumes when it compares cell delays.
+const nominalSlew = 20.0 // unit: ps
+
+// maxWireDelay caps the Elmore delay any single unbuffered wire may
+// contribute; DecoupleSlowWires puts a repeater at the load end of edges
+// above it. The cap matters on die-spanning trunks, where the r·L·C cross
+// term dwarfs what the critical-length formula (which assumes a fixed
+// decoupled load) accounts for.
+const maxWireDelay = 20.0 // unit: ps
 
 // pick returns the cell for a stage load, honoring ForceCell. Sizing is
 // delay-aware: among cells whose derated max_capacitance covers the load,
@@ -66,14 +68,13 @@ func (ins *Inserter) pick(load float64) *liberty.BufferCell {
 			return c
 		}
 	}
-	slew := ins.NominalSlew
 	best := ins.Lib.Strongest()
-	bestDelay := best.Delay(slew, load)
+	bestDelay := best.Delay(nominalSlew, load)
 	for _, c := range ins.Lib.Cells {
 		if load > c.MaxCap*ins.Margin {
 			continue
 		}
-		if d := c.Delay(slew, load); d < bestDelay {
+		if d := c.Delay(nominalSlew, load); d < bestDelay {
 			best, bestDelay = c, d
 		}
 	}
@@ -81,7 +82,7 @@ func (ins *Inserter) pick(load float64) *liberty.BufferCell {
 		if load > c.MaxCap*ins.Margin {
 			continue
 		}
-		if c.Delay(slew, load) <= bestDelay*1.10 {
+		if c.Delay(nominalSlew, load) <= bestDelay*1.10 {
 			return c
 		}
 	}
@@ -92,7 +93,7 @@ func (ins *Inserter) pick(load float64) *liberty.BufferCell {
 //
 // unit: maxCap fF -> _
 func NewInserter(lib *liberty.Library, tc tech.Tech, maxCap float64) *Inserter {
-	return &Inserter{Lib: lib, Tech: tc, MaxCap: maxCap, Margin: 0.9, NominalSlew: 20, MaxWireDelay: 20}
+	return &Inserter{Lib: lib, Tech: tc, MaxCap: maxCap, Margin: 0.9}
 }
 
 // CriticalLength evaluates the paper's critical wirelength for the given
@@ -229,7 +230,7 @@ func (ins *Inserter) bufferTree(t *tree.Tree) int {
 }
 
 // DecoupleSlowWires inserts a repeater at the load end of every in-stage
-// edge whose Elmore contribution exceeds MaxWireDelay, iterating because an
+// edge whose Elmore contribution exceeds maxWireDelay, iterating because an
 // insertion re-partitions the stage capacitances. BufferTree runs it as its
 // pass 2b; flows also re-run it after skew repair, whose snaking otherwise
 // leaves long high-capacitance serpentines loading shared stages.
@@ -242,15 +243,12 @@ func (ins *Inserter) DecoupleSlowWires(t *tree.Tree) int {
 }
 
 func (ins *Inserter) decoupleSlowWires(t *tree.Tree) int {
-	if ins.MaxWireDelay <= 0 {
-		return 0
-	}
 	total := 0
 	for iter := 0; iter < 128; iter++ {
 		caps := timing.StageCaps(t.Root, ins.Tech)
 
 		var worst *tree.Node
-		worstD := ins.MaxWireDelay
+		worstD := maxWireDelay
 		t.Walk(func(n *tree.Node) bool {
 			if n.Parent == nil {
 				return true

@@ -1,7 +1,6 @@
 package cts
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -31,7 +30,7 @@ func ExportDEFFile(path string, d *design.Design, res *Result) (*lefdef.DEF, err
 	if err != nil {
 		return nil, fmt.Errorf("cts: export: %w", err)
 	}
-	if err := streamDEF(f, def); err != nil {
+	if _, err := def.WriteTo(f); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("cts: export: %w", err)
 	}
@@ -42,16 +41,16 @@ func ExportDEFFile(path string, d *design.Design, res *Result) (*lefdef.DEF, err
 }
 
 // ExportDEFWriter validates like ExportDEFFile and streams the post-CTS DEF
-// to w through a fixed-size buffer — the in-memory DEF structure is built,
-// but the rendered text never is, so writing a million-sink design costs
-// O(buffer) beyond the netlist itself. Returns the exported DEF for callers
+// to w in bounded chunks (lefdef.DEF.WriteTo) — the in-memory DEF structure
+// is built, but the rendered text never is, so writing a million-sink
+// design costs one chunk beyond the netlist itself. Returns the exported DEF for callers
 // that report component/net counts.
 func ExportDEFWriter(w io.Writer, d *design.Design, res *Result) (*lefdef.DEF, error) {
 	def, err := exportChecked(d, res)
 	if err != nil {
 		return nil, err
 	}
-	if err := streamDEF(w, def); err != nil {
+	if _, err := def.WriteTo(w); err != nil {
 		return nil, fmt.Errorf("cts: export: %w", err)
 	}
 	return def, nil
@@ -73,15 +72,6 @@ func exportChecked(d *design.Design, res *Result) (*lefdef.DEF, error) {
 		return nil, fmt.Errorf("cts: export: clock net %q has no sinks", d.ClockNet)
 	}
 	return ExportDEF(d, res), nil
-}
-
-// streamDEF renders def to w through one bufio window.
-func streamDEF(w io.Writer, def *lefdef.DEF) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := def.WriteTo(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // ExportDEF emits the post-CTS netlist as DEF-lite: the original components

@@ -9,7 +9,6 @@
 package designgen
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -224,13 +223,10 @@ func DEF(d *design.Design) *lefdef.DEF {
 	return def
 }
 
-// StreamDEF renders DEF(d) to w through a fixed-size buffer, byte-identical
-// to DEF(d).WriteDEF() but without ever materializing the rendered text —
-// the way multi-hundred-megabyte benchmark tiers reach disk.
+// StreamDEF renders DEF(d) to w in bounded chunks, byte-identical to
+// DEF(d).WriteDEF() but without ever materializing the rendered text — the
+// way multi-hundred-megabyte benchmark tiers reach disk.
 func StreamDEF(w io.Writer, d *design.Design) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := DEF(d).WriteTo(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := DEF(d).WriteTo(w)
+	return err
 }
