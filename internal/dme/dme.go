@@ -36,14 +36,6 @@ const (
 	Elmore
 )
 
-// String implements fmt.Stringer.
-func (m Model) String() string {
-	if m == Linear {
-		return "linear"
-	}
-	return "elmore"
-}
-
 // SinkFn annotates a sink with a per-sink scalar, its downstream delay.
 // Values of this type are called from inside the bottom-up merge, so any
 // side effect or hidden input would leak into the embedding;

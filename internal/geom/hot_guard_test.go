@@ -20,7 +20,7 @@ var (
 		SLo: 0, SHi: 20, WLo: 0, WHi: 4,
 	}.Canon()
 	guardOctPt   = OctFromPoint(Pt(5, 5))
-	guardOctArc  = OctFromTRR(TRRFromSegment(Pt(0, 0), Pt(2, -2)))
+	guardOctArc  = OctFromTRR(TRR{ULo: 0, UHi: 0, VLo: 0, VHi: 4}) // arc (0,0)–(2,-2)
 	guardOctBand = Octagon{
 		ULo: 0, UHi: 1, VLo: 0, VHi: 1,
 		SLo: 10, SHi: 20, WLo: math.Inf(-1), WHi: math.Inf(1),

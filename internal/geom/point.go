@@ -26,12 +26,6 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%g,%g)", p.X, p.Y) }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p translated by -q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Dist returns the Manhattan (L1) distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
@@ -97,20 +91,6 @@ func (r Rect) Grow(p Point) Rect {
 	return Rect{
 		XLo: math.Min(r.XLo, p.X), YLo: math.Min(r.YLo, p.Y),
 		XHi: math.Max(r.XHi, p.X), YHi: math.Max(r.YHi, p.Y),
-	}
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		XLo: math.Min(r.XLo, s.XLo), YLo: math.Min(r.YLo, s.YLo),
-		XHi: math.Max(r.XHi, s.XHi), YHi: math.Max(r.YHi, s.YHi),
 	}
 }
 

@@ -27,18 +27,6 @@ func TRRFromPoint(p Point) TRR {
 	return TRR{ULo: q.U, VLo: q.V, UHi: q.U, VHi: q.V}
 }
 
-// TRRFromSegment returns the TRR spanning the Manhattan arc between two
-// points that must lie on a common ±45° line (or coincide). For general
-// point pairs it returns their (u,v) bounding box, which is the smallest
-// TRR containing both.
-func TRRFromSegment(p, q Point) TRR {
-	a, b := p.ToUV(), q.ToUV()
-	return TRR{
-		ULo: math.Min(a.U, b.U), VLo: math.Min(a.V, b.V),
-		UHi: math.Max(a.U, b.U), VHi: math.Max(a.V, b.V),
-	}
-}
-
 // String implements fmt.Stringer.
 func (t TRR) String() string {
 	return fmt.Sprintf("TRR[u:%g..%g v:%g..%g]", t.ULo, t.UHi, t.VLo, t.VHi)
@@ -129,11 +117,6 @@ func nearestOnAxis(aLo, aHi, bLo, bHi float64) (a, b float64) {
 	}
 }
 
-// AnyPoint returns a representative point of t (its center).
-func (t TRR) AnyPoint() Point {
-	return UV{U: (t.ULo + t.UHi) / 2, V: (t.VLo + t.VHi) / 2}.ToXY()
-}
-
 // Corners returns the four corners of t on the (x,y) plane in order.
 // Degenerate TRRs repeat corners.
 func (t TRR) Corners() [4]Point {
@@ -143,12 +126,6 @@ func (t TRR) Corners() [4]Point {
 		UV{U: t.UHi, V: t.VHi}.ToXY(),
 		UV{U: t.ULo, V: t.VHi}.ToXY(),
 	}
-}
-
-// BBox returns the axis-aligned (x,y) bounding box of t.
-func (t TRR) BBox() Rect {
-	c := t.Corners()
-	return RectOf(c[0], c[1], c[2], c[3])
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -124,15 +124,3 @@ func TestTRRIntersectEmpty(t *testing.T) {
 		t.Error("far-apart TRRs should not intersect")
 	}
 }
-
-func TestTRRFromSegment(t *testing.T) {
-	// Points on a common +45 line form a Manhattan arc (degenerate in v).
-	a, b := Pt(0, 0), Pt(5, 5)
-	trr := TRRFromSegment(a, b)
-	if math.Abs(trr.VHi-trr.VLo) > Eps {
-		t.Errorf("45-degree segment should be degenerate in v: %v", trr)
-	}
-	if !trr.Contains(Pt(2, 2)) {
-		t.Error("segment TRR should contain midpoint")
-	}
-}

@@ -65,14 +65,6 @@ func (d *Dist) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
-func (d *Dist) Count() int64 {
-	if d == nil {
-		return 0
-	}
-	return d.count.Load()
-}
-
 // MetricJSON is one serialized metric (see the package doc's schema).
 type MetricJSON struct {
 	Name    string    `json:"name"`

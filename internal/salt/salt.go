@@ -89,20 +89,3 @@ func Relax(t *tree.Tree, eps float64, kern *obs.KernelCounters) {
 	rsmt.Steinerize(t, kern)
 	tree.RemoveRedundantSteiner(t)
 }
-
-// Shallowness returns the worst-case PL/MD ratio over the sinks of t,
-// ignoring sinks co-located with the root.
-func Shallowness(t *tree.Tree) float64 {
-	worst := 1.0
-	root := t.Root
-	for _, s := range t.Sinks() {
-		md := root.Loc.Dist(s.Loc)
-		if md <= 0 {
-			continue
-		}
-		if a := tree.PathLength(s) / md; a > worst {
-			worst = a
-		}
-	}
-	return worst
-}

@@ -53,7 +53,7 @@ func TestEpsZeroGivesShortestPaths(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		net := randomNet(rng, 3+rng.Intn(25), 120)
 		tr := Build(net, 0)
-		if a := Shallowness(tr); a > 1+1e-9 {
+		if a := tree.Measure(tr, net, 0).Alpha; a > 1+1e-9 {
 			t.Fatalf("trial %d: eps=0 shallowness = %g", trial, a)
 		}
 	}

@@ -45,11 +45,6 @@ func Default28nm() Tech {
 // unit: length um -> fF
 func (t Tech) WireCap(length float64) float64 { return t.CPerUm * length }
 
-// WireRes returns the resistance of length µm of wire, in kΩ.
-//
-// unit: length um -> kohm
-func (t Tech) WireRes(length float64) float64 { return t.RPerUm * length }
-
 // WireElmore returns the Elmore delay in ps of a wire of the given length
 // driving the given downstream load (fF): r·L·(c·L/2 + load).
 //

@@ -9,13 +9,10 @@ import (
 
 func TestDefault28nmMagnitudes(t *testing.T) {
 	tc := Default28nm()
-	// 100 µm of wire: a few fF, a fraction of a kΩ, single-digit ps into a
-	// small load — the regime all calibration rests on.
+	// 100 µm of wire: a few fF, single-digit ps into a small load — the
+	// regime all calibration rests on.
 	if c := tc.WireCap(100); c < 5 || c > 50 {
 		t.Errorf("WireCap(100um) = %g fF out of 28nm range", c)
-	}
-	if r := tc.WireRes(100); r < 0.05 || r > 2 {
-		t.Errorf("WireRes(100um) = %g kOhm out of range", r)
 	}
 	if d := tc.WireElmore(100, 10); d < 0.5 || d > 40 {
 		t.Errorf("WireElmore(100um,10fF) = %g ps out of range", d)

@@ -22,10 +22,6 @@ type Metrics struct {
 	Gamma    float64 // skewness
 }
 
-// SkewPL returns the path-length skew max−min, the paper's Equation (1)
-// proxy for clock skew under the wirelength delay model.
-func (m Metrics) SkewPL() float64 { return m.MaxPL - m.MinPL }
-
 // Mean returns the average of α, β and γ — the paper's Table 1 "Mean" column.
 func (m Metrics) Mean() float64 { return (m.Alpha + m.Beta + m.Gamma) / 3 }
 

@@ -16,8 +16,8 @@ func TestMeasureChain(t *testing.T) {
 	if m.MaxPL != 10 || m.MinPL != 10 || m.MeanPL != 10 {
 		t.Errorf("PL stats %g/%g/%g, want 10/10/10", m.MaxPL, m.MinPL, m.MeanPL)
 	}
-	if m.SkewPL() != 0 {
-		t.Errorf("SkewPL = %g", m.SkewPL())
+	if skew := m.MaxPL - m.MinPL; skew != 0 {
+		t.Errorf("path-length skew = %g", skew)
 	}
 	if m.Gamma != 1 {
 		t.Errorf("gamma = %g, want 1 (zero skew)", m.Gamma)

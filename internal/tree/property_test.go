@@ -59,7 +59,7 @@ func TestQuickStarTreeProperties(t *testing.T) {
 		if m.Beta != 1 {
 			return false
 		}
-		return m.SkewPL() >= -1e-9
+		return m.MaxPL-m.MinPL >= -1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
