@@ -65,8 +65,8 @@ func analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 	stageCap := StageCaps(t.Root, tc)
 
 	var err error
-	var walk func(n *tree.Node, delay, slew, wireDelay float64)
-	walk = func(n *tree.Node, delay, slew, wireDelay float64) {
+	var walk func(n *tree.Node, delay, slew, wireIn float64)
+	walk = func(n *tree.Node, delay, slew, wireIn float64) {
 		if err != nil {
 			return
 		}
@@ -100,7 +100,7 @@ func analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 			}
 		}
 		if delays != nil {
-			delays[n] = stageDelay{wire: wireDelay, cell: cellDelay}
+			delays[n] = stageDelay{wire: wireIn, cell: cellDelay}
 		}
 		for _, ch := range n.Children {
 			wireDelay := tc.WireElmore(ch.EdgeLen, stageCap[ch])
