@@ -43,8 +43,8 @@ func ExportDEFFile(path string, d *design.Design, res *Result) (*lefdef.DEF, err
 // ExportDEFWriter validates like ExportDEFFile and streams the post-CTS DEF
 // to w in bounded chunks (lefdef.DEF.WriteTo) — the in-memory DEF structure
 // is built, but the rendered text never is, so writing a million-sink
-// design costs one chunk beyond the netlist itself. Returns the exported DEF for callers
-// that report component/net counts.
+// design costs one chunk beyond the netlist itself. Returns the exported
+// DEF for callers that report component/net counts.
 func ExportDEFWriter(w io.Writer, d *design.Design, res *Result) (*lefdef.DEF, error) {
 	def, err := exportChecked(d, res)
 	if err != nil {
