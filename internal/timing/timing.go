@@ -36,7 +36,7 @@ type Report struct {
 // Analyze runs STA over the tree. The clock source drives the first stage
 // with the given input slew (sourceSlew, ps); buffers re-drive downstream
 // stages. lib resolves buffer cells by Node.BufCell; it may be nil when the
-// tree holds no buffer, which makes the latencies pure-wire Elmore delays
+// tree holds no buffer, whose latencies are then pure-wire Elmore delays
 // (Table 3's wire delay).
 //
 // Analyze is the flow's terminal stage: the report is a pure function of
