@@ -355,7 +355,7 @@ func BenchmarkRSMT(b *testing.B) {
 	cfg := bench.DefaultNetConfig()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
-		rsmt.Build(cfg.Random(rng), nil)
+		rsmt.Build(cfg.Random(rng))
 	}
 }
 

@@ -73,7 +73,7 @@ func RunTable1(net *tree.Net, workers int) ([]AlgoRow, error) {
 			btopo := dme.GenTopo(net, dme.GreedyDist, bound)
 			return dme.Build(net, btopo, dme.BST(bound))
 		}},
-		{"FLUTE*", false, func() (*tree.Tree, error) { return rsmt.Build(net, nil), nil }},
+		{"FLUTE*", false, func() (*tree.Tree, error) { return rsmt.Build(net), nil }},
 		{"R-SALT", false, func() (*tree.Tree, error) { return salt.Build(net, 0), nil }},
 		{"CBS", true, func() (*tree.Tree, error) { return core.Build(net, core.DefaultOptions(bound)) }},
 	}

@@ -128,7 +128,7 @@ func TestHTreeHeavierThanRSMT(t *testing.T) {
 			net.Sinks = append(net.Sinks, tree.PinSink{Loc: p, Cap: 1})
 		}
 		sumH += Build(net).Wirelength()
-		sumR += rsmt.Build(net, nil).Wirelength()
+		sumR += rsmt.Build(net).Wirelength()
 	}
 	if sumH <= sumR {
 		t.Errorf("H-tree WL %g unexpectedly lighter than RSMT %g", sumH, sumR)

@@ -59,7 +59,7 @@ func buildSmall(net *tree.Net) *tree.Tree {
 	terms := append([]geom.Point{net.Source}, net.SinkPoints()...)
 	steiners := iterated1Steiner(terms)
 	pts := append(append([]geom.Point(nil), terms...), steiners...)
-	parent := MST(pts, nil)
+	parent := MST(pts)
 
 	t := tree.New(net.Source)
 	nodes := make([]*tree.Node, len(pts))

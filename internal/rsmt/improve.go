@@ -2,7 +2,6 @@ package rsmt
 
 import (
 	"sllt/internal/geom"
-	"sllt/internal/obs"
 	"sllt/internal/tree"
 )
 
@@ -10,18 +9,11 @@ import (
 // edge swaps (reattach a subtree to the nearest non-descendant vertex when
 // that shortens its incoming edge) with median-point Steinerization, until
 // neither pass finds a saving. Every accepted move strictly reduces total
-// wirelength, so the loop terminates. A non-nil kern counts accepted
-// reattachments into kern.EdgeSwapMoves, each round into
-// kern.EdgeSwapPasses and the Steinerization inserts into
-// kern.SteinerInserts.
-func Improve(t *tree.Tree, kern *obs.KernelCounters) {
+// wirelength, so the loop terminates.
+func Improve(t *tree.Tree) {
 	for pass := 0; pass < 16; pass++ {
 		moved := edgeSwapOnce(t)
-		if kern != nil {
-			kern.EdgeSwapPasses.Add(1)
-			kern.EdgeSwapMoves.Add(int64(moved))
-		}
-		Steinerize(t, kern)
+		Steinerize(t, nil)
 		tree.RemoveRedundantSteiner(t)
 		if moved == 0 {
 			return

@@ -22,43 +22,35 @@ import (
 
 // Build returns a rectilinear Steiner tree over the net's source and sinks,
 // rooted at the source. Edge lengths equal Manhattan distances (no snaking).
-// A non-nil kern receives the kernel counters (MST builds and points,
-// Steiner insertions, edge-swap moves); they never feed back into any
-// construction decision.
-func Build(net *tree.Net, kern *obs.KernelCounters) *tree.Tree {
+func Build(net *tree.Net) *tree.Tree {
 	if len(net.Sinks)+1 <= hananThreshold {
 		t := buildSmall(net)
-		Steinerize(t, kern)
-		Improve(t, kern)
+		Steinerize(t, nil)
+		Improve(t)
 		return t
 	}
 	pts := make([]geom.Point, 0, len(net.Sinks)+1)
 	pts = append(pts, net.Source)
 	pts = append(pts, net.SinkPoints()...)
 
-	parent := MST(pts, kern)
+	parent := MST(pts)
 	t := treeFromParents(net, pts, parent)
-	Steinerize(t, kern)
-	Improve(t, kern)
+	Steinerize(t, nil)
+	Improve(t)
 	return t
 }
 
 // WL returns the wirelength of the heuristic RSMT over the net. It is the β
 // denominator used by tree.Measure callers.
-func WL(net *tree.Net) float64 { return Build(net, nil).Wirelength() }
+func WL(net *tree.Net) float64 { return Build(net).Wirelength() }
 
 // MST computes a minimum spanning tree over pts under Manhattan distance and
 // returns the parent index of each point, with parent[0] == -1 (point 0 is
 // the root). It is the exhaustive O(n²) Prim scan, which is exact and fast
 // at clock-net sizes (tens of pins): the lowest-index unvisited point among
 // the minima is picked each round, and ties for a point's best tree
-// neighbor keep the earliest-added one. A non-nil kern counts one MSTBuilds
-// tick and the point count into MSTPoints.
-func MST(pts []geom.Point, kern *obs.KernelCounters) []int {
-	if kern != nil {
-		kern.MSTBuilds.Add(1)
-		kern.MSTPoints.Add(int64(len(pts)))
-	}
+// neighbor keep the earliest-added one.
+func MST(pts []geom.Point) []int {
 	n := len(pts)
 	parent := make([]int, n)
 	if n == 0 {
@@ -100,7 +92,7 @@ func MST(pts []geom.Point, kern *obs.KernelCounters) []int {
 
 // MSTWL returns the total Manhattan wirelength of the MST over pts.
 func MSTWL(pts []geom.Point) float64 {
-	parent := MST(pts, nil)
+	parent := MST(pts)
 	var wl float64
 	for i, p := range parent {
 		if p >= 0 {

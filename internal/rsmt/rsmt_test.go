@@ -42,7 +42,7 @@ func TestBuildValidTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 30; trial++ {
 		net := randomNet(rng, 2+rng.Intn(30), 100)
-		tr := Build(net, nil)
+		tr := Build(net)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -62,7 +62,7 @@ func TestSteinerBeatsMST(t *testing.T) {
 	}}
 	pts := append([]geom.Point{net.Source}, net.SinkPoints()...)
 	mstWL := MSTWL(pts)
-	tr := Build(net, nil)
+	tr := Build(net)
 	if tr.Wirelength() >= mstWL {
 		t.Errorf("steinerized WL %g not better than MST %g", tr.Wirelength(), mstWL)
 	}
@@ -80,7 +80,7 @@ func TestSteinerNeverWorseThanMST(t *testing.T) {
 		net := randomNet(rng, 5+rng.Intn(35), 200)
 		pts := append([]geom.Point{net.Source}, net.SinkPoints()...)
 		mstWL := MSTWL(pts)
-		got := Build(net, nil).Wirelength()
+		got := Build(net).Wirelength()
 		if got > mstWL+geom.Eps {
 			t.Fatalf("trial %d: steinerized WL %g exceeds MST %g", trial, got, mstWL)
 		}
@@ -100,7 +100,7 @@ func TestSteinerPreservesPathLengths(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		net := randomNet(rng, 3+rng.Intn(25), 150)
 		pts := append([]geom.Point{net.Source}, net.SinkPoints()...)
-		parent := MST(pts, nil)
+		parent := MST(pts)
 		mst := treeFromParents(net, pts, parent)
 		before := sinkPLs(mst, net)
 		st := mst.Clone()
@@ -131,7 +131,7 @@ func TestMedian3(t *testing.T) {
 
 func TestBuildSingleSink(t *testing.T) {
 	net := &tree.Net{Source: geom.Pt(0, 0), Sinks: []tree.PinSink{{Name: "a", Loc: geom.Pt(5, 5), Cap: 1}}}
-	tr := Build(net, nil)
+	tr := Build(net)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func MSTTree(net *tree.Net) *tree.Tree {
 	pts := make([]geom.Point, 0, len(net.Sinks)+1)
 	pts = append(pts, net.Source)
 	pts = append(pts, net.SinkPoints()...)
-	return treeFromParents(net, pts, MST(pts, nil))
+	return treeFromParents(net, pts, MST(pts))
 }
 
 func randomEquivPts(n int, rng *rand.Rand) []geom.Point {
@@ -169,7 +169,7 @@ func TestMSTTrivialInputs(t *testing.T) {
 		{[]geom.Point{geom.Pt(3, 4), geom.Pt(9, 1)}, []int{-1, 0}},
 	}
 	for _, c := range cases {
-		got := MST(c.pts, nil)
+		got := MST(c.pts)
 		if len(got) != len(c.want) {
 			t.Fatalf("n=%d: len %d, want %d", len(c.pts), len(got), len(c.want))
 		}
@@ -215,7 +215,7 @@ func TestTreeFromParentsLinearAttach(t *testing.T) {
 			t.Fatalf("n=%d: attached %d nodes", n, seen)
 		}
 		var mstWL float64
-		for i, p := range MST(pts, nil) {
+		for i, p := range MST(pts) {
 			if p >= 0 {
 				mstWL += pts[i].Dist(pts[p])
 			}
@@ -240,9 +240,9 @@ func TestImproveLargeDeterministic(t *testing.T) {
 	before := base.Wirelength()
 
 	a := base.Clone()
-	Improve(a, nil)
+	Improve(a)
 	b := base.Clone()
-	Improve(b, nil)
+	Improve(b)
 
 	if fa, fb := tree.Fingerprint(a), tree.Fingerprint(b); fa != fb {
 		t.Fatal("Improve is not deterministic on identical input")

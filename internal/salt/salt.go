@@ -22,7 +22,7 @@ import (
 // eps >= 0. The result satisfies PL(s) <= (1+eps)·MD(s) for every sink s.
 // eps = 0 yields a shortest-path Steiner tree (α = 1).
 func Build(net *tree.Net, eps float64) *tree.Tree {
-	t := rsmt.Build(net, nil)
+	t := rsmt.Build(net)
 	Relax(t, eps, nil)
 	return t
 }

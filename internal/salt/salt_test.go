@@ -76,7 +76,7 @@ func TestEpsTradeoff(t *testing.T) {
 	var wlSeed float64
 	for trial := 0; trial < 25; trial++ {
 		net := randomNet(rng, 20, 150)
-		wlSeed += rsmt.Build(net, nil).Wirelength()
+		wlSeed += rsmt.Build(net).Wirelength()
 	}
 	if wlLoose > wlSeed*1.02 {
 		t.Errorf("loose SALT WL %g much worse than RSMT %g", wlLoose, wlSeed)
@@ -111,7 +111,7 @@ func TestRelaxPreservesSinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 15; trial++ {
 		net := randomNet(rng, 4+rng.Intn(20), 100)
-		tr := rsmt.Build(net, nil)
+		tr := rsmt.Build(net)
 		Relax(tr, 0.2, nil)
 		if got := len(tr.Sinks()); got != len(net.Sinks) {
 			t.Fatalf("trial %d: %d sinks after relax, want %d", trial, got, len(net.Sinks))
