@@ -46,9 +46,16 @@ func TestOCVCPPRRecoversSharedTrunk(t *testing.T) {
 	}
 }
 
+// TestOCVZeroDerateMatchesNominal checks that with every derate at 1 the
+// naive OCV skew is the nominal skew: on a buffer-free DME tree against
+// Analyze, and on a hand-built tree whose two buffers sit below one branch
+// at different propagated input slews against a by-hand latency sum. A cell
+// delay taken at the source slew instead misses the by-hand skew by
+// WS·(slew_b − slew_a), about 2.6 ps here.
 func TestOCVZeroDerateMatchesNominal(t *testing.T) {
 	lib := liberty.Default()
 	tc := tech.Default28nm()
+	const srcSlew = 20.0
 	rng := rand.New(rand.NewSource(81))
 	net := &tree.Net{Source: geom.Pt(40, 40)}
 	for i := 0; i < 20; i++ {
@@ -57,24 +64,59 @@ func TestOCVZeroDerateMatchesNominal(t *testing.T) {
 		})
 	}
 	topo := dme.GenTopo(net, dme.GreedyDist, 0)
-	tr, err := dme.Build(net, topo, dme.Options{Model: dme.Elmore, SkewBound: 5, Tech: tc})
+	dmeTree, err := dme.Build(net, topo, dme.Options{Model: dme.Elmore, SkewBound: 5, Tech: tc})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nom, err := Analyze(dmeTree, lib, tc, srcSlew)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// source(0,0) -20- branch(20,0) -10- CLKBUFX2 a -40- sink a
+	//                               -300- CLKBUFX2 b -40- sink b
+	cell := lib.Cell("CLKBUFX2")
+	bufTree := tree.New(geom.Pt(0, 0))
+	branch := tree.NewNode(tree.Steiner, geom.Pt(20, 0))
+	bufTree.Root.AddChild(branch)
+	for i, at := range []geom.Point{geom.Pt(30, 0), geom.Pt(20, 300)} {
+		buf := tree.NewNode(tree.Buffer, at)
+		buf.BufCell = cell.Name
+		buf.PinCap = cell.InputCap
+		branch.AddChild(buf)
+		s := tree.NewNode(tree.Sink, geom.Pt(at.X, at.Y+40))
+		s.PinCap = 2
+		s.SinkIdx = i
+		buf.AddChild(s)
+	}
+	trunk := tc.WireElmore(20, tc.WireCap(10+300)+2*cell.InputCap)
+	branchSlew := math.Sqrt(srcSlew*srcSlew + Ln9*trunk*Ln9*trunk)
+	leg := func(wire float64) float64 { // branch to sink through a buffer
+		d := tc.WireElmore(wire, cell.InputCap)
+		slew := math.Sqrt(branchSlew*branchSlew + Ln9*d*Ln9*d)
+		return d + cell.Delay(slew, tc.WireCap(40)+2) + tc.WireElmore(40, 2)
+	}
+	handSkew := leg(300) - leg(10)
+
 	unit := OCVParams{WireEarly: 1, WireLate: 1, CellEarly: 1, CellLate: 1}
-	rep, err := AnalyzeOCV(tr, lib, tc, 20, unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nom, err := Analyze(tr, lib, tc, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rep.NaiveSkew-nom.Skew) > 1e-6 {
-		t.Errorf("unit-derate naive skew %g != nominal skew %g", rep.NaiveSkew, nom.Skew)
-	}
-	if rep.Skew > rep.NaiveSkew+1e-9 {
-		t.Error("CPPR skew exceeds naive skew")
+	for _, c := range []struct {
+		name string
+		tr   *tree.Tree
+		skew float64 // unit: ps
+	}{
+		{"buffer-free DME tree", dmeTree, nom.Skew},
+		{"two buffers below a branch", bufTree, handSkew},
+	} {
+		rep, err := AnalyzeOCV(c.tr, lib, tc, srcSlew, unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(rep.NaiveSkew-c.skew) > 1e-6 {
+			t.Errorf("%s: unit-derate naive skew %g != nominal skew %g", c.name, rep.NaiveSkew, c.skew)
+		}
+		if rep.Skew > rep.NaiveSkew+1e-9 {
+			t.Errorf("%s: CPPR skew exceeds naive skew", c.name)
+		}
 	}
 }
 
