@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sllt/internal/bench"
+	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
 	"sllt/internal/designgen"
@@ -19,33 +20,60 @@ import (
 // DESIGN.md; any other change that moves it is a regression.
 const smokeDigest = "ae94c8016ab9c833a346f9a4dc6e89956790820efe102f0fec6d9fd6db2bbe4b"
 
+// smokeFlow runs the paper's flow on the oracles' design, a reduced
+// s38584-class design generated at seed 1, and returns the hex SHA-256 of
+// its exported DEF. A non-nil store attaches the run cache.
+func smokeFlow(t *testing.T, workers int, store *cache.Cache) string {
+	t.Helper()
+	// The oracles must exercise real goroutine interleaving even on small CI
+	// boxes, where GOMAXPROCS would otherwise clamp the fan-out.
+	if workers > runtime.GOMAXPROCS(0) {
+		runtime.GOMAXPROCS(workers)
+	}
+	d := designgen.Generate(designgen.Spec{Name: "smoke", Insts: 1500, FFs: 300, Util: 0.60}, 1)
+	opts := cts.DefaultOptions()
+	opts.SAIters = 200
+	opts.Workers = workers
+	opts.Cache = store
+	res, err := cts.Run(d, opts)
+	if err != nil {
+		t.Fatalf("workers %d: %v", workers, err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(cts.ExportDEF(d, res).WriteDEF())))
+}
+
 // TestSmokeDigest pins the smoke flow's DEF, serial and on eight workers,
 // to the known digest, not just to each other.
 func TestSmokeDigest(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 8} {
-		_, def, err := smokeFlow(1, workers, nil)
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(def))); got != smokeDigest {
+		if got := smokeFlow(t, workers, nil); got != smokeDigest {
 			t.Errorf("workers %d: smoke DEF digest %s, want %s", workers, got, smokeDigest)
 		}
 	}
 }
 
-// TestCacheSmokeDigest runs the smoke flow twice against one on-disk store
-// on eight workers: cacheSmoke fails unless the second pass is one hit with
-// no miss and byte-identical to the first, and the DEF must hash to the
-// uncached smokeDigest.
+// TestCacheSmokeDigest is the run cache's oracle: it runs the smoke flow
+// twice against one on-disk store on eight workers. The second pass must be
+// one hit with no miss, and both passes must hash to the uncached
+// smokeDigest.
 func TestCacheSmokeDigest(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	digest, err := cacheSmoke(1, 8)
+	store, err := cache.New(cache.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%x", digest); got != smokeDigest {
-		t.Errorf("cached smoke DEF digest %s, want %s", got, smokeDigest)
+	for pass := 1; pass <= 2; pass++ {
+		prev := store.Stats().Total()
+		got := smokeFlow(t, 8, store)
+		total := store.Stats().Total()
+		hits, misses := total.Hits-prev.Hits, total.Misses-prev.Misses
+		if got != smokeDigest {
+			t.Errorf("pass %d: cached smoke DEF digest %s, want %s", pass, got, smokeDigest)
+		}
+		if pass == 2 && (hits != 1 || misses != 0) {
+			t.Errorf("pass 2 hit %d and missed %d times, want one hit and no miss", hits, misses)
+		}
 	}
 }
 

@@ -4,8 +4,16 @@
 // Usage:
 //
 //	slltcts -lef design.lef -def design.def [-net clk] [-engine ours|commercial|openroad]
-//	        [-out cts.def] [-skew 80] [-fanout 32] [-cap 150] [-workers N]
+//	        [-out cts.def] [-skew ps] [-fanout n] [-cap fF] [-seed n] [-workers N]
 //	        [-report run.json] [-trace run.trace] [-cachedir DIR]
+//
+// The engine names select the paper's flow ("ours", CBS-based) or one of
+// the two baseline proxies used in Tables 6/7 (baseline.Engines). -skew,
+// -fanout, -cap and -seed override the engine's value when non-zero and
+// keep it when zero, the rule slltd's job options follow
+// (server.JobOptions.Resolve): -skew and -fanout default to 0, so
+// `-engine commercial` runs at the commercial proxy's 20 ps skew bound and
+// `-engine openroad` at the OpenROAD proxy's fanout of 20.
 //
 // -workers spreads the independent per-cluster net builds of each level
 // over N goroutines. The output DEF is byte-identical for every value —
@@ -22,126 +30,162 @@
 // synthesizing it, and a run that completes stores its entry there. Any
 // edit to the placement or the options is a new run, computed in full.
 // Cached and uncached runs produce byte-identical DEF output.
-//
-// The engine names select the paper's flow ("ours", CBS-based) or one of
-// the two baseline proxies used in Tables 6/7.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
 
-	"sllt/internal/baseline"
 	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
 	"sllt/internal/lefdef"
 	"sllt/internal/obs"
+	"sllt/internal/server"
 )
 
+// errUsage reports a command line run could not use; the flag set has
+// already printed why.
+var errUsage = errors.New("usage")
+
 func main() {
-	lefPath := flag.String("lef", "", "input LEF file (required)")
-	defPath := flag.String("def", "", "input DEF file (required)")
-	netName := flag.String("net", "", "clock net name (default: first USE CLOCK net)")
-	engine := flag.String("engine", "ours", "flow: ours | commercial | openroad")
-	outPath := flag.String("out", "", "output post-CTS DEF file")
-	skew := flag.Float64("skew", 80, "skew bound, ps")
-	fanout := flag.Int("fanout", 32, "max fanout per clock net")
-	maxCap := flag.Float64("cap", 150, "max stage capacitance, fF")
-	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for per-cluster builds (<=1 serial; output is identical for any value)")
-	reportPath := flag.String("report", "", "write the run report (canonical JSON, schema sllt.obs.report/v1.1) to this file")
-	tracePath := flag.String("trace", "", "write a human-readable stage trace to this file")
-	cacheDir := flag.String("cachedir", "", "run cache directory: replay a run identical to an earlier one (output bytes unchanged)")
-	flag.Parse()
-
-	if *lefPath == "" || *defPath == "" {
-		flag.Usage()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errUsage):
 		os.Exit(2)
-	}
-	// Inputs stream through the fixed-buffer readers: neither file is ever
-	// held in memory whole, so ingest cost is the parsed structures alone.
-	lef, err := parseLEFFile(*lefPath)
-	fatal(err)
-	df, err := parseDEFFile(*defPath)
-	fatal(err)
-	d, err := design.FromLEFDEF(lef, df, *netName)
-	fatal(err)
-
-	var opts cts.Options
-	switch *engine {
-	case "ours":
-		opts = cts.DefaultOptions()
-	case "commercial":
-		opts = baseline.CommercialLike()
-	case "openroad":
-		opts = baseline.OpenROADLike()
 	default:
-		fatal(fmt.Errorf("unknown engine %q", *engine))
+		fmt.Fprintln(os.Stderr, "slltcts:", err)
+		os.Exit(1)
 	}
-	opts.Cons.SkewBound = *skew
-	opts.Cons.MaxFanout = *fanout
-	opts.Cons.MaxCap = *maxCap
-	opts.Seed = *seed
+}
+
+// run executes one slltcts command line, writing its summary to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("slltcts", flag.ContinueOnError)
+	lefPath := fs.String("lef", "", "input LEF file (required)")
+	defPath := fs.String("def", "", "input DEF file (required)")
+	netName := fs.String("net", "", "clock net name (default: first USE CLOCK net)")
+	engine := fs.String("engine", "ours", "flow: ours | commercial | openroad")
+	outPath := fs.String("out", "", "output post-CTS DEF file")
+	skew := fs.Float64("skew", 0, "skew bound, ps (0: the engine's)")
+	fanout := fs.Int("fanout", 0, "max fanout per clock net (0: the engine's)")
+	maxCap := fs.Float64("cap", 0, "max stage capacitance, fF (0: the engine's)")
+	seed := fs.Int64("seed", 1, "random seed (0: the engine's)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for per-cluster builds (<=1 serial; output is identical for any value)")
+	reportPath := fs.String("report", "", "write the run report (canonical JSON, schema sllt.obs.report/v1.1) to this file")
+	tracePath := fs.String("trace", "", "write a human-readable stage trace to this file")
+	cacheDir := fs.String("cachedir", "", "run cache directory: replay a run identical to an earlier one (output bytes unchanged)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	if *lefPath == "" || *defPath == "" {
+		fs.Usage()
+		return errUsage
+	}
+
+	opts, err := server.JobOptions{
+		Engine: *engine, SkewPs: *skew, Fanout: *fanout, MaxCapFF: *maxCap, Seed: *seed,
+	}.Resolve()
+	if err != nil {
+		return err
+	}
 	opts.Workers = *workers
 	if *reportPath != "" || *tracePath != "" {
 		opts.Obs = obs.New(nil)
 	}
 	var store *cache.Cache
 	if *cacheDir != "" {
-		store, err = cache.New(cache.Config{Dir: *cacheDir})
-		fatal(err)
+		if store, err = cache.New(cache.Config{Dir: *cacheDir}); err != nil {
+			return err
+		}
 		opts.Cache = store
 	}
 
-	fmt.Printf("slltcts: %s — %d instances, %d clock sinks, die %.0fx%.0f um\n",
+	// Inputs stream through the fixed-buffer readers: neither file is ever
+	// held in memory whole, so ingest cost is the parsed structures alone.
+	lef, err := parseLEFFile(*lefPath)
+	if err != nil {
+		return err
+	}
+	df, err := parseDEFFile(*defPath)
+	if err != nil {
+		return err
+	}
+	d, err := design.FromLEFDEF(lef, df, *netName)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(stdout, "slltcts: %s — %d instances, %d clock sinks, die %.0fx%.0f um\n",
 		d.Name, len(d.Insts), d.NumFFs(), d.Die.W(), d.Die.H())
 	start := time.Now()
 	res, err := cts.Run(d, opts)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	rt := time.Since(start)
 
 	r := res.Report
-	fmt.Printf("engine        : %s\n", *engine)
-	fmt.Printf("levels        : %d (clusters per level: %v)\n", res.Levels, res.Clusters)
-	fmt.Printf("max latency   : %.1f ps\n", r.MaxLatency)
-	fmt.Printf("skew          : %.1f ps (bound %.0f)\n", r.Skew, *skew)
-	fmt.Printf("buffers       : %d (area %.1f um2)\n", r.Buffers, r.BufArea)
-	fmt.Printf("clock cap     : %.1f fF\n", r.ClockCap)
-	fmt.Printf("clock WL      : %.1f um\n", r.WL)
-	fmt.Printf("max stage cap : %.1f fF (limit %.0f)\n", r.MaxStgCap, *maxCap)
-	fmt.Printf("max sink slew : %.1f ps\n", r.MaxSlew)
-	fmt.Printf("runtime       : %.2f s\n", rt.Seconds())
+	fmt.Fprintf(stdout, "engine        : %s\n", *engine)
+	fmt.Fprintf(stdout, "levels        : %d (clusters per level: %v)\n", res.Levels, res.Clusters)
+	fmt.Fprintf(stdout, "max latency   : %.1f ps\n", r.MaxLatency)
+	fmt.Fprintf(stdout, "skew          : %.1f ps (bound %.0f)\n", r.Skew, opts.Cons.SkewBound)
+	fmt.Fprintf(stdout, "buffers       : %d (area %.1f um2)\n", r.Buffers, r.BufArea)
+	fmt.Fprintf(stdout, "clock cap     : %.1f fF\n", r.ClockCap)
+	fmt.Fprintf(stdout, "clock WL      : %.1f um\n", r.WL)
+	fmt.Fprintf(stdout, "max stage cap : %.1f fF (limit %.0f)\n", r.MaxStgCap, opts.Cons.MaxCap)
+	fmt.Fprintf(stdout, "max sink slew : %.1f ps\n", r.MaxSlew)
+	fmt.Fprintf(stdout, "runtime       : %.2f s\n", rt.Seconds())
 	if store != nil {
 		total := store.Stats().Total()
-		fmt.Printf("cache         : %d hits / %d misses\n", total.Hits, total.Misses)
+		fmt.Fprintf(stdout, "cache         : %d hits / %d misses\n", total.Hits, total.Misses)
 	}
 
 	if *outPath != "" {
 		out, err := cts.ExportDEFFile(*outPath, d, res)
-		fatal(err)
-		fmt.Printf("wrote %s (%d components, %d nets)\n", *outPath, len(out.Components), len(out.Nets))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d components, %d nets)\n", *outPath, len(out.Components), len(out.Nets))
 	}
 
-	if opts.Obs.Enabled() {
-		rep := opts.Obs.Snapshot()
-		if *reportPath != "" {
-			data, err := rep.JSON()
-			fatal(err)
-			fatal(os.WriteFile(*reportPath, data, 0o644))
-			fmt.Printf("wrote %s (report, %d bytes)\n", *reportPath, len(data))
-		}
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			fatal(err)
-			fatal(rep.WriteTrace(f))
-			fatal(f.Close())
-			fmt.Printf("wrote %s (trace)\n", *tracePath)
-		}
+	if !opts.Obs.Enabled() {
+		return nil
 	}
+	rep := opts.Obs.Snapshot()
+	if *reportPath != "" {
+		data, err := rep.JSON()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*reportPath, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s (report, %d bytes)\n", *reportPath, len(data))
+	}
+	if *tracePath != "" {
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			return err
+		}
+		if err := rep.WriteTrace(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s (trace)\n", *tracePath)
+	}
+	return nil
 }
 
 func parseLEFFile(path string) (*lefdef.LEF, error) {
@@ -160,11 +204,4 @@ func parseDEFFile(path string) (*lefdef.DEF, error) {
 	}
 	defer f.Close()
 	return lefdef.ParseDEFReader(f)
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "slltcts:", err)
-		os.Exit(1)
-	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"sllt/internal/baseline"
 	"sllt/internal/bench"
 	"sllt/internal/cts"
 	"sllt/internal/designgen"
@@ -34,23 +33,18 @@ func main() {
 		spec.Name, d.NumFFs(), (ocv.WireLate-1)*100, (ocv.CellLate-1)*100)
 	fmt.Printf("%-6s %12s %12s %12s %12s\n", "flow", "nominal(ps)", "naive(ps)", "cppr(ps)", "pessimism")
 
-	for _, fl := range []struct {
-		name string
-		opts cts.Options
-	}{
-		{"ours", cts.DefaultOptions()},
-		{"com", baseline.CommercialLike()},
-		{"or", baseline.OpenROADLike()},
-	} {
-		res, err := cts.Run(d, fl.opts)
+	flows := bench.FlowOptions(0)
+	for _, name := range bench.FlowNames {
+		opts := flows[name]
+		res, err := cts.Run(d, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := timing.AnalyzeOCV(res.Tree, fl.opts.Lib, fl.opts.Tech, fl.opts.SourceSlew, ocv)
+		rep, err := timing.AnalyzeOCV(res.Tree, opts.Lib, opts.Tech, opts.SourceSlew, ocv)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-6s %12.2f %12.2f %12.2f %12.2f\n",
-			fl.name, res.Report.Skew, rep.NaiveSkew, rep.Skew, rep.Pessimism)
+			name, res.Report.Skew, rep.NaiveSkew, rep.Skew, rep.Pessimism)
 	}
 }

@@ -18,24 +18,54 @@
 //     larger optimization effort (longer annealing, multiple topology
 //     candidates per net) — which is also what makes it an order of
 //     magnitude slower, as in the paper's runtime columns.
+//
+// Engines names the paper's flow and both proxies for every front end that
+// selects a flow: slltcts, the job API, benchtab's Tables 6/7 and
+// examples/ocvreport.
 package baseline
 
 import (
+	"fmt"
+
 	"sllt/internal/core"
 	"sllt/internal/cts"
 	"sllt/internal/dme"
 	"sllt/internal/tree"
 )
 
+// An Engine is one flow of Tables 6 and 7.
+type Engine struct {
+	// Name selects the flow: slltcts -engine and the job API's "engine".
+	Name string
+	// Options returns a fresh copy of the flow's configuration.
+	Options func() cts.Options
+}
+
+// Engines is the engine table: the paper's flow and the two proxies, in
+// the tables' column order.
+var Engines = []Engine{
+	{"ours", cts.DefaultOptions},
+	{"commercial", CommercialLike},
+	{"openroad", OpenROADLike},
+}
+
+// Lookup returns the engine called name.
+func Lookup(name string) (Engine, error) {
+	for _, e := range Engines {
+		if e.Name == name {
+			return e, nil
+		}
+	}
+	return Engine{}, fmt.Errorf("unknown engine %q (want ours, commercial or openroad)", name)
+}
+
 // OpenROADLike returns the OpenROAD-proxy flow configuration.
 func OpenROADLike() cts.Options {
 	opts := cts.DefaultOptions()
 	// TritonCTS routes clusters competently; its weaknesses modeled here
 	// are the estimate-blind balancing, uniform large buffers and deeper
-	// hierarchy, not the per-net router. The builder is the same CBS
-	// construction DefaultOptions names, so the inherited BuildID stays
-	// accurate for run-cache keying.
-	opts.Build = cts.CBSBuilder(dme.GreedyDist, 0.1)
+	// hierarchy, not the per-net router, so it keeps DefaultOptions' CBS
+	// builder and the BuildID that keys it in the run cache.
 	opts.Est = cts.EstNone
 	opts.UseSA = false
 	opts.ForceCell = opts.Lib.Strongest().Name

@@ -10,7 +10,7 @@ import (
 	"sllt/internal/designgen"
 )
 
-// FlowNames in paper column order.
+// FlowNames in paper column order: FlowNames[i] labels baseline.Engines[i].
 var FlowNames = []string{"Ours", "Com.", "OR."}
 
 // FlowOptions returns the three competing flows keyed by FlowNames entry.
@@ -18,14 +18,11 @@ var FlowNames = []string{"Ours", "Com.", "OR."}
 // parallelizes its per-cluster builds; results are byte-identical for any
 // value (<= 1 serial).
 func FlowOptions(workers int) map[string]cts.Options {
-	flows := map[string]cts.Options{
-		"Ours": cts.DefaultOptions(),
-		"Com.": baseline.CommercialLike(),
-		"OR.":  baseline.OpenROADLike(),
-	}
-	for name, opts := range flows {
+	flows := make(map[string]cts.Options, len(FlowNames))
+	for i, e := range baseline.Engines {
+		opts := e.Options()
 		opts.Workers = workers
-		flows[name] = opts
+		flows[FlowNames[i]] = opts
 	}
 	return flows
 }

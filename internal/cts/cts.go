@@ -388,8 +388,8 @@ func levelShare(skew float64, levelsLeft int) float64 {
 // balancing points (restarted and silhouette-scored when asked), min-cost
 // flow assignment under the fanout cap, and optional SA refinement. It
 // returns each node's cluster, the cluster count and the assignment method
-// that ran, plus the SA stats when observability wants them.
-func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (levelPartition, *partition.SAStats, error) {
+// that ran.
+func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (levelPartition, error) {
 	pts := make([]geom.Point, len(nodes))
 	caps := make([]float64, len(nodes))
 	var capTotal float64
@@ -410,10 +410,9 @@ func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (l
 	defer psp.End()
 	centers, err := bestClustering(pts, k, opts, level, psp)
 	if err != nil {
-		return levelPartition{}, nil, err
+		return levelPartition{}, err
 	}
 	assign, method := partition.BalancedAssignK(pts, centers, opts.Cons.MaxFanout, opts.Obs.Kernel())
-	var saStats *partition.SAStats
 	if opts.UseSA {
 		sa := partition.DefaultSAOptions(opts.Seed + int64(level))
 		// Fixed iteration counts vanish on hundred-thousand-sink levels;
@@ -426,14 +425,10 @@ func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (l
 		sa.MaxCap = opts.Cons.MaxCap
 		sa.MaxWL = opts.Cons.MaxWL
 		sa.MaxFanout = opts.Cons.MaxFanout
-		if opts.Obs.Enabled() {
-			saStats = &partition.SAStats{}
-			sa.Stats = saStats
-			sa.Kernel = opts.Obs.Kernel()
-		}
+		sa.Kernel = opts.Obs.Kernel()
 		assign = partition.RefineSA(pts, caps, k, assign, sa)
 	}
-	return levelPartition{k: k, method: method, assign: assign}, saStats, nil
+	return levelPartition{k: k, method: method, assign: assign}, nil
 }
 
 // levelPartition is partitionLevel's result: the cluster count, the
@@ -454,7 +449,7 @@ func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelB
 	defer lv.End()
 	kprev := opts.Obs.Kernel().Snapshot()
 
-	part, saStats, err := partitionLevel(nodes, opts, level, lv)
+	part, err := partitionLevel(nodes, opts, level, lv)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -514,7 +509,7 @@ func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelB
 		return nil, 0, err
 	}
 	if addLevel != nil {
-		addLevel(levelQoR(level, nodes, clusters, next, qors, part.method, saStats, opts, kprev))
+		addLevel(levelQoR(level, nodes, clusters, next, qors, part.method, opts, kprev))
 	}
 	return next, len(clusters), nil
 }
@@ -526,7 +521,7 @@ var latencyBounds = []float64{25, 50, 100, 200, 400, 800}
 // in index order, skew/latency spread over the next level's delay
 // annotations, and the kernel-counter delta since the level began. Runs
 // serially after the cluster fan-out has joined.
-func levelQoR(level int, nodes []clockNode, clusters [][]clockNode, next []clockNode, qors []obs.NetQoR, method string, saStats *partition.SAStats, opts Options, kprev obs.KernelSnapshot) obs.LevelQoR {
+func levelQoR(level int, nodes []clockNode, clusters [][]clockNode, next []clockNode, qors []obs.NetQoR, method string, opts Options, kprev obs.KernelSnapshot) obs.LevelQoR {
 	q := obs.LevelQoR{
 		Level:          level,
 		Nodes:          len(nodes),
@@ -564,15 +559,13 @@ func levelQoR(level int, nodes []clockNode, clusters [][]clockNode, next []clock
 			q.MaxClusterCap = s
 		}
 	}
-	if saStats != nil {
-		q.SAProposed = saStats.Proposed
-		q.SAAccepted = saStats.Accepted
-		if saStats.Proposed > 0 {
-			q.SAAcceptRate = float64(saStats.Accepted) / float64(saStats.Proposed)
-		}
-	}
 	delta := opts.Obs.Kernel().Snapshot().Sub(kprev)
 	q.KMeansIters = int(delta.KMeansIters)
+	q.SAProposed = int(delta.SAProposed)
+	q.SAAccepted = int(delta.SAAccepted)
+	if delta.SAProposed > 0 {
+		q.SAAcceptRate = float64(delta.SAAccepted) / float64(delta.SAProposed)
+	}
 	q.GridQueries = delta.GridQueries
 	q.GridRingSteps = delta.GridRingSteps
 	if delta.GridQueries > 0 {

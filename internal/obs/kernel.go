@@ -3,7 +3,7 @@ package obs
 import "sync/atomic"
 
 // KernelCounters is the low-overhead side channel the kernel layers
-// increment: rsmt (MST, Steinerize, edge swap), dme (merges, skew snaking),
+// increment: rsmt (Steiner insertions), dme (merges, skew snaking),
 // buffering (inserted repeaters, decoupled wires), partition (k-means
 // iterations, SA moves, min-cost-flow augmentations) and geom/index (grid
 // queries). Fields are atomic int64s — order-independent under any
@@ -16,11 +16,7 @@ import "sync/atomic"
 // kernels that did it.
 type KernelCounters struct {
 	// rsmt
-	MSTBuilds      atomic.Int64 // MST constructions
-	MSTPoints      atomic.Int64 // points across all MST builds
 	SteinerInserts atomic.Int64 // accepted median Steiner insertions
-	EdgeSwapMoves  atomic.Int64 // accepted reattachment moves
-	EdgeSwapPasses atomic.Int64 // edge-swap rounds run
 	// dme
 	DMEMerges atomic.Int64 // merge-segment/region constructions
 	DMESnakes atomic.Int64 // skew-repair wire extensions
@@ -40,11 +36,11 @@ type KernelCounters struct {
 // KernelSnapshot is a plain-int copy of KernelCounters, used for per-level
 // deltas and report assembly.
 type KernelSnapshot struct {
-	MSTBuilds, MSTPoints, SteinerInserts, EdgeSwapMoves, EdgeSwapPasses int64
-	DMEMerges, DMESnakes                                                int64
-	BufInserted, BufDecoupled                                           int64
-	KMeansIters, SAProposed, SAAccepted, MCFAugments                    int64
-	GridQueries, GridRingSteps                                          int64
+	SteinerInserts                                   int64
+	DMEMerges, DMESnakes                             int64
+	BufInserted, BufDecoupled                        int64
+	KMeansIters, SAProposed, SAAccepted, MCFAugments int64
+	GridQueries, GridRingSteps                       int64
 }
 
 // Snapshot copies the current counter values (zero value on nil).
@@ -53,11 +49,7 @@ func (k *KernelCounters) Snapshot() KernelSnapshot {
 		return KernelSnapshot{}
 	}
 	return KernelSnapshot{
-		MSTBuilds:      k.MSTBuilds.Load(),
-		MSTPoints:      k.MSTPoints.Load(),
 		SteinerInserts: k.SteinerInserts.Load(),
-		EdgeSwapMoves:  k.EdgeSwapMoves.Load(),
-		EdgeSwapPasses: k.EdgeSwapPasses.Load(),
 		DMEMerges:      k.DMEMerges.Load(),
 		DMESnakes:      k.DMESnakes.Load(),
 		BufInserted:    k.BufInserted.Load(),
@@ -74,11 +66,7 @@ func (k *KernelCounters) Snapshot() KernelSnapshot {
 // Sub returns the per-field difference k - prev.
 func (k KernelSnapshot) Sub(prev KernelSnapshot) KernelSnapshot {
 	return KernelSnapshot{
-		MSTBuilds:      k.MSTBuilds - prev.MSTBuilds,
-		MSTPoints:      k.MSTPoints - prev.MSTPoints,
 		SteinerInserts: k.SteinerInserts - prev.SteinerInserts,
-		EdgeSwapMoves:  k.EdgeSwapMoves - prev.EdgeSwapMoves,
-		EdgeSwapPasses: k.EdgeSwapPasses - prev.EdgeSwapPasses,
 		DMEMerges:      k.DMEMerges - prev.DMEMerges,
 		DMESnakes:      k.DMESnakes - prev.DMESnakes,
 		BufInserted:    k.BufInserted - prev.BufInserted,

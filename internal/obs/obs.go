@@ -173,11 +173,7 @@ func kernelMetrics(s KernelSnapshot) []MetricJSON {
 		name string
 		v    int64
 	}{
-		{"kernel.rsmt.mst_builds", s.MSTBuilds},
-		{"kernel.rsmt.mst_points", s.MSTPoints},
 		{"kernel.rsmt.steiner_inserts", s.SteinerInserts},
-		{"kernel.rsmt.edgeswap_moves", s.EdgeSwapMoves},
-		{"kernel.rsmt.edgeswap_passes", s.EdgeSwapPasses},
 		{"kernel.dme.merges", s.DMEMerges},
 		{"kernel.dme.snakes", s.DMESnakes},
 		{"kernel.buffering.inserted", s.BufInserted},

@@ -20,7 +20,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 		sp.End()
 		rec.Dist("d", UnitUm, []float64{1, 2}).Observe(1.0)
 		if k := rec.Kernel(); k != nil { // the increment-site idiom
-			k.MSTBuilds.Add(1)
+			k.SteinerInserts.Add(1)
 		}
 		rec.Kernel().Snapshot()
 		rec.AddLevel(LevelQoR{})
@@ -153,13 +153,13 @@ func TestDistConcurrent(t *testing.T) {
 
 func TestKernelSnapshotSub(t *testing.T) {
 	var k KernelCounters
-	k.MSTBuilds.Add(3)
+	k.SteinerInserts.Add(3)
 	k.GridQueries.Add(10)
 	before := k.Snapshot()
-	k.MSTBuilds.Add(2)
+	k.SteinerInserts.Add(2)
 	k.GridQueries.Add(5)
 	d := k.Snapshot().Sub(before)
-	if d.MSTBuilds != 2 || d.GridQueries != 5 {
+	if d.SteinerInserts != 2 || d.GridQueries != 5 {
 		t.Fatalf("delta = %+v", d)
 	}
 }

@@ -34,8 +34,6 @@ func goldenRecorder() *Recorder {
 		d.Observe(v)
 	}
 	k := rec.Kernel()
-	k.MSTBuilds.Add(4)
-	k.MSTPoints.Add(64)
 	k.SteinerInserts.Add(11)
 	k.DMEMerges.Add(60)
 	k.BufInserted.Add(9)

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sllt/internal/baseline"
 	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
@@ -33,9 +35,10 @@ func fixtureSources(insts, ffs int, seed int64) (lefSrc, defSrc string) {
 	return lefSrc, defSrc
 }
 
-// offlineReference runs the cmd/slltcts pipeline in-process: stream-parse,
-// synthesize, stream-export. Its bytes are the truth the daemon must match.
-func offlineReference(t *testing.T, lefSrc, defSrc string) (defOut []byte, fp string) {
+// offlineReference runs the cmd/slltcts pipeline in-process under opts on
+// one worker: stream-parse, synthesize, stream-export. Its bytes are the
+// truth the daemon must match.
+func offlineReference(t *testing.T, lefSrc, defSrc string, opts cts.Options) (defOut []byte, fp string) {
 	t.Helper()
 	lef, err := lefdef.ParseLEFReader(strings.NewReader(lefSrc))
 	if err != nil {
@@ -49,7 +52,6 @@ func offlineReference(t *testing.T, lefSrc, defSrc string) (defOut []byte, fp st
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := cts.DefaultOptions()
 	opts.Workers = 1
 	res, err := cts.Run(d, opts)
 	if err != nil {
@@ -145,7 +147,7 @@ func getBytes(t *testing.T, url string) (int, []byte) {
 // must both be served for the finished job.
 func TestE2EByteIdentity(t *testing.T) {
 	lefSrc, defSrc := fixtureSources(400, 80, 11)
-	wantDEF, wantFP := offlineReference(t, lefSrc, defSrc)
+	wantDEF, wantFP := offlineReference(t, lefSrc, defSrc, cts.DefaultOptions())
 
 	s := server.New(server.Config{QueueDepth: 4, Runners: 1})
 	defer s.Close()
@@ -215,13 +217,32 @@ func TestE2EByteIdentity(t *testing.T) {
 	}
 }
 
+// TestRunFlowEngine: a job that names the OpenROAD proxy and sets no knob
+// runs that proxy's own configuration, so RunFlow returns the DEF of
+// cts.Run under baseline.OpenROADLike on the same input.
+func TestRunFlowEngine(t *testing.T) {
+	lefSrc, defSrc := fixtureSources(400, 80, 11)
+	wantDEF, wantFP := offlineReference(t, lefSrc, defSrc, baseline.OpenROADLike())
+	req := &server.JobRequest{LEF: lefSrc, DEF: defSrc, Options: server.JobOptions{Engine: "openroad"}}
+	got, err := server.RunFlow(context.Background(), req, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint != wantFP {
+		t.Errorf("RunFlow fingerprint %s != offline %s", got.Fingerprint, wantFP)
+	}
+	if !bytes.Equal(got.DEF, wantDEF) {
+		t.Errorf("RunFlow DEF (%d bytes) differs from cts.Run under OpenROADLike (%d bytes)", len(got.DEF), len(wantDEF))
+	}
+}
+
 // TestE2ECachedRepeat submits one design twice to a daemon with a shared
 // run cache. The repeat must replay: its DEF equals the first job's and the
 // offline reference, its report's cache section is one hit and no miss,
 // and its progress stream still carries the level records.
 func TestE2ECachedRepeat(t *testing.T) {
 	lefSrc, defSrc := fixtureSources(400, 80, 13)
-	wantDEF, _ := offlineReference(t, lefSrc, defSrc)
+	wantDEF, _ := offlineReference(t, lefSrc, defSrc, cts.DefaultOptions())
 
 	store, err := cache.New(cache.Config{})
 	if err != nil {

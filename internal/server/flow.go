@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"sllt/internal/baseline"
 	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
@@ -35,9 +34,11 @@ type FlowFunc func(ctx context.Context, req *JobRequest, workers int, rec *obs.R
 
 // RunFlow is the production flow: the same parse -> synthesize -> export
 // pipeline as cmd/slltcts, fed from the request strings instead of files.
-// Both paths stream through the fixed-buffer Parse*Reader ingests and the
-// streaming DEF exporter, so for identical inputs the daemon's DEF is
-// byte-identical to the offline CLI's — the property the e2e test pins.
+// Both paths stream through the fixed-buffer Parse*Reader ingests, resolve
+// their knobs through JobOptions.Resolve and export through the streaming
+// DEF writer, so for identical inputs and knobs the daemon's DEF is
+// byte-identical to the offline CLI's on every engine — the property the
+// e2e test pins.
 func RunFlow(ctx context.Context, req *JobRequest, workers int, rec *obs.Recorder, store *cache.Cache) (*FlowResult, error) {
 	lef, err := lefdef.ParseLEFReader(strings.NewReader(req.LEF))
 	if err != nil {
@@ -55,18 +56,9 @@ func RunFlow(ctx context.Context, req *JobRequest, workers int, rec *obs.Recorde
 		d.Name = req.Design
 	}
 
-	var opts cts.Options
-	switch req.Options.Engine {
-	case "", "ours":
-		opts = cts.DefaultOptions()
-	case "commercial":
-		opts = baseline.CommercialLike()
-	case "openroad":
-		opts = baseline.OpenROADLike()
-	default:
-		// validate() already refused unknown engines; keep the guard for
-		// callers constructing requests directly.
-		return nil, fmt.Errorf("unknown engine %q", req.Options.Engine)
+	opts, err := req.Options.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	if req.Liberty != "" {
 		lib, err := liberty.ParseReader(strings.NewReader(req.Liberty))
@@ -74,18 +66,6 @@ func RunFlow(ctx context.Context, req *JobRequest, workers int, rec *obs.Recorde
 			return nil, fmt.Errorf("liberty: %w", err)
 		}
 		opts.Lib = lib
-	}
-	if req.Options.SkewPs > 0 {
-		opts.Cons.SkewBound = req.Options.SkewPs
-	}
-	if req.Options.Fanout > 0 {
-		opts.Cons.MaxFanout = req.Options.Fanout
-	}
-	if req.Options.MaxCapFF > 0 {
-		opts.Cons.MaxCap = req.Options.MaxCapFF
-	}
-	if req.Options.Seed != 0 {
-		opts.Seed = req.Options.Seed
 	}
 	opts.Workers = workers
 	opts.Obs = rec

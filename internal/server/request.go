@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"sllt/internal/baseline"
+	"sllt/internal/cts"
 )
 
 // JobRequest is the POST /jobs payload: the design sources inline plus the
@@ -29,19 +32,53 @@ type JobRequest struct {
 // JobOptions mirrors the slltcts flags. Zero values select the engine
 // defaults, so a minimal request is just {lef, def}.
 type JobOptions struct {
-	// Engine is "ours" (default), "commercial" or "openroad".
+	// Engine names a baseline.Engines entry; empty selects "ours".
 	Engine string `json:"engine,omitempty"`
-	// SkewPs overrides the skew bound when > 0.
+	// SkewPs overrides the engine's skew bound when non-zero.
 	SkewPs float64 `json:"skew_ps,omitempty"` // unit: ps
-	// Fanout overrides the max fanout when > 0.
+	// Fanout overrides the engine's max fanout when non-zero.
 	Fanout int `json:"fanout,omitempty"`
-	// MaxCapFF overrides the max stage capacitance when > 0.
+	// MaxCapFF overrides the engine's max stage capacitance when non-zero.
 	MaxCapFF float64 `json:"max_cap_ff,omitempty"` // unit: fF
-	// Seed overrides the random seed when != 0.
+	// Seed overrides the engine's random seed when non-zero.
 	Seed int64 `json:"seed,omitempty"`
 	// Workers caps this job's goroutines; the server clamps it to the
 	// per-job share of its global worker budget. <= 0 takes the full share.
 	Workers int `json:"workers,omitempty"`
+}
+
+// engine returns the baseline.Engines entry the options name.
+func (o JobOptions) engine() (baseline.Engine, error) {
+	if o.Engine == "" {
+		return baseline.Lookup("ours")
+	}
+	return baseline.Lookup(o.Engine)
+}
+
+// Resolve returns the flow configuration the options select: the engine's
+// cts.Options with each non-zero knob written over the engine's value and
+// each zero knob keeping it. Workers is left to the caller, which owns the
+// goroutine budget. RunFlow and cmd/slltcts both resolve through here, so
+// one set of knobs selects one flow on every front end.
+func (o JobOptions) Resolve() (cts.Options, error) {
+	e, err := o.engine()
+	if err != nil {
+		return cts.Options{}, err
+	}
+	opts := e.Options()
+	if o.SkewPs != 0 {
+		opts.Cons.SkewBound = o.SkewPs
+	}
+	if o.Fanout != 0 {
+		opts.Cons.MaxFanout = o.Fanout
+	}
+	if o.MaxCapFF != 0 {
+		opts.Cons.MaxCap = o.MaxCapFF
+	}
+	if o.Seed != 0 {
+		opts.Seed = o.Seed
+	}
+	return opts, nil
 }
 
 // maxWorkersOption bounds the per-job worker request; anything above is a
@@ -77,10 +114,8 @@ func (r *JobRequest) validate() error {
 	if r.DEF == "" {
 		return fmt.Errorf("missing required field \"def\"")
 	}
-	switch r.Options.Engine {
-	case "", "ours", "commercial", "openroad":
-	default:
-		return fmt.Errorf("unknown engine %q (want ours, commercial or openroad)", r.Options.Engine)
+	if _, err := r.Options.engine(); err != nil {
+		return err
 	}
 	if r.Options.SkewPs < 0 {
 		return fmt.Errorf("skew_ps %v out of range (want >= 0)", r.Options.SkewPs)
