@@ -44,7 +44,6 @@ import (
 	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
-	"sllt/internal/lefdef"
 	"sllt/internal/obs"
 	"sllt/internal/server"
 )
@@ -109,17 +108,7 @@ func run(args []string, stdout io.Writer) error {
 		opts.Cache = store
 	}
 
-	// Inputs stream through the fixed-buffer readers: neither file is ever
-	// held in memory whole, so ingest cost is the parsed structures alone.
-	lef, err := parseLEFFile(*lefPath)
-	if err != nil {
-		return err
-	}
-	df, err := parseDEFFile(*defPath)
-	if err != nil {
-		return err
-	}
-	d, err := design.FromLEFDEF(lef, df, *netName)
+	d, err := loadDesign(*lefPath, *defPath, *netName)
 	if err != nil {
 		return err
 	}
@@ -188,20 +177,19 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func parseLEFFile(path string) (*lefdef.LEF, error) {
-	f, err := os.Open(path)
+// loadDesign ingests the two input files through design.Load, which
+// streams them through fixed-buffer readers: neither file is ever held in
+// memory whole, so ingest cost is the parsed structures alone.
+func loadDesign(lefPath, defPath, clockNet string) (*design.Design, error) {
+	lef, err := os.Open(lefPath)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return lefdef.ParseLEFReader(f)
-}
-
-func parseDEFFile(path string) (*lefdef.DEF, error) {
-	f, err := os.Open(path)
+	defer lef.Close()
+	def, err := os.Open(defPath)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return lefdef.ParseDEFReader(f)
+	defer def.Close()
+	return design.Load(lef, def, clockNet)
 }

@@ -9,7 +9,6 @@ import (
 
 	"sllt/internal/baseline"
 	"sllt/internal/cts"
-	"sllt/internal/design"
 	"sllt/internal/designgen"
 	"sllt/internal/liberty"
 )
@@ -48,15 +47,7 @@ func TestEngineKnobDefaults(t *testing.T) {
 	}
 	reference := func(opts cts.Options) []byte {
 		t.Helper()
-		lef, err := parseLEFFile(lefPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		df, err := parseDEFFile(defPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pd, err := design.FromLEFDEF(lef, df, "")
+		pd, err := loadDesign(lefPath, defPath, "")
 		if err != nil {
 			t.Fatal(err)
 		}

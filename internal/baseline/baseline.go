@@ -68,7 +68,7 @@ func OpenROADLike() cts.Options {
 	// builder and the BuildID that keys it in the run cache.
 	opts.Est = cts.EstNone
 	opts.UseSA = false
-	opts.ForceCell = opts.Lib.Strongest().Name
+	opts.StrongestCell = true
 	opts.BufferMargin = 1.0
 	// TritonCTS-style deeper hierarchies: smaller clusters, more levels,
 	// more (and uniformly large) buffers.

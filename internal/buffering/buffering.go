@@ -34,10 +34,10 @@ type Inserter struct {
 	MaxCap float64 // unit: fF
 	// Margin derates cell max_capacitance when choosing drive strengths.
 	Margin float64 // unit: 1
-	// ForceCell, when non-empty, overrides load-based sizing with one fixed
-	// cell (the OpenROAD-like baseline drives everything with large
-	// buffers).
-	ForceCell string
+	// StrongestCell, when set, overrides load-based sizing: every buffer is
+	// Lib's strongest cell (the OpenROAD-like baseline drives everything
+	// with large buffers).
+	StrongestCell bool
 	// Kernel, when non-nil, receives insertion counters (BufInserted from
 	// BufferTree, BufDecoupled from DecoupleSlowWires). The pointer is set
 	// once at construction time like every other field, and the counters it
@@ -56,19 +56,17 @@ const nominalSlew = 20.0 // unit: ps
 // decoupled load) accounts for.
 const maxWireDelay = 20.0 // unit: ps
 
-// pick returns the cell for a stage load, honoring ForceCell. Sizing is
+// pick returns the cell for a stage load, honoring StrongestCell. Sizing is
 // delay-aware: among cells whose derated max_capacitance covers the load,
 // the smallest cell within 10 % of the best achievable delay wins — the
 // standard speed/area trade real sizers make.
 //
 // unit: load fF -> _
 func (ins *Inserter) pick(load float64) *liberty.BufferCell {
-	if ins.ForceCell != "" {
-		if c := ins.Lib.Cell(ins.ForceCell); c != nil {
-			return c
-		}
-	}
 	best := ins.Lib.Strongest()
+	if ins.StrongestCell {
+		return best
+	}
 	bestDelay := best.Delay(nominalSlew, load)
 	for _, c := range ins.Lib.Cells {
 		if load > c.MaxCap*ins.Margin {

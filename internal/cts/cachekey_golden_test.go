@@ -87,7 +87,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"seed":          func(o *Options) { o.Seed++ },
 		"source slew":   func(o *Options) { o.SourceSlew++ },
 		"buffer margin": func(o *Options) { o.BufferMargin += 0.01 },
-		"force cell":    func(o *Options) { o.ForceCell = "CLKBUFX4" },
+		"force cell":    func(o *Options) { o.StrongestCell = true },
 		"restarts":      func(o *Options) { o.KMeansRestarts++ },
 		"build id":      func(o *Options) { o.BuildID = "other" },
 		"tech":          func(o *Options) { o.Tech.CPerUm += 0.001 },

@@ -127,9 +127,10 @@ type Options struct {
 	SourceSlew float64 // unit: ps
 	// BufferMargin derates cell max caps during sizing.
 	BufferMargin float64 // unit: 1
-	// ForceCell, when set, disables load-based buffer sizing in favor of
-	// one fixed cell (used by the OpenROAD-like baseline).
-	ForceCell string
+	// StrongestCell, when set, replaces load-based buffer sizing: every
+	// buffer is the strongest cell of Lib, the run's own library (the
+	// OpenROAD-like baseline drives everything with large buffers).
+	StrongestCell bool
 	// KMeansRestarts > 1 re-seeds clustering that many times and keeps the
 	// best silhouette score (sampled on large levels) — the quality knob
 	// heavyweight flows pay runtime for.
@@ -226,23 +227,27 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 	var (
 		key    cache.Key
 		did    cache.StageStats // this run's own store traffic
-		res    *Result
+		root   *tree.Node
 		levels []obs.LevelQoR
 	)
 	if store != nil {
 		key = runKey(opts, d.ClockRoot, flat.Sinks)
-		res, levels, did = loadRun(store, key)
+		root, levels, did = loadRun(store, key)
 	}
-	hit := res != nil
+	hit := root != nil
 	if hit {
 		for _, q := range levels {
 			opts.Obs.AddLevel(q)
 		}
 	} else {
 		var err error
-		if res, levels, err = synthesize(flat.Sinks, d.ClockRoot, opts, store != nil); err != nil {
+		if root, levels, err = synthesize(flat.Sinks, d.ClockRoot, opts); err != nil {
 			return nil, err
 		}
+	}
+	res := &Result{Tree: &tree.Tree{Root: root}, Levels: len(levels)}
+	for _, q := range levels {
+		res.Clusters = append(res.Clusters, q.Clusters)
 	}
 
 	if err := ctxErr(opts.Ctx, "timing", -1); err != nil {
@@ -256,7 +261,7 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 	}
 	res.Report = rep
 	if store != nil && !hit {
-		did = did.Add(store.Put(stageRun, key, encodeRunEntry(levels, res.Tree.Root)))
+		did = did.Add(store.Put(stageRun, key, encodeRunEntry(levels, root)))
 	}
 	if opts.Obs.Enabled() {
 		if store != nil {
@@ -277,11 +282,10 @@ func Run(d *design.Design, opts Options) (*Result, error) {
 }
 
 // synthesize is the flow proper: the level loop over the sinks, then the
-// top net from the clock root. Each level's QoR record reaches the recorder
-// as the level completes. Records are built only when a recorder is
-// attached or keep asks for them (the run cache stores them); synthesize
-// returns those it built.
-func synthesize(sinks []tree.PinSink, root geom.Point, opts Options, keep bool) (*Result, []obs.LevelQoR, error) {
+// top net from the clock root. It returns the finished tree's root with one
+// QoR record per level, bottom-up and ending with the top net's; each
+// record reaches the recorder as its level completes.
+func synthesize(sinks []tree.PinSink, root geom.Point, opts Options) (*tree.Node, []obs.LevelQoR, error) {
 	nodes := make([]clockNode, len(sinks))
 	for i, s := range sinks {
 		leaf := tree.NewNode(tree.Sink, s.Loc)
@@ -291,17 +295,9 @@ func synthesize(sinks []tree.PinSink, root geom.Point, opts Options, keep bool) 
 		nodes[i] = clockNode{loc: s.Loc, cap: s.Cap, delay: 0, sub: leaf}
 	}
 	var levels []obs.LevelQoR
-	var addLevel func(obs.LevelQoR)
-	if keep || opts.Obs.Enabled() {
-		addLevel = func(q obs.LevelQoR) {
-			opts.Obs.AddLevel(q)
-			levels = append(levels, q)
-		}
-	}
-	res := &Result{}
 	ins := buffering.NewInserter(opts.Lib, opts.Tech, opts.Cons.MaxCap)
 	ins.Margin = opts.BufferMargin
-	ins.ForceCell = opts.ForceCell
+	ins.StrongestCell = opts.StrongestCell
 	ins.Kernel = opts.Obs.Kernel()
 
 	// Per-net skew spans telescope across levels (a net's span adds to the
@@ -309,19 +305,19 @@ func synthesize(sinks []tree.PinSink, root geom.Point, opts Options, keep bool) 
 	// share of the global budget and the shares sum to the bound.
 	levelBound := levelShare(opts.Cons.SkewBound, estLevels(len(nodes), opts.Cons.MaxFanout))
 	for len(nodes) > opts.Cons.MaxFanout {
-		if err := ctxErr(opts.Ctx, "level", res.Levels); err != nil {
+		level := len(levels)
+		if err := ctxErr(opts.Ctx, "level", level); err != nil {
 			return nil, nil, err
 		}
-		next, k, err := buildLevel(nodes, opts, ins, levelBound, res.Levels, addLevel)
+		next, q, err := buildLevel(nodes, opts, ins, levelBound, level)
 		if err != nil {
-			return nil, nil, fmt.Errorf("cts level %d: %w", res.Levels, err)
+			return nil, nil, fmt.Errorf("cts level %d: %w", level, err)
 		}
 		if len(next) >= len(nodes) {
-			return nil, nil, fmt.Errorf("cts level %d: no progress (%d -> %d nodes)", res.Levels, len(nodes), len(next))
+			return nil, nil, fmt.Errorf("cts level %d: no progress (%d -> %d nodes)", level, len(nodes), len(next))
 		}
 		nodes = next
-		res.Clusters = append(res.Clusters, k)
-		res.Levels++
+		levels = append(levels, q)
 	}
 
 	if err := ctxErr(opts.Ctx, "top_net", -1); err != nil {
@@ -331,20 +327,16 @@ func synthesize(sinks []tree.PinSink, root geom.Point, opts Options, keep bool) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("cts top net: %w", err)
 	}
-	res.Levels++
-	res.Clusters = append(res.Clusters, 1)
-	res.Tree = &tree.Tree{Root: top}
-	if addLevel != nil {
-		addLevel(obs.LevelQoR{
-			Level:    res.Levels - 1,
-			Nodes:    len(nodes),
-			Clusters: 1,
-			WL:       q.WL,
-			Buffers:  q.Buffers,
-			BufArea:  q.BufArea,
-		})
+	tq := obs.LevelQoR{
+		Level:    len(levels),
+		Nodes:    len(nodes),
+		Clusters: 1,
+		WL:       q.WL,
+		Buffers:  q.Buffers,
+		BufArea:  q.BufArea,
 	}
-	return res, levels, nil
+	opts.Obs.AddLevel(tq)
+	return top, append(levels, tq), nil
 }
 
 // ctxErr reports ctx's cancellation wrapped with the stage the flow refused
@@ -440,18 +432,18 @@ type levelPartition struct {
 }
 
 // buildLevel partitions the nodes, builds one buffered net per cluster and
-// returns the next level's nodes with the cluster count. A non-nil addLevel
-// receives the level's QoR record.
+// returns the next level's nodes with the level's QoR record, which the
+// recorder receives before the level's span ends.
 //
 // unit: levelBound ps ->
-func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64, level int, addLevel func(obs.LevelQoR)) ([]clockNode, int, error) {
+func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64, level int) ([]clockNode, obs.LevelQoR, error) {
 	lv := opts.Obs.Begin("level")
 	defer lv.End()
 	kprev := opts.Obs.Kernel().Snapshot()
 
 	part, err := partitionLevel(nodes, opts, level, lv)
 	if err != nil {
-		return nil, 0, err
+		return nil, obs.LevelQoR{}, err
 	}
 
 	// Bucket members per cluster: ascending cluster id, then ascending node
@@ -506,12 +498,11 @@ func buildLevel(nodes []clockNode, opts Options, ins *buffering.Inserter, levelB
 	})
 	csp.End()
 	if err != nil {
-		return nil, 0, err
+		return nil, obs.LevelQoR{}, err
 	}
-	if addLevel != nil {
-		addLevel(levelQoR(level, nodes, clusters, next, qors, part.method, opts, kprev))
-	}
-	return next, len(clusters), nil
+	q := levelQoR(level, nodes, clusters, next, qors, part.method, opts, kprev)
+	opts.Obs.AddLevel(q)
+	return next, q, nil
 }
 
 // latencyBounds are the cluster-latency histogram bucket bounds. unit: ps
@@ -576,18 +567,17 @@ func levelQoR(level int, nodes []clockNode, clusters [][]clockNode, next []clock
 	return q
 }
 
-// bestClustering runs k-means once, or — when KMeansRestarts asks for it —
-// several times with different seeds, scoring each run by silhouette
-// (subsampled on large levels to keep the O(n²) score tractable) and
-// keeping the best. Restarts are independent — restart r's seed is derived
-// from its index (base + r·1009), never from a shared stream — so they fan
-// out across workers, each task writing only its own slot; the best-score
-// reduction then runs serially in restart order so ties keep the earliest
-// restart, exactly like the serial loop. The fan-out fails when a restart
-// panics (a *parallel.PanicError) or when opts.Ctx is cancelled before the
-// last restart starts; the error must be propagated, not dropped — a
-// swallowed failure here would hand the assignment step zero-valued
-// centers.
+// bestClustering runs k-means KMeansRestarts times (at least once) with
+// different seeds, scoring each run by silhouette (subsampled on large
+// levels to keep the O(n²) score tractable) and keeping the best. Restarts
+// are independent — restart r's seed is derived from its index
+// (base + r·1009), never from a shared stream — so they fan out across
+// workers, each task writing only its own slot; the best-score reduction
+// then runs serially in restart order so ties keep the earliest restart,
+// exactly like the serial loop. The fan-out fails when a restart panics (a
+// *parallel.PanicError) or when opts.Ctx is cancelled before the last
+// restart starts; the error must be propagated, not dropped — a swallowed
+// failure here would hand the assignment step zero-valued centers.
 func bestClustering(pts []geom.Point, k int, opts Options, level int, sp *obs.Span) ([]geom.Point, error) {
 	kern := opts.Obs.Kernel()
 	restarts := opts.KMeansRestarts
@@ -595,10 +585,6 @@ func bestClustering(pts []geom.Point, k int, opts Options, level int, sp *obs.Sp
 		restarts = 1
 	}
 	base := opts.Seed + int64(level)
-	if restarts == 1 {
-		centers, _ := partition.KMeansPK(pts, k, 24, base, opts.Workers, kern)
-		return centers, nil
-	}
 	// Split the worker budget: the outer fan-out covers the restarts, the
 	// remainder parallelizes each restart's k-means and silhouette passes.
 	outer := parallel.Clamp(opts.Workers)
@@ -679,13 +665,10 @@ func centroidOf(nodes []clockNode) geom.Point {
 //
 // unit: levelBound ps ->
 func buildNet(src geom.Point, nodes []clockNode, opts Options, ins *buffering.Inserter, levelBound float64) (*tree.Tree, obs.NetQoR, error) {
+	// Grafting detaches the net's leaves, so its sinks go unnamed.
 	net := &tree.Net{Name: "lvl", Source: src}
 	for i := range nodes {
-		net.Sinks = append(net.Sinks, tree.PinSink{
-			Name: fmt.Sprintf("n%d", i),
-			Loc:  nodes[i].loc,
-			Cap:  nodes[i].cap,
-		})
+		net.Sinks = append(net.Sinks, tree.PinSink{Loc: nodes[i].loc, Cap: nodes[i].cap})
 	}
 	dopts := dme.Options{
 		Model:     dme.Elmore,

@@ -18,9 +18,10 @@ const ClockLayer = "metal4"
 // DEF to path. ExportDEF itself assumes a well-formed result (the flow
 // guarantees one); this wrapper is the defensive boundary for callers
 // handing in external state — a nil tree, a design whose clock net has no
-// sinks, or an unwritable destination all come back as errors instead of
-// a panic or a silently empty file. Returns the exported DEF for callers
-// that report component/net counts.
+// sinks, a sink leaf whose index names no design sink, or an unwritable
+// destination all come back as errors instead of a panic or a silently
+// empty file. Returns the exported DEF for callers that report
+// component/net counts.
 func ExportDEFFile(path string, d *design.Design, res *Result) (*lefdef.DEF, error) {
 	def, err := exportChecked(d, res)
 	if err != nil {
@@ -68,8 +69,15 @@ func exportChecked(d *design.Design, res *Result) (*lefdef.DEF, error) {
 	if d.ClockNet == "" {
 		return nil, fmt.Errorf("cts: export: design %q has no clock net", d.Name)
 	}
-	if d.NumFFs() == 0 {
+	n := d.NumFFs()
+	if n == 0 {
 		return nil, fmt.Errorf("cts: export: clock net %q has no sinks", d.ClockNet)
+	}
+	for _, s := range res.Tree.Sinks() {
+		if s.SinkIdx < 0 || s.SinkIdx >= n {
+			return nil, fmt.Errorf("cts: export: sink leaf %q has index %d, but clock net %q has %d sinks",
+				s.Name, s.SinkIdx, d.ClockNet, n)
+		}
 	}
 	return ExportDEF(d, res), nil
 }
@@ -80,7 +88,10 @@ func exportChecked(d *design.Design, res *Result) (*lefdef.DEF, error) {
 // (L-shaped runs; snaked wire appears as an explicit serpentine detour so
 // the routed length matches the tree's electrical length). This is the
 // CTS↔routing bridge the paper emphasizes: the topology handed to routing
-// IS the synthesized one.
+// IS the synthesized one. Each sink leaf connects the component and clock
+// pin of the design's sink instance its SinkIdx names, counting sink
+// instances in the order design.Net numbers them; ExportDEF assumes every
+// index is in range, which ExportDEFFile and ExportDEFWriter check.
 func ExportDEF(d *design.Design, res *Result) *lefdef.DEF {
 	def := &lefdef.DEF{
 		Version: "5.8",
@@ -88,11 +99,15 @@ func ExportDEF(d *design.Design, res *Result) *lefdef.DEF {
 		DBU:     d.DBU,
 		Die:     d.Die,
 	}
+	var sinks []*design.Instance
 	for i := range d.Insts {
 		inst := &d.Insts[i]
 		def.Components = append(def.Components, lefdef.Component{
 			Name: inst.Name, Macro: inst.Macro, Loc: inst.Loc, Placed: true, Orient: "N",
 		})
+		if inst.IsSink {
+			sinks = append(sinks, inst)
+		}
 	}
 	def.Pins = append(def.Pins, lefdef.IOPin{
 		Name: d.ClockNet, Net: d.ClockNet, Direction: "INPUT", Use: "CLOCK", Loc: d.ClockRoot,
@@ -132,7 +147,8 @@ func ExportDEF(d *design.Design, res *Result) *lefdef.DEF {
 			}
 			switch n.Kind {
 			case tree.Sink:
-				net.Conns = append(net.Conns, lefdef.Conn{Comp: sinkComp(n), Pin: sinkPin(d, n)})
+				inst := sinks[n.SinkIdx]
+				net.Conns = append(net.Conns, lefdef.Conn{Comp: inst.Name, Pin: inst.ClockPin})
 				return
 			case tree.Buffer:
 				net.Conns = append(net.Conns, lefdef.Conn{Comp: bufName[n], Pin: "A"})
@@ -191,22 +207,3 @@ func edgeRoute(n *tree.Node) lefdef.Route {
 }
 
 func pointsEqual(a, b geom.Point) bool { return a.Eq(b) }
-
-// sinkComp extracts the instance name from a sink node named "inst/pin".
-func sinkComp(n *tree.Node) string {
-	for i := 0; i < len(n.Name); i++ {
-		if n.Name[i] == '/' {
-			return n.Name[:i]
-		}
-	}
-	return n.Name
-}
-
-func sinkPin(d *design.Design, n *tree.Node) string {
-	for i := 0; i < len(n.Name); i++ {
-		if n.Name[i] == '/' {
-			return n.Name[i+1:]
-		}
-	}
-	return "CK"
-}

@@ -13,47 +13,73 @@ import (
 	"sllt/internal/lefdef"
 )
 
+// TestExportDEFRoundTrip exports a synthesized tree, re-parses the DEF and
+// checks its clock nets: every connection names a design instance or an
+// inserted buffer, and every sink clock pin and buffer input is loaded
+// exactly once. The second input puts the sinks under a hierarchy
+// ("core/u1/ff_00042"), whose names hold the separator a leaf name joins
+// instance and pin with.
 func TestExportDEFRoundTrip(t *testing.T) {
-	spec := designgen.Spec{Name: "exp", Insts: 1000, FFs: 200, Util: 0.6}
-	d := designgen.Generate(spec, 9)
-	opts := DefaultOptions()
-	opts.SAIters = 50
-	res, err := Run(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ExportDEF(d, res)
-	src := out.WriteDEF()
-	again, err := lefdef.ParseDEF(src)
-	if err != nil {
-		t.Fatalf("re-parse: %v", err)
-	}
-	// Components: originals plus one per buffer.
-	if got, want := len(again.Components), len(d.Insts)+res.Report.Buffers; got != want {
-		t.Errorf("components = %d, want %d", got, want)
-	}
-	// Every FF clock pin and every buffer input appears on exactly one net.
-	loads := map[string]int{}
-	for _, n := range again.Nets {
-		for _, c := range n.Conns[1:] {
-			loads[c.Comp+"/"+c.Pin]++
-		}
-	}
-	if len(loads) != spec.FFs+res.Report.Buffers {
-		t.Errorf("distinct loads = %d, want %d", len(loads), spec.FFs+res.Report.Buffers)
-	}
-	for k, cnt := range loads {
-		if cnt != 1 {
-			t.Errorf("load %s on %d nets", k, cnt)
-		}
-	}
-	// Routed geometry: total routed length matches the tree's wirelength.
-	var routed float64
-	for i := range again.Nets {
-		routed += again.Nets[i].RoutedLength()
-	}
-	if math.Abs(routed-res.Report.WL) > res.Report.WL*0.001+1 {
-		t.Errorf("routed length %.1f != tree wirelength %.1f", routed, res.Report.WL)
+	for _, hier := range []string{"", "core/u1/"} {
+		t.Run("prefix="+hier, func(t *testing.T) {
+			spec := designgen.Spec{Name: "exp", Insts: 1000, FFs: 200, Util: 0.6}
+			d := designgen.Generate(spec, 9)
+			for i := range d.Insts {
+				d.Insts[i].Name = hier + d.Insts[i].Name
+			}
+			opts := DefaultOptions()
+			opts.SAIters = 50
+			res, err := Run(d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := ExportDEF(d, res)
+			again, err := lefdef.ParseDEF(out.WriteDEF())
+			if err != nil {
+				t.Fatalf("re-parse: %v", err)
+			}
+			// Components: originals plus one per buffer.
+			if got, want := len(again.Components), len(d.Insts)+res.Report.Buffers; got != want {
+				t.Errorf("components = %d, want %d", got, want)
+			}
+			comps := map[string]bool{"PIN": true}
+			for _, c := range again.Components {
+				comps[c.Name] = true
+			}
+			// Every FF clock pin and every buffer input appears on exactly one net.
+			loads := map[string]int{}
+			for _, n := range again.Nets {
+				for _, c := range n.Conns {
+					if !comps[c.Comp] {
+						t.Fatalf("net %s connects %s/%s: no such component", n.Name, c.Comp, c.Pin)
+					}
+				}
+				for _, c := range n.Conns[1:] {
+					loads[c.Comp+"/"+c.Pin]++
+				}
+			}
+			if len(loads) != spec.FFs+res.Report.Buffers {
+				t.Errorf("distinct loads = %d, want %d", len(loads), spec.FFs+res.Report.Buffers)
+			}
+			for _, s := range d.Net().Sinks {
+				if loads[s.Name] != 1 {
+					t.Errorf("sink pin %s on %d nets, want 1", s.Name, loads[s.Name])
+				}
+			}
+			for k, cnt := range loads {
+				if cnt != 1 {
+					t.Errorf("load %s on %d nets", k, cnt)
+				}
+			}
+			// Routed geometry: total routed length matches the tree's wirelength.
+			var routed float64
+			for i := range again.Nets {
+				routed += again.Nets[i].RoutedLength()
+			}
+			if math.Abs(routed-res.Report.WL) > res.Report.WL*0.001+1 {
+				t.Errorf("routed length %.1f != tree wirelength %.1f", routed, res.Report.WL)
+			}
+		})
 	}
 }
 
@@ -79,6 +105,9 @@ func TestExportDEFFileErrors(t *testing.T) {
 	noNet := &design.Design{
 		Name: "nonet", Die: geom.Rect{XHi: 10, YHi: 10}, DBU: 1000,
 	}
+	// A result whose first sink leaf names a sink past the design's last.
+	badIdx := &Result{Tree: res.Tree.Clone()}
+	badIdx.Tree.Sinks()[0].SinkIdx = d.NumFFs()
 
 	cases := []struct {
 		name string
@@ -92,6 +121,7 @@ func TestExportDEFFileErrors(t *testing.T) {
 		{"nil tree", ok, d, &Result{}, "nil synthesis tree"},
 		{"no clock net", ok, noNet, res, "no clock net"},
 		{"empty clock net", ok, noSinks, res, "no sinks"},
+		{"sink index out of range", ok, d, badIdx, "index 40"},
 		{"unwritable path", filepath.Join(tmp, "no", "such", "dir", "out.def"), d, res, "export:"},
 	}
 	for _, tc := range cases {

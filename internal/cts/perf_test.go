@@ -85,7 +85,7 @@ func BenchmarkBuildLevelAllocs(b *testing.B) {
 			fresh[j].sub = leaf
 		}
 		b.StartTimer()
-		if _, _, err := buildLevel(fresh, opts, ins, bound, 0, nil); err != nil {
+		if _, _, err := buildLevel(fresh, opts, ins, bound, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

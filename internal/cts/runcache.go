@@ -53,6 +53,10 @@ func techFingerprint(h *cache.Hasher, t tech.Tech) {
 // property-tested), so an entry stored at W=8 serves a W=1 run and vice
 // versa.
 func runKey(opts Options, root geom.Point, sinks []tree.PinSink) cache.Key {
+	cell := "" // the one cell every buffer uses; "" sizes buffers by load
+	if opts.StrongestCell {
+		cell = opts.Lib.Strongest().Name
+	}
 	h := cache.NewHasher(cacheSalt)
 	h.Str("cons").F64(opts.Cons.SkewBound).Int(opts.Cons.MaxFanout).
 		F64(opts.Cons.MaxCap).F64(opts.Cons.MaxWL)
@@ -61,7 +65,7 @@ func runKey(opts Options, root geom.Point, sinks []tree.PinSink) cache.Key {
 	h.Str("build").Str(opts.BuildID)
 	h.Str("knobs").Int(int(opts.Est)).Bool(opts.UseSA).Int(opts.SAIters).
 		I64(opts.Seed).F64(opts.SourceSlew).F64(opts.BufferMargin).
-		Str(opts.ForceCell).Int(opts.KMeansRestarts)
+		Str(cell).Int(opts.KMeansRestarts)
 	h.Str("root").F64(root.X).F64(root.Y)
 	h.Str("sinks").List(len(sinks))
 	for _, s := range sinks {
@@ -70,13 +74,13 @@ func runKey(opts Options, root geom.Point, sinks []tree.PinSink) cache.Key {
 	return h.Sum()
 }
 
-// loadRun replays the run stored under key: a Result without its timing
-// report, and the level records. An entry that passes the store's checksum
-// but not this codec (a schema skew the salt should have caught) is
-// rejected, which deletes it and counts the lookup as a miss, and the
-// caller recomputes. A miss returns nil. The counts are the lookup's own
+// loadRun replays the run stored under key: the finished tree's root and
+// the level records. An entry that passes the store's checksum but not
+// this codec (a schema skew the salt should have caught) is rejected,
+// which deletes it and counts the lookup as a miss, and the caller
+// recomputes. A miss returns a nil root. The counts are the lookup's own
 // store traffic.
-func loadRun(store *cache.Cache, key cache.Key) (*Result, []obs.LevelQoR, cache.StageStats) {
+func loadRun(store *cache.Cache, key cache.Key) (*tree.Node, []obs.LevelQoR, cache.StageStats) {
 	data, ok, did := store.Get(stageRun, key)
 	if !ok {
 		return nil, nil, did
@@ -85,11 +89,7 @@ func loadRun(store *cache.Cache, key cache.Key) (*Result, []obs.LevelQoR, cache.
 	if err != nil {
 		return nil, nil, did.Add(store.Reject(stageRun, key))
 	}
-	res := &Result{Tree: &tree.Tree{Root: root}, Levels: len(levels)}
-	for _, q := range levels {
-		res.Clusters = append(res.Clusters, q.Clusters)
-	}
-	return res, levels, did
+	return root, levels, did
 }
 
 // cacheReport converts one run's own store traffic, all of it under

@@ -1,12 +1,13 @@
 // Package design is the placement database that hierarchical CTS consumes:
 // a die, placed instances with identified flip-flops, and the clock source.
 // It is assembled from LEF (macro footprints and pin capacitances) plus DEF
-// (placement and connectivity) via FromLEFDEF, or synthesized directly by
-// the designgen package.
+// (placement and connectivity) via Load and FromLEFDEF, or synthesized
+// directly by the designgen package.
 package design
 
 import (
 	"fmt"
+	"io"
 
 	"sllt/internal/geom"
 	"sllt/internal/lefdef"
@@ -79,9 +80,28 @@ func (d *Design) Net() *tree.Net {
 	return net
 }
 
+// Load ingests LEF and DEF text: it streams both inputs through the
+// fixed-buffer parsers (lefdef.ParseLEFReader, ParseDEFReader) and builds
+// the design with FromLEFDEF. A parser error comes back as the parser
+// wrote it, already prefixed "lef:" or "def:".
+func Load(lef, def io.Reader, clockNet string) (*Design, error) {
+	l, err := lefdef.ParseLEFReader(lef)
+	if err != nil {
+		return nil, err
+	}
+	df, err := lefdef.ParseDEFReader(def)
+	if err != nil {
+		return nil, err
+	}
+	return FromLEFDEF(l, df, clockNet)
+}
+
 // FromLEFDEF builds a Design from parsed LEF and DEF. clockNet selects the
 // net to synthesize; pass "" to use the first net with USE CLOCK (or, as a
-// fallback, a net named "clk").
+// fallback, a net named "clk"). A clock net that would yield a wrong tree
+// is an error, not a silent repair: a connection to a component the DEF
+// does not list, a sink component without a PLACED or FIXED location, and
+// a clock pin its macro does not declare are each rejected by name.
 func FromLEFDEF(lef *lefdef.LEF, def *lefdef.DEF, clockNet string) (*Design, error) {
 	d := &Design{Name: def.Design, Die: def.Die, DBU: def.DBU}
 
@@ -102,42 +122,58 @@ func FromLEFDEF(lef *lefdef.LEF, def *lefdef.DEF, clockNet string) (*Design, err
 	}
 	d.ClockNet = net.Name
 
-	// Index the clock net's component pins.
-	type sinkPin struct{ pin string }
-	onNet := make(map[string]sinkPin)
+	// Index the clock net's component pins: each component maps to its last
+	// connection, which names its clock pin.
+	onNet := make(map[string]int, len(net.Conns))
 	rootFound := false
-	for _, c := range net.Conns {
+	for ci, c := range net.Conns {
 		if c.Comp == "PIN" {
-			io := def.FindPin(c.Pin)
-			if io == nil {
+			src := def.FindPin(c.Pin)
+			if src == nil {
 				return nil, fmt.Errorf("design %s: net %s references missing IO pin %s", def.Design, net.Name, c.Pin)
 			}
-			d.ClockRoot = io.Loc
+			d.ClockRoot = src.Loc
 			rootFound = true
 			continue
 		}
-		onNet[c.Comp] = sinkPin{pin: c.Pin}
+		onNet[c.Comp] = ci
 	}
 	if !rootFound {
 		return nil, fmt.Errorf("design %s: clock net %s has no IO pin (clock root)", def.Design, net.Name)
 	}
 
+	listed := make([]bool, len(net.Conns))
 	for _, comp := range def.Components {
 		inst := Instance{Name: comp.Name, Macro: comp.Macro, Loc: comp.Loc}
-		if sp, ok := onNet[comp.Name]; ok {
+		if ci, ok := onNet[comp.Name]; ok {
+			listed[ci] = true
 			m := lef.FindMacro(comp.Macro)
-			if m == nil {
+			switch {
+			case !comp.Placed:
+				return nil, fmt.Errorf("design %s: clock sink %s has no PLACED or FIXED location", def.Design, comp.Name)
+			case m == nil:
 				return nil, fmt.Errorf("design %s: component %s uses unknown macro %s", def.Design, comp.Name, comp.Macro)
 			}
 			inst.IsSink = true
-			inst.ClockPin = sp.pin
+			inst.ClockPin = net.Conns[ci].Pin
+			declared := false
 			for _, p := range m.Pins {
-				if p.Name == sp.pin {
-					inst.ClockPinCap = p.Cap
+				if p.Name == inst.ClockPin {
+					inst.ClockPinCap, declared = p.Cap, true
 				}
+			}
+			if !declared {
+				return nil, fmt.Errorf("design %s: clock net %s connects pin %s of component %s, which macro %s does not declare",
+					def.Design, net.Name, inst.ClockPin, comp.Name, comp.Macro)
 			}
 		}
 		d.Insts = append(d.Insts, inst)
+	}
+	for _, c := range net.Conns {
+		if c.Comp != "PIN" && !listed[onNet[c.Comp]] {
+			return nil, fmt.Errorf("design %s: clock net %s connects component %s, which COMPONENTS does not list",
+				def.Design, net.Name, c.Comp)
+		}
 	}
 	if d.NumFFs() == 0 {
 		return nil, fmt.Errorf("design %s: clock net %s drives no instances", def.Design, net.Name)

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"strings"
 	"testing"
 
 	"sllt/internal/geom"
@@ -96,6 +97,42 @@ func TestFromLEFDEFErrors(t *testing.T) {
 	def3.Components[0].Macro = "MYSTERY"
 	if _, err := FromLEFDEF(lef, def3, "clk"); err == nil {
 		t.Error("unknown macro should error")
+	}
+}
+
+// TestFromLEFDEFRejectsBadClockNet pins the three clock nets that would
+// otherwise build a wrong design without a word: each must fail with an
+// error that names what is wrong.
+func TestFromLEFDEFRejectsBadClockNet(t *testing.T) {
+	cases := []struct {
+		name  string
+		edit  func(def *lefdef.DEF)
+		wants []string
+	}{
+		{"unlisted component", func(def *lefdef.DEF) {
+			def.Nets[0].Conns = append(def.Nets[0].Conns, lefdef.Conn{Comp: "ff_ghost", Pin: "CK"})
+		}, []string{"ff_ghost", "COMPONENTS"}},
+		{"unplaced sink", func(def *lefdef.DEF) {
+			def.Components[1].Placed = false
+		}, []string{"ff_b", "PLACED"}},
+		{"undeclared pin", func(def *lefdef.DEF) {
+			def.Nets[0].Conns[1].Pin = "CLK"
+		}, []string{"CLK", "ff_a", "DFFQX1"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			def := sampleDEF(t)
+			tc.edit(def)
+			d, err := FromLEFDEF(sampleLEF(t), def, "clk")
+			if err == nil {
+				t.Fatalf("FromLEFDEF accepted the net: %d sinks", d.NumFFs())
+			}
+			for _, w := range tc.wants {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not name %q", err, w)
+				}
+			}
+		})
 	}
 }
 

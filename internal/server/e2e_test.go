@@ -40,15 +40,7 @@ func fixtureSources(insts, ffs int, seed int64) (lefSrc, defSrc string) {
 // truth the daemon must match.
 func offlineReference(t *testing.T, lefSrc, defSrc string, opts cts.Options) (defOut []byte, fp string) {
 	t.Helper()
-	lef, err := lefdef.ParseLEFReader(strings.NewReader(lefSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	df, err := lefdef.ParseDEFReader(strings.NewReader(defSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := design.FromLEFDEF(lef, df, "")
+	d, err := design.Load(strings.NewReader(lefSrc), strings.NewReader(defSrc), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +225,71 @@ func TestRunFlowEngine(t *testing.T) {
 	}
 	if !bytes.Equal(got.DEF, wantDEF) {
 		t.Errorf("RunFlow DEF (%d bytes) differs from cts.Run under OpenROADLike (%d bytes)", len(got.DEF), len(wantDEF))
+	}
+}
+
+// TestRunFlowEngineOwnLibrary: the OpenROAD proxy buffers with the
+// strongest cell of the library the job brings, not of the default one. A
+// library of the default cells renamed MYBUFX2…MYBUFX16 must place
+// MYBUFX16 and nothing else.
+func TestRunFlowEngineOwnLibrary(t *testing.T) {
+	lefSrc, defSrc := fixtureSources(600, 300, 1)
+	specs := liberty.Default28nmSpecs()
+	for i := range specs {
+		specs[i].Name = strings.Replace(specs[i].Name, "CLKBUF", "MYBUF", 1)
+	}
+	req := &server.JobRequest{
+		LEF: lefSrc, DEF: defSrc, Liberty: liberty.GenerateSource("renamed", specs),
+		Options: server.JobOptions{Engine: "openroad"},
+	}
+	got, err := server.RunFlow(context.Background(), req, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := lefdef.ParseDEF(string(got.DEF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]int{}
+	for _, c := range out.Components {
+		if strings.HasPrefix(c.Name, "clkbuf_") {
+			cells[c.Macro]++
+		}
+	}
+	if len(cells) != 1 || cells["MYBUFX16"] == 0 {
+		t.Errorf("openroad job with its own library placed %v, want MYBUFX16 only", cells)
+	}
+}
+
+// TestBadInputJobFails: a job whose LEF, DEF or Liberty text does not
+// parse ends failed with the parser's own error, which already names the
+// format, so a client reads it once.
+func TestBadInputJobFails(t *testing.T) {
+	lefSrc, defSrc := fixtureSources(300, 60, 3)
+	s := server.New(server.Config{QueueDepth: 4, Runners: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+
+	cases := []struct {
+		name string
+		req  server.JobRequest
+		want string
+	}{
+		{"def", server.JobRequest{LEF: lefSrc, DEF: "VERSION 5.8 ;"}, "def: missing DESIGN statement"},
+		{"lef", server.JobRequest{LEF: "MACRO", DEF: defSrc}, "lef: malformed MACRO at token 0"},
+		{"liberty", server.JobRequest{LEF: lefSrc, DEF: defSrc, Liberty: "cell (x) { }"},
+			`liberty: top-level group is "cell", want library`},
+	}
+	for _, tc := range cases {
+		var st server.JobStatus
+		if resp := postJob(t, ts.URL, &tc.req, &st); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: POST /jobs = %d, want 202", tc.name, resp.StatusCode)
+		}
+		st = pollUntil(t, ts.URL, st.JobID, func(st server.JobStatus) bool { return st.State == server.StateFailed })
+		if st.Error != tc.want {
+			t.Errorf("bad %s: job error %q, want %q", tc.name, st.Error, tc.want)
+		}
 	}
 }
 

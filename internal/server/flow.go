@@ -9,7 +9,6 @@ import (
 	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
-	"sllt/internal/lefdef"
 	"sllt/internal/liberty"
 	"sllt/internal/obs"
 	"sllt/internal/tree"
@@ -34,21 +33,15 @@ type FlowFunc func(ctx context.Context, req *JobRequest, workers int, rec *obs.R
 
 // RunFlow is the production flow: the same parse -> synthesize -> export
 // pipeline as cmd/slltcts, fed from the request strings instead of files.
-// Both paths stream through the fixed-buffer Parse*Reader ingests, resolve
-// their knobs through JobOptions.Resolve and export through the streaming
-// DEF writer, so for identical inputs and knobs the daemon's DEF is
-// byte-identical to the offline CLI's on every engine — the property the
-// e2e test pins.
+// Both paths ingest through design.Load, resolve their knobs through
+// JobOptions.Resolve and export through the streaming DEF writer, so for
+// identical inputs and knobs the daemon's DEF is byte-identical to the
+// offline CLI's on every engine — the property the e2e test pins. A LEF,
+// DEF or Liberty parse error fails the job as the parser wrote it,
+// prefixed "lef:", "def:" or "liberty:"; a request's Liberty replaces the
+// engine's library, strongest cell included.
 func RunFlow(ctx context.Context, req *JobRequest, workers int, rec *obs.Recorder, store *cache.Cache) (*FlowResult, error) {
-	lef, err := lefdef.ParseLEFReader(strings.NewReader(req.LEF))
-	if err != nil {
-		return nil, fmt.Errorf("lef: %w", err)
-	}
-	df, err := lefdef.ParseDEFReader(strings.NewReader(req.DEF))
-	if err != nil {
-		return nil, fmt.Errorf("def: %w", err)
-	}
-	d, err := design.FromLEFDEF(lef, df, req.Net)
+	d, err := design.Load(strings.NewReader(req.LEF), strings.NewReader(req.DEF), req.Net)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +56,7 @@ func RunFlow(ctx context.Context, req *JobRequest, workers int, rec *obs.Recorde
 	if req.Liberty != "" {
 		lib, err := liberty.ParseReader(strings.NewReader(req.Liberty))
 		if err != nil {
-			return nil, fmt.Errorf("liberty: %w", err)
+			return nil, err
 		}
 		opts.Lib = lib
 	}

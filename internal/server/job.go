@@ -37,15 +37,11 @@ type Job struct {
 	mu          sync.Mutex
 	state       State
 	errMsg      string
-	submittedNs int64 // unit: ns
-	startedNs   int64 // unit: ns
-	doneNs      int64 // unit: ns
-	workers     int   // budget granted by the runner, 0 until running
-	def         []byte
-	fingerprint string
-	report      []byte
-	levels      int
-	clusters    []int
+	submittedNs int64       // unit: ns
+	startedNs   int64       // unit: ns
+	doneNs      int64       // unit: ns
+	workers     int         // budget granted by the runner, 0 until running
+	res         *FlowResult // the completed flow's artifacts, nil until done
 }
 
 // JobStatus is the GET /jobs/{id} body. Result payloads (DEF, report)
@@ -67,7 +63,7 @@ type JobStatus struct {
 func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JobStatus{
+	st := JobStatus{
 		JobID:       j.id,
 		State:       j.state,
 		Error:       j.errMsg,
@@ -75,10 +71,13 @@ func (j *Job) status() JobStatus {
 		StartedNs:   j.startedNs,
 		DoneNs:      j.doneNs,
 		Workers:     j.workers,
-		Levels:      j.levels,
-		Clusters:    j.clusters,
-		Fingerprint: j.fingerprint,
 	}
+	if j.res != nil {
+		st.Levels = j.res.Levels
+		st.Clusters = j.res.Clusters
+		st.Fingerprint = j.res.Fingerprint
+	}
+	return st
 }
 
 // setRunning marks the claim by a runner and records the worker budget.
@@ -116,11 +115,7 @@ func (j *Job) finish(state State, errMsg string, atNs int64) bool {
 // setResult stores a successful flow's artifacts; called before finish.
 func (j *Job) setResult(res *FlowResult) {
 	j.mu.Lock()
-	j.def = res.DEF
-	j.fingerprint = res.Fingerprint
-	j.report = res.Report
-	j.levels = res.Levels
-	j.clusters = res.Clusters
+	j.res = res
 	j.mu.Unlock()
 }
 
@@ -131,5 +126,5 @@ func (j *Job) artifacts() (def, report []byte, ok bool) {
 	if j.state != StateDone {
 		return nil, nil, false
 	}
-	return j.def, j.report, true
+	return j.res.DEF, j.res.Report, true
 }

@@ -28,9 +28,6 @@ type Report struct {
 	ClockCap   float64 // unit: fF // wire + sink pins + buffer input pins
 	WL         float64 // unit: um
 	MaxStgCap  float64 // unit: fF // worst buffer stage load
-
-	// SinkLatency maps sink index (tree.Node.SinkIdx) to its latency in ps.
-	SinkLatency map[int]float64 // unit: ps
 }
 
 // Analyze runs STA over the tree. The clock source drives the first stage
@@ -57,10 +54,8 @@ func analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("timing: nil tree")
 	}
-	rep := &Report{
-		MinLatency:  math.Inf(1),
-		SinkLatency: make(map[int]float64),
-	}
+	rep := &Report{MinLatency: math.Inf(1)}
+	sinks := 0
 
 	stageCap := StageCaps(t.Root, tc)
 
@@ -88,7 +83,7 @@ func analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 			rep.Buffers++
 			rep.BufArea += cell.Area
 		case tree.Sink:
-			rep.SinkLatency[n.SinkIdx] = delay
+			sinks++
 			if delay > rep.MaxLatency {
 				rep.MaxLatency = delay
 			}
@@ -114,7 +109,7 @@ func analyze(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew float6
 	if err != nil {
 		return nil, err
 	}
-	if len(rep.SinkLatency) == 0 {
+	if sinks == 0 {
 		return nil, fmt.Errorf("timing: tree has no sinks")
 	}
 	rep.Skew = rep.MaxLatency - rep.MinLatency
