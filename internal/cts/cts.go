@@ -380,7 +380,8 @@ func levelShare(skew float64, levelsLeft int) float64 {
 // balancing points (restarted and silhouette-scored when asked), min-cost
 // flow assignment under the fanout cap, and optional SA refinement. It
 // returns each node's cluster, the cluster count and the assignment method
-// that ran.
+// that ran. Under the partition span, each k-means restart has a restart
+// task span, and the assignment and the annealer an assign and an sa span.
 func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (levelPartition, error) {
 	pts := make([]geom.Point, len(nodes))
 	caps := make([]float64, len(nodes))
@@ -404,8 +405,11 @@ func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (l
 	if err != nil {
 		return levelPartition{}, err
 	}
+	asp := psp.Begin("assign")
 	assign, method := partition.BalancedAssignK(pts, centers, opts.Cons.MaxFanout, opts.Obs.Kernel())
+	asp.End()
 	if opts.UseSA {
+		ssp := psp.Begin("sa")
 		sa := partition.DefaultSAOptions(opts.Seed + int64(level))
 		// Fixed iteration counts vanish on hundred-thousand-sink levels;
 		// scale the budget so every sink gets a chance to move.
@@ -419,6 +423,7 @@ func partitionLevel(nodes []clockNode, opts Options, level int, lv *obs.Span) (l
 		sa.MaxFanout = opts.Cons.MaxFanout
 		sa.Kernel = opts.Obs.Kernel()
 		assign = partition.RefineSA(pts, caps, k, assign, sa)
+		ssp.End()
 	}
 	return levelPartition{k: k, method: method, assign: assign}, nil
 }

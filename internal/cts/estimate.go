@@ -106,8 +106,8 @@ func repairBuffered(t *tree.Tree, opts Options, dopts dme.Options, bound float64
 						e = opts.Tech.WireElmore(k.n.EdgeLen, caps[k.n])
 					}
 				}
-				out.lo = math.Min(out.lo, k.slo+e)
-				out.hi = math.Max(out.hi, k.shi+e)
+				out.lo = min(out.lo, k.slo+e)
+				out.hi = max(out.hi, k.shi+e)
 			}
 			return interval{out.lo + bufDelay, out.hi + bufDelay}
 		}

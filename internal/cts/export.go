@@ -82,11 +82,12 @@ func exportChecked(d *design.Design, res *Result) (*lefdef.DEF, error) {
 	return ExportDEF(d, res), nil
 }
 
-// ExportDEF emits the post-CTS netlist as DEF-lite: the original components
-// plus the inserted clock buffers, with the flat clock net replaced by one
-// subnet per buffer stage, each carrying its routed wire geometry
-// (L-shaped runs; snaked wire appears as an explicit serpentine detour so
-// the routed length matches the tree's electrical length). This is the
+// ExportDEF emits the post-CTS netlist as DEF-lite: the original components,
+// each with its own placement status and orientation, plus the inserted
+// clock buffers, with the flat clock net replaced by one subnet per buffer
+// stage, each carrying its routed wire geometry (L-shaped runs; snaked
+// wire appears as an explicit serpentine detour so the routed length
+// matches the tree's electrical length). This is the
 // CTS↔routing bridge the paper emphasizes: the topology handed to routing
 // IS the synthesized one. Each sink leaf connects the component and clock
 // pin of the design's sink instance its SinkIdx names, counting sink
@@ -103,7 +104,7 @@ func ExportDEF(d *design.Design, res *Result) *lefdef.DEF {
 	for i := range d.Insts {
 		inst := &d.Insts[i]
 		def.Components = append(def.Components, lefdef.Component{
-			Name: inst.Name, Macro: inst.Macro, Loc: inst.Loc, Placed: true, Orient: "N",
+			Name: inst.Name, Macro: inst.Macro, Loc: inst.Loc, Status: inst.Status, Orient: inst.Orient,
 		})
 		if inst.IsSink {
 			sinks = append(sinks, inst)
@@ -122,7 +123,7 @@ func ExportDEF(d *design.Design, res *Result) *lefdef.DEF {
 			bi++
 			bufName[n] = name
 			def.Components = append(def.Components, lefdef.Component{
-				Name: name, Macro: n.BufCell, Loc: n.Loc, Placed: true, Orient: "N",
+				Name: name, Macro: n.BufCell, Loc: n.Loc, Orient: "N",
 			})
 		}
 		return true

@@ -198,3 +198,88 @@ func TestExportDEFWriter(t *testing.T) {
 		t.Errorf("writer failure not wrapped: %v", err)
 	}
 }
+
+// TestExportKeepsPlacement runs the flow on a four-component DEF and checks
+// that the post-CTS DEF writes each original component back with its own
+// placement status and orientation: a PLACED FS sink, a FIXED S sink, an
+// unplaced non-sink (no placement statement, not PLACED ( 0 0 )) and a
+// PLACED FN non-sink. Re-parsing the output gives the input components.
+func TestExportKeepsPlacement(t *testing.T) {
+	const lef = `VERSION 5.8 ;
+UNITS
+  DATABASE MICRONS 1000 ;
+END UNITS
+MACRO DFFQX1
+  SIZE 2.5 BY 1.8 ;
+  PIN CK
+    DIRECTION INPUT ;
+    USE CLOCK ;
+    CAPACITANCE 1.2 ;
+  END CK
+END DFFQX1
+MACRO INVX1
+  SIZE 0.8 BY 1.8 ;
+END INVX1
+END LIBRARY
+`
+	comps := []string{
+		"  - ff_a DFFQX1 + PLACED ( 10000 10000 ) FS ;",
+		"  - ff_b DFFQX1 + FIXED ( 40000 40000 ) S ;",
+		"  - u_1 INVX1 ;",
+		"  - u_2 INVX1 + PLACED ( 20000 30000 ) FN ;",
+	}
+	def := `VERSION 5.8 ;
+DESIGN four ;
+UNITS DISTANCE MICRONS 1000 ;
+DIEAREA ( 0 0 ) ( 50000 50000 ) ;
+
+COMPONENTS 4 ;
+` + strings.Join(comps, "\n") + `
+END COMPONENTS
+
+PINS 1 ;
+  - clk + NET clk + DIRECTION INPUT + USE CLOCK + PLACED ( 0 25000 ) N ;
+END PINS
+
+NETS 1 ;
+  - clk ( PIN clk ) ( ff_a CK ) ( ff_b CK ) + USE CLOCK ;
+END NETS
+
+END DESIGN
+`
+	d, err := design.Load(strings.NewReader(lef), strings.NewReader(def), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(d, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if _, err := ExportDEFWriter(&sb, d, res); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(sb.String(), "\n")
+	for _, want := range comps {
+		found := false
+		for _, l := range lines {
+			found = found || l == want
+		}
+		if !found {
+			t.Errorf("output has no line %q", want)
+		}
+	}
+	in, err := lefdef.ParseDEF(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := lefdef.ParseDEF(sb.String())
+	if err != nil {
+		t.Fatalf("re-parse: %v", err)
+	}
+	for i, c := range in.Components {
+		if got := out.Components[i]; got != c {
+			t.Errorf("component %d: %+v, want %+v", i, got, c)
+		}
+	}
+}

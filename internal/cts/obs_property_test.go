@@ -99,7 +99,7 @@ func TestRunReportSchema(t *testing.T) {
 		t.Errorf("report total WL = %g, timing report says %g", got, want)
 	}
 	stages := rep.StageNs()
-	for _, name := range []string{"level", "partition", "clusters", "top_net", "timing"} {
+	for _, name := range []string{"level", "partition", "assign", "sa", "clusters", "top_net", "timing"} {
 		if stages[name] <= 0 {
 			t.Errorf("stage %q missing from span tree (durations: %v)", name, stages)
 		}

@@ -56,7 +56,7 @@ func TestStageTimingManualClock(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("manual-clock stage timings differ across identical runs:\n%v\n%v", a, b)
 	}
-	for _, name := range []string{"level", "partition", "clusters", "cluster", "top_net", "timing"} {
+	for _, name := range []string{"level", "partition", "assign", "sa", "clusters", "cluster", "top_net", "timing"} {
 		if a[name] <= 0 {
 			t.Errorf("stage %q recorded no time: %v", name, a)
 		}

@@ -21,6 +21,11 @@ type Instance struct {
 	Loc   geom.Point
 	// IsSink marks instances whose clock pin belongs to the CTS clock net.
 	IsSink bool
+	// Status and Orient are the DEF component's placement status and
+	// orientation, which the post-CTS DEF writes back. The zero values
+	// mean PLACED and N.
+	Status lefdef.Placement
+	Orient string
 	// ClockPin and ClockPinCap describe the clock input when IsSink.
 	ClockPin    string
 	ClockPinCap float64
@@ -143,13 +148,14 @@ func FromLEFDEF(lef *lefdef.LEF, def *lefdef.DEF, clockNet string) (*Design, err
 	}
 
 	listed := make([]bool, len(net.Conns))
+	d.Insts = make([]Instance, 0, len(def.Components))
 	for _, comp := range def.Components {
-		inst := Instance{Name: comp.Name, Macro: comp.Macro, Loc: comp.Loc}
+		inst := Instance{Name: comp.Name, Macro: comp.Macro, Loc: comp.Loc, Status: comp.Status, Orient: comp.Orient}
 		if ci, ok := onNet[comp.Name]; ok {
 			listed[ci] = true
 			m := lef.FindMacro(comp.Macro)
 			switch {
-			case !comp.Placed:
+			case comp.Status == lefdef.Unplaced:
 				return nil, fmt.Errorf("design %s: clock sink %s has no PLACED or FIXED location", def.Design, comp.Name)
 			case m == nil:
 				return nil, fmt.Errorf("design %s: component %s uses unknown macro %s", def.Design, comp.Name, comp.Macro)

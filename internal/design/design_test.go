@@ -113,7 +113,7 @@ func TestFromLEFDEFRejectsBadClockNet(t *testing.T) {
 			def.Nets[0].Conns = append(def.Nets[0].Conns, lefdef.Conn{Comp: "ff_ghost", Pin: "CK"})
 		}, []string{"ff_ghost", "COMPONENTS"}},
 		{"unplaced sink", func(def *lefdef.DEF) {
-			def.Components[1].Placed = false
+			def.Components[1].Status = lefdef.Unplaced
 		}, []string{"ff_b", "PLACED"}},
 		{"undeclared pin", func(def *lefdef.DEF) {
 			def.Nets[0].Conns[1].Pin = "CLK"

@@ -210,7 +210,7 @@ func DEF(d *design.Design) *lefdef.DEF {
 	for i := range d.Insts {
 		inst := &d.Insts[i]
 		def.Components = append(def.Components, lefdef.Component{
-			Name: inst.Name, Macro: inst.Macro, Loc: inst.Loc, Placed: true, Orient: "N",
+			Name: inst.Name, Macro: inst.Macro, Loc: inst.Loc, Orient: "N",
 		})
 		if inst.IsSink {
 			clock.Conns = append(clock.Conns, lefdef.Conn{Comp: inst.Name, Pin: inst.ClockPin})

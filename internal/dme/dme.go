@@ -17,7 +17,6 @@ package dme
 
 import (
 	"fmt"
-	"math"
 
 	"sllt/internal/geom"
 	"sllt/internal/obs"
@@ -193,11 +192,11 @@ func topDown(net *tree.Net, root *mnode) *tree.Tree {
 			// slop falls back to the geometry.
 			da := m.left.ms.DistPoint(loc)
 			db := m.right.ms.DistPoint(loc)
-			lo := math.Max(m.tlo, da)
-			hi := math.Min(m.thi, m.d-db)
+			lo := max(m.tlo, da)
+			hi := min(m.thi, m.d-db)
 			if lo > hi {
 				lo = da
-				hi = math.Max(da, m.d-db)
+				hi = max(da, m.d-db)
 			}
 			tt := clampF(m.tstar, lo, hi)
 			ea, eb = tt, m.d-tt
@@ -234,7 +233,7 @@ func (o Options) delayAdd(length, subCap float64) float64 {
 // unit: subCap fF -> um
 func (o Options) invDelayAdd(target, subCap float64) float64 {
 	if o.Model == Linear {
-		return math.Max(target, 0)
+		return max(target, 0)
 	}
 	return o.Tech.ElmoreLength(target, subCap)
 }
@@ -287,8 +286,8 @@ func merge(a, b *mnode, opts Options) (*mnode, error) {
 		m.detour = true
 		ea, eb = 0, opts.invDelayAdd(-dhi, b.cap)
 	default:
-		t1 := invMonotone(h, d, math.Max(dlo, h(0)))
-		t2 := invMonotone(h, d, math.Min(dhi, h(d)))
+		t1 := invMonotone(h, d, max(dlo, h(0)))
+		t2 := invMonotone(h, d, min(dhi, h(d)))
 		ts := invMonotone(h, d, clampF(dc, h(0), h(d)))
 		lam := maxWindowScale(a, b, d, B, t1, t2, ts, opts) * opts.regionGreed()
 		m.tstar = ts
@@ -310,8 +309,8 @@ func merge(a, b *mnode, opts Options) (*mnode, error) {
 		}
 		da := opts.delayAdd(ea, a.cap)
 		db := opts.delayAdd(eb, b.cap)
-		m.lo = math.Min(a.lo+da, b.lo+db)
-		m.hi = math.Max(a.hi+da, b.hi+db)
+		m.lo = min(a.lo+da, b.lo+db)
+		m.hi = max(a.hi+da, b.hi+db)
 		m.cap = a.cap + b.cap + opts.wireCap(ea+eb)
 	} else {
 		m.ms = unionRegion(a.ms, b.ms, d, m.tlo, m.thi)
@@ -320,8 +319,8 @@ func merge(a, b *mnode, opts Options) (*mnode, error) {
 		}
 		// Pessimistic interval over the whole window: lo endpoints at the
 		// monotone extremes (g_a increasing, g_b(d−t) decreasing).
-		m.lo = math.Min(a.lo+opts.delayAdd(m.tlo, a.cap), b.lo+opts.delayAdd(d-m.thi, b.cap))
-		m.hi = math.Max(a.hi+opts.delayAdd(m.thi, a.cap), b.hi+opts.delayAdd(d-m.tlo, b.cap))
+		m.lo = min(a.lo+opts.delayAdd(m.tlo, a.cap), b.lo+opts.delayAdd(d-m.thi, b.cap))
+		m.hi = max(a.hi+opts.delayAdd(m.thi, a.cap), b.hi+opts.delayAdd(d-m.tlo, b.cap))
 		m.cap = a.cap + b.cap + opts.wireCap(d)
 	}
 	if m.hi-m.lo > B+1e-6 {
@@ -358,8 +357,8 @@ func maxWindowScale(a, b *mnode, d, B, t1, t2, ts float64, opts Options) float64
 	span := func(lam float64) float64 {
 		wlo := ts + lam*(t1-ts)
 		whi := ts + lam*(t2-ts)
-		lo := math.Min(a.lo+opts.delayAdd(wlo, a.cap), b.lo+opts.delayAdd(d-whi, b.cap))
-		hi := math.Max(a.hi+opts.delayAdd(whi, a.cap), b.hi+opts.delayAdd(d-wlo, b.cap))
+		lo := min(a.lo+opts.delayAdd(wlo, a.cap), b.lo+opts.delayAdd(d-whi, b.cap))
+		hi := max(a.hi+opts.delayAdd(whi, a.cap), b.hi+opts.delayAdd(d-wlo, b.cap))
 		return hi - lo
 	}
 	if span(1) <= B+1e-12 {
@@ -425,7 +424,7 @@ func linearSplit(a, b *mnode, d, B float64) (ea, eb float64) {
 		// Feasible at total length d. Target the delay-balance point, which
 		// minimizes the merged interval's span.
 		t0 := (b.hi+b.lo-a.hi-a.lo)/4 + d/2
-		t := clampF(t0, math.Max(0, tlo), math.Min(d, thi))
+		t := clampF(t0, max(0, tlo), min(d, thi))
 		return t, d - t
 	case tlo > d:
 		// a is too fast: all wire on a's side plus snaking.

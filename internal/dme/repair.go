@@ -85,8 +85,8 @@ func RepairSkew(t *tree.Tree, net *tree.Net, opts Options) error {
 					opts.Kernel.DMESnakes.Add(1)
 				}
 			}
-			mlo = math.Min(mlo, k.slo+e)
-			mhi = math.Max(mhi, k.shi+e)
+			mlo = min(mlo, k.slo+e)
+			mhi = max(mhi, k.shi+e)
 			capSum += k.cap + opts.wireCap(k.n.EdgeLen)
 		}
 		if mhi-mlo > B+1e-6 {

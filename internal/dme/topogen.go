@@ -147,8 +147,8 @@ func greedyTopo(net *tree.Net, method TopoMethod, budget float64) *tree.Topo {
 		}
 		nc := &cluster{
 			ms: ms,
-			lo: math.Min(a.lo+ea, b.lo+eb),
-			hi: math.Max(a.hi+ea, b.hi+eb),
+			lo: min(a.lo+ea, b.lo+eb),
+			hi: max(a.hi+ea, b.hi+eb),
 			tn: tree.TopoMerge(a.tn, b.tn),
 		}
 		clusters = append(clusters[:bj], clusters[bj+1:]...)

@@ -61,7 +61,7 @@ func New(pts []geom.Point) *Grid {
 	// sets) fall back to slicing the longer axis, then to a single cell.
 	cell := math.Sqrt(w * h / float64(n))
 	if cell <= 0 {
-		cell = math.Max(w, h) / float64(n)
+		cell = max(w, h) / float64(n)
 	}
 	if cell <= 0 {
 		cell = 1

@@ -54,14 +54,14 @@ func (o Octagon) String() string {
 // leaving genuinely empty regions (gap above Eps) inverted.
 func (o Octagon) Canon() Octagon {
 	for i := 0; i < 3; i++ {
-		o.SLo = math.Max(o.SLo, o.ULo+o.VLo)
-		o.SHi = math.Min(o.SHi, o.UHi+o.VHi)
-		o.WLo = math.Max(o.WLo, o.ULo-o.VHi)
-		o.WHi = math.Min(o.WHi, o.UHi-o.VLo)
-		o.ULo = math.Max(o.ULo, math.Max(o.SLo-o.VHi, o.WLo+o.VLo))
-		o.UHi = math.Min(o.UHi, math.Min(o.SHi-o.VLo, o.WHi+o.VHi))
-		o.VLo = math.Max(o.VLo, math.Max(o.SLo-o.UHi, o.ULo-o.WHi))
-		o.VHi = math.Min(o.VHi, math.Min(o.SHi-o.ULo, o.UHi-o.WLo))
+		o.SLo = max(o.SLo, o.ULo+o.VLo)
+		o.SHi = min(o.SHi, o.UHi+o.VHi)
+		o.WLo = max(o.WLo, o.ULo-o.VHi)
+		o.WHi = min(o.WHi, o.UHi-o.VLo)
+		o.ULo = max(o.ULo, max(o.SLo-o.VHi, o.WLo+o.VLo))
+		o.UHi = min(o.UHi, min(o.SHi-o.VLo, o.WHi+o.VHi))
+		o.VLo = max(o.VLo, max(o.SLo-o.UHi, o.ULo-o.WHi))
+		o.VHi = min(o.VHi, min(o.SHi-o.ULo, o.UHi-o.WLo))
 	}
 	snapPair(&o.ULo, &o.UHi)
 	snapPair(&o.VLo, &o.VHi)
@@ -112,10 +112,10 @@ func (o Octagon) Expand(r float64) Octagon {
 // Intersect returns the intersection (possibly empty).
 func (o Octagon) Intersect(p Octagon) Octagon {
 	return Octagon{
-		ULo: math.Max(o.ULo, p.ULo), UHi: math.Min(o.UHi, p.UHi),
-		VLo: math.Max(o.VLo, p.VLo), VHi: math.Min(o.VHi, p.VHi),
-		SLo: math.Max(o.SLo, p.SLo), SHi: math.Min(o.SHi, p.SHi),
-		WLo: math.Max(o.WLo, p.WLo), WHi: math.Min(o.WHi, p.WHi),
+		ULo: max(o.ULo, p.ULo), UHi: min(o.UHi, p.UHi),
+		VLo: max(o.VLo, p.VLo), VHi: min(o.VHi, p.VHi),
+		SLo: max(o.SLo, p.SLo), SHi: min(o.SHi, p.SHi),
+		WLo: max(o.WLo, p.WLo), WHi: min(o.WHi, p.WHi),
 	}.Canon()
 }
 
@@ -125,10 +125,10 @@ func (o Octagon) Intersect(p Octagon) Octagon {
 // union); in general it is the tightest octagonal cover.
 func (o Octagon) Hull(p Octagon) Octagon {
 	return Octagon{
-		ULo: math.Min(o.ULo, p.ULo), UHi: math.Max(o.UHi, p.UHi),
-		VLo: math.Min(o.VLo, p.VLo), VHi: math.Max(o.VHi, p.VHi),
-		SLo: math.Min(o.SLo, p.SLo), SHi: math.Max(o.SHi, p.SHi),
-		WLo: math.Min(o.WLo, p.WLo), WHi: math.Max(o.WHi, p.WHi),
+		ULo: min(o.ULo, p.ULo), UHi: max(o.UHi, p.UHi),
+		VLo: min(o.VLo, p.VLo), VHi: max(o.VHi, p.VHi),
+		SLo: min(o.SLo, p.SLo), SHi: max(o.SHi, p.SHi),
+		WLo: min(o.WLo, p.WLo), WHi: max(o.WHi, p.WHi),
 	}.Canon()
 }
 

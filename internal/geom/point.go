@@ -59,7 +59,7 @@ func (q UV) ToXY() Point { return Point{X: (q.U + q.V) / 2, Y: (q.U - q.V) / 2} 
 func (q UV) Cheb(r UV) float64 {
 	du := math.Abs(q.U - r.U)
 	dv := math.Abs(q.V - r.V)
-	return math.Max(du, dv)
+	return max(du, dv)
 }
 
 // Rect is an axis-aligned rectangle on the (x,y) plane. It is closed:
@@ -89,8 +89,8 @@ func (r Rect) Empty() bool { return r.XLo > r.XHi || r.YLo > r.YHi }
 // Grow returns r expanded to contain p.
 func (r Rect) Grow(p Point) Rect {
 	return Rect{
-		XLo: math.Min(r.XLo, p.X), YLo: math.Min(r.YLo, p.Y),
-		XHi: math.Max(r.XHi, p.X), YHi: math.Max(r.YHi, p.Y),
+		XLo: min(r.XLo, p.X), YLo: min(r.YLo, p.Y),
+		XHi: max(r.XHi, p.X), YHi: max(r.YHi, p.Y),
 	}
 }
 

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // TRR is a tilted rectangular region: a rectangle whose sides have slope ±1
 // on the (x,y) plane. In the rotated (u,v) space it is axis-aligned, so all
@@ -52,8 +49,8 @@ func (t TRR) Expand(r float64) TRR {
 // Intersect returns the intersection of t and s (possibly empty).
 func (t TRR) Intersect(s TRR) TRR {
 	return TRR{
-		ULo: math.Max(t.ULo, s.ULo), VLo: math.Max(t.VLo, s.VLo),
-		UHi: math.Min(t.UHi, s.UHi), VHi: math.Min(t.VHi, s.VHi),
+		ULo: max(t.ULo, s.ULo), VLo: max(t.VLo, s.VLo),
+		UHi: min(t.UHi, s.UHi), VHi: min(t.VHi, s.VHi),
 	}
 }
 
@@ -65,7 +62,7 @@ func (t TRR) Dist(s TRR) float64 {
 	// Chebyshev separation between axis-aligned rectangles in (u,v):
 	// the gap along each axis closes independently, so the distance is the
 	// larger of the two gaps.
-	return math.Max(du, dv)
+	return max(du, dv)
 }
 
 func intervalGap(aLo, aHi, bLo, bHi float64) float64 {
@@ -110,8 +107,8 @@ func nearestOnAxis(aLo, aHi, bLo, bHi float64) (a, b float64) {
 	case bHi < aLo:
 		return aLo, bHi
 	default: // overlapping: meet in the shared interval
-		lo := math.Max(aLo, bLo)
-		hi := math.Min(aHi, bHi)
+		lo := max(aLo, bLo)
+		hi := min(aHi, bHi)
 		m := (lo + hi) / 2
 		return m, m
 	}

@@ -76,8 +76,8 @@ func CheckSkew(t *tree.Tree, bound, tol float64) error {
 	n := 0
 	for _, s := range t.Sinks() {
 		pl := tree.PathLength(s)
-		minPL = math.Min(minPL, pl)
-		maxPL = math.Max(maxPL, pl)
+		minPL = min(minPL, pl)
+		maxPL = max(maxPL, pl)
 		n++
 	}
 	if n < 2 {
@@ -102,7 +102,7 @@ func CheckGamma(t *tree.Tree, gamma, tol float64) error {
 	for _, s := range t.Sinks() {
 		pl := tree.PathLength(s)
 		sum += pl
-		maxPL = math.Max(maxPL, pl)
+		maxPL = max(maxPL, pl)
 		n++
 	}
 	if n == 0 {
@@ -125,5 +125,5 @@ func almostEqualRel(a, b float64) bool {
 	if diff <= geom.Eps {
 		return true
 	}
-	return diff <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+	return diff <= 1e-9*max(math.Abs(a), math.Abs(b))
 }

@@ -19,14 +19,25 @@ type DEF struct {
 	Nets       []Net
 }
 
-// Component is a placed instance.
+// Component is one COMPONENTS entry: an instance of a macro, with its
+// placement status and, unless unplaced, its location and orientation.
 type Component struct {
 	Name   string
 	Macro  string
 	Loc    geom.Point
-	Placed bool
-	Orient string
+	Status Placement
+	Orient string // "" writes as N
 }
+
+// Placement is a component's placement status. The zero value is PLACED,
+// the status of every component the flow creates.
+type Placement uint8
+
+const (
+	Placed   Placement = iota // + PLACED ( x y ) orient
+	Fixed                     // + FIXED ( x y ) orient
+	Unplaced                  // no location: Loc and Orient are unset
+)
 
 // IOPin is a top-level design pin.
 type IOPin struct {
@@ -261,7 +272,7 @@ func (d *DEF) parseComponentsStream(cur *tokCursor, in *interner) error {
 		if !tokIs(t2, lastMacro) {
 			lastMacro = in.str(t2)
 		}
-		c := Component{Name: name, Macro: lastMacro}
+		c := Component{Name: name, Macro: lastMacro, Status: Unplaced}
 		cur.advance(3)
 		for {
 			t, ok = cur.peek(0)
@@ -276,7 +287,10 @@ func (d *DEF) parseComponentsStream(cur *tokCursor, in *interner) error {
 				_, ok4 := cur.peek(4)
 				t1, _ = cur.peek(1)
 				if ok4 && isLParen(t1) {
-					c.Placed = true
+					c.Status = Placed
+					if tokIs(t, "FIXED") {
+						c.Status = Fixed
+					}
 					tx, _ := cur.peek(2)
 					x := atofTok(tx) / scale
 					ty, _ := cur.peek(3)

@@ -112,7 +112,7 @@ func TestParseDEF(t *testing.T) {
 		t.Fatalf("components = %d", len(def.Components))
 	}
 	ff1 := def.FindComponent("ff_1")
-	if ff1 == nil || !ff1.Loc.Eq(geom.Pt(10, 20)) || !ff1.Placed {
+	if ff1 == nil || !ff1.Loc.Eq(geom.Pt(10, 20)) || ff1.Status != Placed {
 		t.Errorf("ff_1 = %+v", ff1)
 	}
 	if ff2 := def.FindComponent("ff_2"); ff2.Orient != "FS" {

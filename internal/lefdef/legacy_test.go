@@ -101,11 +101,14 @@ func (d *DEF) parseComponents(toks []string, i int) (int, error) {
 		if i+2 >= len(toks) {
 			return i, fmt.Errorf("def: truncated COMPONENTS entry")
 		}
-		c := Component{Name: toks[i+1], Macro: toks[i+2]}
+		c := Component{Name: toks[i+1], Macro: toks[i+2], Status: Unplaced}
 		j := i + 3
 		for j < len(toks) && toks[j] != ";" {
 			if (toks[j] == "PLACED" || toks[j] == "FIXED") && j+4 < len(toks) && toks[j+1] == "(" {
-				c.Placed = true
+				c.Status = Placed
+				if toks[j] == "FIXED" {
+					c.Status = Fixed
+				}
 				c.Loc = geom.Pt(atof(toks[j+2])/scale, atof(toks[j+3])/scale)
 				// The orient is optional; punctuation after ")" means it
 				// was omitted (grabbing it would corrupt WriteDEF output).
@@ -389,8 +392,16 @@ func (d *DEF) WriteDEFLegacy() string {
 		if orient == "" {
 			orient = "N"
 		}
-		fmt.Fprintf(&b, "  - %s %s + PLACED ( %d %d ) %s ;\n",
-			c.Name, c.Macro, int(c.Loc.X*scale), int(c.Loc.Y*scale), orient)
+		switch c.Status {
+		case Unplaced:
+			fmt.Fprintf(&b, "  - %s %s ;\n", c.Name, c.Macro)
+		case Fixed:
+			fmt.Fprintf(&b, "  - %s %s + FIXED ( %d %d ) %s ;\n",
+				c.Name, c.Macro, int(c.Loc.X*scale), int(c.Loc.Y*scale), orient)
+		default:
+			fmt.Fprintf(&b, "  - %s %s + PLACED ( %d %d ) %s ;\n",
+				c.Name, c.Macro, int(c.Loc.X*scale), int(c.Loc.Y*scale), orient)
+		}
 	}
 	b.WriteString("END COMPONENTS\n\n")
 	fmt.Fprintf(&b, "PINS %d ;\n", len(d.Pins))

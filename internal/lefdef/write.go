@@ -66,8 +66,9 @@ func appendFixed4(dst []byte, v float64) []byte {
 
 // WriteTo streams DEF-lite source to w, byte-identical to the legacy
 // whole-string writer the tests keep, without materializing the document:
-// formatting goes through an append buffer flushed in bounded chunks. It
-// implements io.WriterTo.
+// formatting goes through an append buffer flushed in bounded chunks. A
+// component is written with its placement status, and an unplaced one
+// with none. It implements io.WriterTo.
 func (d *DEF) WriteTo(w io.Writer) (int64, error) {
 	e := newEmitter(w)
 	v := d.Version
@@ -102,12 +103,18 @@ func (d *DEF) WriteTo(w io.Writer) (int64, error) {
 		e.str(c.Name)
 		e.str(" ")
 		e.str(c.Macro)
-		e.str(" + PLACED ( ")
-		e.scaled(c.Loc.X, scale)
-		e.str(" ")
-		e.scaled(c.Loc.Y, scale)
-		e.str(" ) ")
-		e.str(orient)
+		if c.Status != Unplaced {
+			if c.Status == Fixed {
+				e.str(" + FIXED ( ")
+			} else {
+				e.str(" + PLACED ( ")
+			}
+			e.scaled(c.Loc.X, scale)
+			e.str(" ")
+			e.scaled(c.Loc.Y, scale)
+			e.str(" ) ")
+			e.str(orient)
+		}
 		e.str(" ;\n")
 		e.line()
 	}

@@ -39,6 +39,22 @@ func BenchmarkBalancedAssignGreedy(b *testing.B) {
 	}
 }
 
+// BenchmarkBalancedAssignGreedyLarge is BenchmarkBalancedAssignGreedy at
+// large100k's level-0 shape: n = 100,000 and k = 3,126. The drain's late
+// queries, made when few centers have slack, are the ones that grow with
+// k, and at k = 626 they cost little.
+func BenchmarkBalancedAssignGreedyLarge(b *testing.B) {
+	pts, centers, _ := benchLevel(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		var method string
+		if benchSink, method = BalancedAssignK(pts, centers, 32, nil); method != "greedy" {
+			b.Fatalf("solver %q, want greedy", method)
+		}
+	}
+}
+
 // BenchmarkSARefine times RefineSA on benchLevel's assignment with the
 // flow's move budget of two moves per instance.
 func BenchmarkSARefine(b *testing.B) { benchSARefine(b, benchN) }

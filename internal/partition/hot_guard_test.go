@@ -194,3 +194,34 @@ func TestAllocScalingGuards(t *testing.T) {
 		}
 	}
 }
+
+// greedyRingSteps returns the greedy repair's grid ring steps per query
+// over four flow-shaped levels of n points: scattered over a 1 mm square,
+// k = n/32 + 1 k-means centers and capacity 32, so that at most 32 slots
+// are free in total.
+func greedyRingSteps(n int) float64 {
+	var kern obs.KernelCounters
+	for seed := int64(1); seed <= 4; seed++ {
+		pts := scatter(n, seed)
+		centers, _ := KMeansPK(pts, n/32+1, 8, 1, 1, nil)
+		assignGreedyRepair(pts, centers, 32, &kern)
+	}
+	s := kern.Snapshot()
+	return float64(s.GridRingSteps) / float64(s.GridQueries)
+}
+
+// TestGreedyRingStepScaling pins the greedy repair's cost per query in
+// ring steps, which count work the same on every host: at 16n, the steps
+// per query must stay within 1.2× of those at n. A walk over all centers
+// that skips the full ones crosses more full cells per query as k grows:
+// it took 3.12 steps per query at n = 2,048 and 4.31 (1.38×) at 16n. The
+// slack grid took 2.61 and 2.80 (1.07×).
+func TestGreedyRingStepScaling(t *testing.T) {
+	const n, factor = 2048, 1.2
+	lo, hi := greedyRingSteps(n), greedyRingSteps(16*n)
+	t.Logf("ring steps per query: %.3f at n=%d, %.3f at n=%d", lo, n, hi, 16*n)
+	if hi > factor*lo {
+		t.Errorf("greedy repair takes %.3f ring steps per query at n=%d but %.3f at n=%d, want at most %.1f×",
+			lo, n, hi, 16*n, factor)
+	}
+}

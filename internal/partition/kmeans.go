@@ -322,7 +322,7 @@ func silhouetteOf(pts []geom.Point, assign []int, k, i int, sum []float64, cnt [
 	if math.IsInf(b, 1) {
 		return math.MaxFloat64
 	}
-	den := math.Max(a, b)
+	den := max(a, b)
 	if den <= 0 {
 		return math.MaxFloat64
 	}
@@ -363,10 +363,14 @@ func BalancedAssignK(pts []geom.Point, centers []geom.Point, cap int, kern *obs.
 // choice that still has slack stays the lowest-index nearest one. The
 // candidates reach the (unstable) sort in ascending member order, the order
 // a scan over all points produces, so the same member moves.
+//
+// The drain's queries go to a grid over only the centers with slack (see
+// slackGrid), which answers each one as the filtered walk over every
+// center would.
 func assignGreedyRepair(pts []geom.Point, centers []geom.Point, cap int, kern *obs.KernelCounters) []int {
 	n, k := len(pts), len(centers)
-	// Both passes query one grid over the centers. Its lowest-index tie
-	// rule is the ascending scan's, so each answer is the scan's.
+	// The nearest pass queries a grid over all centers. Its lowest-index
+	// tie rule is the ascending scan's, so each answer is the scan's.
 	g := index.New(centers)
 	g.Kernel = kern
 	assign := make([]int, n)
@@ -395,17 +399,16 @@ func assignGreedyRepair(pts []geom.Point, centers []geom.Point, cap int, kern *o
 		to     []int     // per member of j: nearest center with slack, or -1
 		regret []float64 // per member of j: the extra distance of going there
 		cands  []cand
-		j      int
 	)
-	noSlack := func(jj int) bool { return jj == j || load[jj] >= cap }
-	for j = range k {
+	slack := newSlackGrid(centers, load, cap, kern)
+	for j := range k {
 		if load[j] <= cap {
 			continue
 		}
 		mem := members[start[j]:start[j+1]]
 		to, regret = to[:0], regret[:0]
 		for _, i := range mem {
-			t, bd := g.Nearest(pts[i], noSlack)
+			t, bd := slack.nearest(pts[i])
 			to = append(to, t)
 			regret = append(regret, bd-pts[i].Dist(centers[j]))
 		}
@@ -417,7 +420,7 @@ func assignGreedyRepair(pts []geom.Point, centers []geom.Point, cap int, kern *o
 				}
 				if load[to[m]] >= cap {
 					var bd float64
-					if to[m], bd = g.Nearest(pts[i], noSlack); to[m] < 0 {
+					if to[m], bd = slack.nearest(pts[i]); to[m] < 0 {
 						continue
 					}
 					regret[m] = bd - pts[i].Dist(centers[j])
@@ -432,7 +435,72 @@ func assignGreedyRepair(pts []geom.Point, centers []geom.Point, cap int, kern *o
 			assign[move.idx] = move.to
 			load[j]--
 			load[move.to]++
+			if load[move.to] == cap {
+				slack.filled()
+			}
 		}
 	}
 	return assign
+}
+
+// slackGrid answers the greedy drain's "nearest center with slack" query
+// from a grid over only the centers that had slack at its last build, in
+// ascending index order, skipping those that have filled since. It is
+// rebuilt over the remaining ones once half of them have filled.
+//
+// The slack set only shrinks during the drain, so the grid's points are a
+// superset of it and the skip leaves exactly the set; ascending order keeps
+// the lowest-index tie rule. Each answer is therefore the one a filtered
+// walk over all centers gives. That walk crosses every full center's cell
+// between the query and the nearest center with slack, and the flow's
+// k = n/32 + 1 at capacity 32 leaves at most 32 free slots in total, so
+// late in the drain it crossed O(k) cells per query. The rebuilds halve the grid each
+// time and cost O(k) in all.
+type slackGrid struct {
+	centers []geom.Point
+	load    []int
+	cap     int
+	kern    *obs.KernelCounters
+	ids     []int        // the grid's centers, ascending
+	locs    []geom.Point // their locations, in the same order
+	g       *index.Grid
+	full    int // of ids, how many have filled since the build
+}
+
+func newSlackGrid(centers []geom.Point, load []int, cap int, kern *obs.KernelCounters) *slackGrid {
+	s := &slackGrid{centers: centers, load: load, cap: cap, kern: kern}
+	s.build()
+	return s
+}
+
+// build indexes the centers that have slack now.
+func (s *slackGrid) build() {
+	s.ids, s.locs = s.ids[:0], s.locs[:0]
+	for j, l := range s.load {
+		if l < s.cap {
+			s.ids = append(s.ids, j)
+			s.locs = append(s.locs, s.centers[j])
+		}
+	}
+	s.g = index.New(s.locs)
+	s.g.Kernel = s.kern
+	s.full = 0
+}
+
+// filled records that one of the grid's centers has reached capacity.
+func (s *slackGrid) filled() {
+	s.full++
+	if 2*s.full >= len(s.ids) {
+		s.build()
+	}
+}
+
+// nearest returns the center with slack nearest to q, with its distance,
+// or (-1, 0) when none has slack.
+func (s *slackGrid) nearest(q geom.Point) (int, float64) {
+	t, d := s.g.Nearest(q, func(t int) bool { return s.load[s.ids[t]] >= s.cap })
+	if t < 0 {
+		return -1, 0
+	}
+	return s.ids[t], d
 }

@@ -799,17 +799,135 @@ func TestHullMatchesConvexHull(t *testing.T) {
 	}
 }
 
+// oracleRefineSA is RefineSA with the best kept by copying the whole
+// assignment at every new best, the way it was kept before the replay. It
+// also returns the move of the last new best (-1 when the start stays
+// best), how many accepted moves that best replayed (those since the best
+// before it) and how many were accepted after it.
+func oracleRefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptions) (out []int, lastBest, replayed, after int) {
+	lastBest = -1
+	if opt.Iters <= 0 || k < 2 {
+		return append([]int(nil), assign...), lastBest, 0, 0
+	}
+	rng := rand.New(rand.NewSource(opt.Seed))
+	st := newSAState(pts, caps, k, assign, opt)
+	cur := st.Cost()
+	best := cur
+	bestAssign := append([]int(nil), st.assign...)
+	temp := max(cur*0.05, 1e-6)
+	cool := math.Pow(1e-3, 1/float64(opt.Iters))
+	for it := 0; it < opt.Iters; it++ {
+		j := st.pickCostlyNet(rng)
+		if j < 0 {
+			break
+		}
+		i := st.pickHullInstance(j, rng)
+		if i < 0 {
+			continue
+		}
+		to := st.nearestOtherNet(i, j)
+		if to < 0 {
+			continue
+		}
+		st.move(i, j, to)
+		next := st.Cost()
+		delta := next - cur
+		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
+			cur = next
+			after++
+			if cur < best {
+				best = cur
+				copy(bestAssign, st.assign)
+				lastBest, replayed, after = it, after, 0
+			}
+		} else {
+			st.move(i, to, j)
+		}
+		temp *= cool
+	}
+	return bestAssign, lastBest, replayed, after
+}
+
+// TestRefineSAMatchesCopyOracle compares RefineSA, which replays the moves
+// accepted since the last best onto the best assignment, with
+// oracleRefineSA, which copies the assignment at every new best, element
+// for element. It covers three budgets: on a 300-point level, the smallest
+// at which moves are accepted but the start stays best, and the smallest
+// at which the last move is a new best reached over several accepted
+// moves; and the flow's two moves per point on benchLevel's
+// 100,000-point level (k = 3,126).
+func TestRefineSAMatchesCopyOracle(t *testing.T) {
+	check := func(name string, pts []geom.Point, caps []float64, k int, assign []int, opt SAOptions) (lastBest, replayed, after int) {
+		t.Helper()
+		want, lastBest, replayed, after := oracleRefineSA(pts, caps, k, assign, opt)
+		got := RefineSA(pts, caps, k, assign, opt)
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s (%d moves): RefineSA differs from the copying oracle first at index %d", name, opt.Iters, i)
+		}
+		return lastBest, replayed, after
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	pts := fastpathPts(300, rng, false)
+	caps := make([]float64, len(pts))
+	for i := range caps {
+		caps[i] = 0.5 + rng.Float64()
+	}
+	centers, _ := KMeansPK(pts, len(pts)/32+1, 20, 1, 1, nil)
+	assign, _ := BalancedAssignK(pts, centers, 32, nil)
+	opt := DefaultSAOptions(3)
+	found := [2]bool{}
+	for opt.Iters = 1; opt.Iters <= 2000 && !(found[0] && found[1]); opt.Iters++ {
+		lastBest, replayed, after := check("300 points", pts, caps, len(centers), assign, opt)
+		switch {
+		case !found[0] && lastBest < 0 && after > 0:
+			found[0] = true
+			t.Logf("%d moves: %d accepted, none a new best", opt.Iters, after)
+		case !found[1] && lastBest == opt.Iters-1 && replayed > 1:
+			found[1] = true
+			t.Logf("%d moves: the last is a new best, replaying %d accepted moves", opt.Iters, replayed)
+		}
+	}
+	if !found[0] || !found[1] {
+		t.Fatalf("no budget up to %d moves where the best never improves (%v) or improves on the last move (%v)",
+			opt.Iters-1, found[0], found[1])
+	}
+
+	pts, centers, assign = benchLevel(100_000)
+	caps = make([]float64, len(pts))
+	for i := range caps {
+		caps[i] = 1
+	}
+	opt = DefaultSAOptions(1)
+	opt.Iters = 2 * len(pts)
+	lastBest, _, after := check("100k points", pts, caps, len(centers), assign, opt)
+	t.Logf("100k points: last best at move %d, %d accepted moves after it", lastBest, after)
+}
+
 // TestGreedyRepairMatchesOracle compares the cached greedy assignment,
 // which queries a center grid at every size, with the rescanning oracle.
 // The sizes have n·k > 200 000 (the greedy side of BalancedAssignK) and lie
 // on both sides of the gates below which k-means' assignment pass scans
 // instead; the inputs are random floats and small integer grids, where
-// distance and regret ties are common.
+// distance and regret ties are common. The last two cases have the flow's
+// shape, k = n/32 + 1 at capacity 32, so at most 32 slots are free in
+// total and the drain runs its slack grid down to a few centers.
 func TestGreedyRepairMatchesOracle(t *testing.T) {
-	cases := []struct{ n, k int }{
-		{1800, 120},                   // n < minParallelPoints
-		{10_100, 20},                  // k < assignGridMinCenters
-		{minParallelPoints + 100, 98}, // above both
+	cases := []struct {
+		n, k int
+		caps []int // nil: the tightest capacity and the mean plus 3
+		// several: the slack grid must be rebuilt at least three times
+		several bool
+	}{
+		{1800, 120, nil, false},                   // n < minParallelPoints
+		{10_100, 20, nil, false},                  // k < assignGridMinCenters
+		{minParallelPoints + 100, 98, nil, false}, // above both
+		{2600, 2600/32 + 1, []int{32}, false},
+		{4000, 4000/32 + 1, []int{32}, true},
 	}
 	for _, c := range cases {
 		if c.n*c.k <= 200_000 {
@@ -819,7 +937,11 @@ func TestGreedyRepairMatchesOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(c.n + c.k)))
 			pts := fastpathPts(c.n, rng, integer)
 			centers := fastpathPts(c.k, rng, integer)
-			for _, cap := range []int{(c.n + c.k - 1) / c.k, c.n/c.k + 3} {
+			caps := c.caps
+			if caps == nil {
+				caps = []int{(c.n + c.k - 1) / c.k, c.n/c.k + 3}
+			}
+			for _, cap := range caps {
 				got, method := BalancedAssignK(pts, centers, cap, nil)
 				if method != "greedy" {
 					t.Fatalf("n=%d k=%d: solver %q, want greedy", c.n, c.k, method)
@@ -831,8 +953,51 @@ func TestGreedyRepairMatchesOracle(t *testing.T) {
 							c.n, c.k, integer, cap, i, got[i], want[i])
 					}
 				}
+				if c.caps != nil {
+					checkSlackShrinks(t, pts, centers, got, cap, c.several)
+				}
 			}
 		}
+	}
+}
+
+// checkSlackShrinks checks the flow-shaped cases' premise: at most 32
+// slots are free after the drain, and, when several rebuilds are wanted,
+// the drain ends with at most 1/16 of the centers that had slack after
+// the nearest pass. The slack grid halves at each rebuild and is rebuilt
+// once half of its centers fill, so it ends with more than half of its
+// last build's centers; a 16-fold shrink therefore takes at least three
+// rebuilds.
+func checkSlackShrinks(t *testing.T, pts, centers []geom.Point, assign []int, cap int, several bool) {
+	t.Helper()
+	k := len(centers)
+	near, final := make([]int, k), make([]int, k)
+	for i, p := range pts {
+		best, bd := 0, math.Inf(1)
+		for j, c := range centers {
+			if d := p.Dist(c); d < bd {
+				best, bd = j, d
+			}
+		}
+		near[best]++
+		final[assign[i]]++
+	}
+	var before, after, free int
+	for j := range k {
+		if near[j] < cap {
+			before++
+		}
+		if final[j] < cap {
+			after++
+			free += cap - final[j]
+		}
+	}
+	if free > 32 {
+		t.Errorf("n=%d k=%d: %d slots free after the drain, want at most 32", len(pts), k, free)
+	}
+	if several && before < 16*after {
+		t.Errorf("n=%d k=%d: %d centers with slack before the drain and %d after, want a 16-fold shrink",
+			len(pts), k, before, after)
 	}
 }
 

@@ -366,8 +366,12 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 	cur := st.Cost()
 	best := cur
 	bestAssign := append([]int(nil), st.assign...)
+	// since logs the moves accepted since the last new best, in order.
+	// Replaying it onto bestAssign brings that to the current state, so a
+	// new best costs its moves, not a copy of all n entries.
+	var since []saMove
 
-	temp := math.Max(cur*0.05, 1e-6)
+	temp := max(cur*0.05, 1e-6)
 	cool := math.Pow(1e-3, 1/float64(opt.Iters)) // reach 0.1% of T0 at the end
 
 	for it := 0; it < opt.Iters; it++ {
@@ -400,9 +404,13 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 				opt.Kernel.SAAccepted.Add(1)
 			}
 			cur = next
+			since = append(since, saMove{int32(i), int32(to)})
 			if cur < best {
 				best = cur
-				copy(bestAssign, st.assign)
+				for _, m := range since {
+					bestAssign[m.i] = int(m.to)
+				}
+				since = since[:0]
 			}
 		} else {
 			// Reject: undo.
@@ -412,6 +420,9 @@ func RefineSA(pts []geom.Point, caps []float64, k int, assign []int, opt SAOptio
 	}
 	return bestAssign
 }
+
+// saMove is one accepted annealing move: instance i went to cluster to.
+type saMove struct{ i, to int32 }
 
 // pickCostlyNet samples nets with probability weighted by their squared
 // per-net cost (greedy in expectation — the paper's observation that

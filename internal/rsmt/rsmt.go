@@ -207,5 +207,5 @@ func median3(a, b, c geom.Point) geom.Point {
 
 // median returns the middle of three values.
 func median(a, b, c float64) float64 {
-	return math.Max(math.Min(a, b), math.Min(math.Max(a, b), c))
+	return max(min(a, b), min(max(a, b), c))
 }

@@ -79,8 +79,8 @@ func AnalyzeOCV(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew flo
 		}
 		out := ext{math.Inf(1), math.Inf(-1)}
 		for _, k := range kids {
-			out.minEarly = math.Min(out.minEarly, k.minEarly)
-			out.maxLate = math.Max(out.maxLate, k.maxLate)
+			out.minEarly = min(out.minEarly, k.minEarly)
+			out.maxLate = max(out.maxLate, k.maxLate)
 		}
 		// Cross-pair skew through this divergence point.
 		for i := range kids {
@@ -103,7 +103,7 @@ func AnalyzeOCV(t *tree.Tree, lib *liberty.Library, tc tech.Tech, sourceSlew flo
 	if math.IsInf(worstPair, -1) {
 		worstPair = 0 // single sink
 	}
-	rep.Skew = math.Max(worstPair, 0)
+	rep.Skew = max(worstPair, 0)
 	rep.Pessimism = rep.NaiveSkew - rep.Skew
 	return rep, nil
 }
