@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"sllt/internal/baseline"
 	"sllt/internal/bench"
 	"sllt/internal/core"
 	"sllt/internal/cts"
@@ -148,12 +149,13 @@ func benchFlow(b *testing.B, spec designgen.Spec, opts cts.Options) {
 // BenchmarkTable6 runs the three flows on the open designs of Table 6,
 // scaled to 20% for benchmark runtimes (cmd/benchtab runs full scale).
 func BenchmarkTable6(b *testing.B) {
-	flows := bench.FlowOptions(1)
 	for _, spec := range bench.Table6Specs()[:3] {
 		scaled := bench.ScaleSpec(spec, 0.2)
-		for _, fname := range bench.FlowNames {
-			b.Run(fmt.Sprintf("%s/%s", spec.Name, fname), func(b *testing.B) {
-				benchFlow(b, scaled, flows[fname])
+		for _, e := range baseline.Engines {
+			b.Run(fmt.Sprintf("%s/%s", spec.Name, e.Label), func(b *testing.B) {
+				opts := e.Options()
+				opts.Workers = 1
+				benchFlow(b, scaled, opts)
 			})
 		}
 	}
@@ -161,12 +163,13 @@ func BenchmarkTable6(b *testing.B) {
 
 // BenchmarkTable7 runs the three flows on the ysyx designs at 10% scale.
 func BenchmarkTable7(b *testing.B) {
-	flows := bench.FlowOptions(1)
 	for _, spec := range bench.Table7Specs()[:2] {
 		scaled := bench.ScaleSpec(spec, 0.1)
-		for _, fname := range bench.FlowNames {
-			b.Run(fmt.Sprintf("%s/%s", spec.Name, fname), func(b *testing.B) {
-				benchFlow(b, scaled, flows[fname])
+		for _, e := range baseline.Engines {
+			b.Run(fmt.Sprintf("%s/%s", spec.Name, e.Label), func(b *testing.B) {
+				opts := e.Options()
+				opts.Workers = 1
+				benchFlow(b, scaled, opts)
 			})
 		}
 	}

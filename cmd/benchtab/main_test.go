@@ -6,9 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
-	"sllt/internal/bench"
+	"sllt/internal/baseline"
 	"sllt/internal/cache"
 	"sllt/internal/cts"
 	"sllt/internal/design"
@@ -83,14 +84,15 @@ var large100k = designgen.Spec{Name: "large100k", Insts: 200_000, FFs: 100_000, 
 
 // flowDigests are the SHA-256 digests of the post-CTS DEF of every Table-6
 // row and of the large100k design under Ours: the designs generated at
-// seed 1 and run under each flow of bench.FlowOptions. Level 0 of s38584,
-// s38417, s35932 and salsa20 runs the min-cost-flow assignment, also at the
-// OR. rows' fanout of 20 except on salsa20; salsa20 under Ours and Com. is
-// the largest such level (n·k = 178,125). ethernet and vga_lcd are the
-// designs whose level 0 runs greedy assignment and the annealer's grid
-// path (n·k > 200 000, n ≥ 2048); the Com. rows run 30,000 annealing
-// moves. large100k is the largest flow checked. A change that moves a
-// digest on purpose follows the contract-change rule in DESIGN.md.
+// seed 1 and run under the baseline.Engines entry whose Label the row
+// names. Level 0 of s38584, s38417, s35932 and salsa20 runs the
+// min-cost-flow assignment, also at the OR. rows' fanout of 20 except on
+// salsa20; salsa20 under Ours and Com. is the largest such level (n·k =
+// 178,125). ethernet and vga_lcd are the designs whose level 0 runs greedy
+// assignment and the annealer's grid path (n·k > 200 000, n ≥ 2048); the
+// Com. rows run 30,000 annealing moves. large100k is the largest flow
+// checked. A change that moves a digest on purpose follows the
+// contract-change rule in DESIGN.md.
 var flowDigests = []struct{ design, flow, digest string }{
 	{"s38584", "Ours", "b7e15dfa5e40fc348a52450058e74a4cc6627846dd93f9c181d91f1a9dbb6449"},
 	{"s38584", "Com.", "d2c7bced4a06714803f5e1cc97512ede1d62391374d4ea6e4feb47521461d1f2"},
@@ -115,7 +117,6 @@ var flowDigests = []struct{ design, flow, digest string }{
 
 // TestFlowDigests pins the full flow's DEF for the rows of flowDigests.
 func TestFlowDigests(t *testing.T) {
-	flows := bench.FlowOptions(runtime.GOMAXPROCS(0))
 	designs := map[string]*design.Design{}
 	for _, c := range flowDigests {
 		d, ok := designs[c.design]
@@ -130,7 +131,10 @@ func TestFlowDigests(t *testing.T) {
 			d = designgen.Generate(spec, 1)
 			designs[c.design] = d
 		}
-		res, err := cts.Run(d, flows[c.flow])
+		e := slices.IndexFunc(baseline.Engines, func(e baseline.Engine) bool { return e.Label == c.flow })
+		opts := baseline.Engines[e].Options()
+		opts.Workers = runtime.GOMAXPROCS(0)
+		res, err := cts.Run(d, opts)
 		if err != nil {
 			t.Fatalf("%s %s: %v", c.design, c.flow, err)
 		}

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -35,7 +36,10 @@ func main() {
 	}
 	lef := designgen.LEF(designgen.BufferMacros(liberty.Default()))
 	lefPath := filepath.Join(*outDir, "sim28.lef")
-	fatal(os.WriteFile(lefPath, []byte(lef.WriteLEF()), 0o644))
+	writeFile(lefPath, func(w io.Writer) error {
+		_, err := lef.WriteTo(w)
+		return err
+	})
 	fmt.Println("wrote", lefPath)
 
 	var specs []designgen.Spec
@@ -61,9 +65,18 @@ func main() {
 
 func emit(dir string, d *design.Design) {
 	path := filepath.Join(dir, d.Name+".def")
-	fatal(os.WriteFile(path, []byte(designgen.DEF(d).WriteDEF()), 0o644))
+	writeFile(path, func(w io.Writer) error { return designgen.StreamDEF(w, d) })
 	fmt.Printf("wrote %s (%d insts, %d FFs, die %.0fx%.0f um)\n",
 		path, len(d.Insts), d.NumFFs(), d.Die.W(), d.Die.H())
+}
+
+// writeFile streams write's output to path, so no file is ever held in
+// memory whole.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	fatal(err)
+	fatal(write(f))
+	fatal(f.Close())
 }
 
 func fatal(err error) {

@@ -108,7 +108,9 @@ func run(args []string, stdout io.Writer) error {
 		opts.Cache = store
 	}
 
+	ingest := opts.Obs.Begin("ingest")
 	d, err := loadDesign(*lefPath, *defPath, *netName)
+	ingest.End()
 	if err != nil {
 		return err
 	}
@@ -139,7 +141,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *outPath != "" {
-		out, err := cts.ExportDEFFile(*outPath, d, res)
+		f, err := os.Create(*outPath)
+		if err != nil {
+			return err
+		}
+		out, err := cts.ExportDEFWriter(f, d, res)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			return err
 		}

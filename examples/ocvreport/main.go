@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"sllt/internal/baseline"
 	"sllt/internal/bench"
 	"sllt/internal/cts"
 	"sllt/internal/designgen"
@@ -33,9 +34,8 @@ func main() {
 		spec.Name, d.NumFFs(), (ocv.WireLate-1)*100, (ocv.CellLate-1)*100)
 	fmt.Printf("%-6s %12s %12s %12s %12s\n", "flow", "nominal(ps)", "naive(ps)", "cppr(ps)", "pessimism")
 
-	flows := bench.FlowOptions(0)
-	for _, name := range bench.FlowNames {
-		opts := flows[name]
+	for _, e := range baseline.Engines {
+		opts := e.Options()
 		res, err := cts.Run(d, opts)
 		if err != nil {
 			log.Fatal(err)
@@ -45,6 +45,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-6s %12.2f %12.2f %12.2f %12.2f\n",
-			name, res.Report.Skew, rep.NaiveSkew, rep.Skew, rep.Pessimism)
+			e.Label, res.Report.Skew, rep.NaiveSkew, rep.Skew, rep.Pessimism)
 	}
 }

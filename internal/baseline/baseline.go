@@ -37,6 +37,8 @@ import (
 type Engine struct {
 	// Name selects the flow: slltcts -engine and the job API's "engine".
 	Name string
+	// Label names the flow in Tables 6 and 7 and the flow digests.
+	Label string
 	// Options returns a fresh copy of the flow's configuration.
 	Options func() cts.Options
 }
@@ -44,9 +46,9 @@ type Engine struct {
 // Engines is the engine table: the paper's flow and the two proxies, in
 // the tables' column order.
 var Engines = []Engine{
-	{"ours", cts.DefaultOptions},
-	{"commercial", CommercialLike},
-	{"openroad", OpenROADLike},
+	{"ours", "Ours", cts.DefaultOptions},
+	{"commercial", "Com.", CommercialLike},
+	{"openroad", "OR.", OpenROADLike},
 }
 
 // Lookup returns the engine called name.

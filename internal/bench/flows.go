@@ -10,23 +10,6 @@ import (
 	"sllt/internal/designgen"
 )
 
-// FlowNames in paper column order: FlowNames[i] labels baseline.Engines[i].
-var FlowNames = []string{"Ours", "Com.", "OR."}
-
-// FlowOptions returns the three competing flows keyed by FlowNames entry.
-// workers is threaded into every flow's cts.Options so each synthesis
-// parallelizes its per-cluster builds; results are byte-identical for any
-// value (<= 1 serial).
-func FlowOptions(workers int) map[string]cts.Options {
-	flows := make(map[string]cts.Options, len(FlowNames))
-	for i, e := range baseline.Engines {
-		opts := e.Options()
-		opts.Workers = workers
-		flows[FlowNames[i]] = opts
-	}
-	return flows
-}
-
 // FlowResult is one (design, flow) cell group of Tables 6/7.
 type FlowResult struct {
 	Design  string
@@ -41,20 +24,23 @@ type FlowResult struct {
 	Err     error
 }
 
-// RunFlows synthesizes every design with every flow. Designs are generated
+// RunFlows synthesizes every design with every flow of baseline.Engines,
+// labelling each result with its engine's Label. Designs are generated
 // from their Table 4 statistics with the given seed. The (design, flow)
 // cells run serially — their Runtime column is the wall clock the tables
 // compare, so they must not compete for cores — while each synthesis
-// spreads its own cluster builds over the given workers.
+// spreads its own cluster builds over the given workers (results are
+// byte-identical for any value, <= 1 serial).
 func RunFlows(specs []designgen.Spec, seed int64, workers int) []FlowResult {
-	flows := FlowOptions(workers)
 	var out []FlowResult
 	for _, spec := range specs {
 		d := designgen.Generate(spec, seed)
-		for _, fname := range FlowNames {
+		for _, e := range baseline.Engines {
+			opts := e.Options()
+			opts.Workers = workers
 			start := time.Now()
-			res, err := cts.Run(d, flows[fname])
-			fr := FlowResult{Design: spec.Name, Flow: fname, Runtime: time.Since(start).Seconds(), Err: err}
+			res, err := cts.Run(d, opts)
+			fr := FlowResult{Design: spec.Name, Flow: e.Label, Runtime: time.Since(start).Seconds(), Err: err}
 			if err == nil {
 				fr.Latency = res.Report.MaxLatency
 				fr.Skew = res.Report.Skew
@@ -91,8 +77,8 @@ func FormatFlowTable(title string, results []FlowResult) string {
 		n                                 int
 	}
 	ratios := map[string]*acc{}
-	for _, f := range FlowNames {
-		ratios[f] = &acc{}
+	for _, e := range baseline.Engines {
+		ratios[e.Label] = &acc{}
 	}
 
 	for _, dn := range order {
@@ -123,14 +109,14 @@ func FormatFlowTable(title string, results []FlowResult) string {
 		}
 	}
 	b.WriteString("---- Avg. ratios (normalized to Ours) ----\n")
-	for _, f := range FlowNames {
-		a := ratios[f]
+	for _, e := range baseline.Engines {
+		a := ratios[e.Label]
 		if a.n == 0 {
 			continue
 		}
 		n := float64(a.n)
 		fmt.Fprintf(&b, "%-10s %-5s %9.3f %8.3f %6.3f %9.3f %9.3f %11.3f %8.3f\n",
-			"Avg.", f, a.lat/n, a.skew/n, a.buf/n, a.area/n, a.cap/n, a.wl/n, a.rt/n)
+			"Avg.", e.Label, a.lat/n, a.skew/n, a.buf/n, a.area/n, a.cap/n, a.wl/n, a.rt/n)
 	}
 	return b.String()
 }

@@ -3,7 +3,6 @@ package cts
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"sllt/internal/design"
 	"sllt/internal/geom"
@@ -14,52 +13,14 @@ import (
 // ClockLayer is the routing layer clock wires are emitted on.
 const ClockLayer = "metal4"
 
-// ExportDEFFile validates the synthesis result and writes the post-CTS
-// DEF to path. ExportDEF itself assumes a well-formed result (the flow
-// guarantees one); this wrapper is the defensive boundary for callers
-// handing in external state — a nil tree, a design whose clock net has no
-// sinks, a sink leaf whose index names no design sink, or an unwritable
-// destination all come back as errors instead of a panic or a silently
-// empty file. Returns the exported DEF for callers that report
-// component/net counts.
-func ExportDEFFile(path string, d *design.Design, res *Result) (*lefdef.DEF, error) {
-	def, err := exportChecked(d, res)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("cts: export: %w", err)
-	}
-	if _, err := def.WriteTo(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cts: export: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("cts: export: %w", err)
-	}
-	return def, nil
-}
-
-// ExportDEFWriter validates like ExportDEFFile and streams the post-CTS DEF
-// to w in bounded chunks (lefdef.DEF.WriteTo) — the in-memory DEF structure
-// is built, but the rendered text never is, so writing a million-sink
-// design costs one chunk beyond the netlist itself. Returns the exported
-// DEF for callers that report component/net counts.
+// ExportDEFWriter is the checked exporter: it validates the synthesis
+// result, then streams ExportDEF's DEF to w in bounded chunks
+// (lefdef.DEF.WriteTo), so the rendered text never exists in memory. A nil
+// design or tree, a design whose clock net has no sinks and a sink leaf
+// whose index names no design sink each come back as an error before a
+// byte is written, a writer failure as an export error. Returns the
+// exported DEF for callers that report component/net counts.
 func ExportDEFWriter(w io.Writer, d *design.Design, res *Result) (*lefdef.DEF, error) {
-	def, err := exportChecked(d, res)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := def.WriteTo(w); err != nil {
-		return nil, fmt.Errorf("cts: export: %w", err)
-	}
-	return def, nil
-}
-
-// exportChecked is the defensive boundary shared by the file and writer
-// exporters: reject external state ExportDEF's assumptions don't cover.
-func exportChecked(d *design.Design, res *Result) (*lefdef.DEF, error) {
 	if d == nil {
 		return nil, fmt.Errorf("cts: export: nil design")
 	}
@@ -79,12 +40,17 @@ func exportChecked(d *design.Design, res *Result) (*lefdef.DEF, error) {
 				s.Name, s.SinkIdx, d.ClockNet, n)
 		}
 	}
-	return ExportDEF(d, res), nil
+	def := ExportDEF(d, res)
+	if _, err := def.WriteTo(w); err != nil {
+		return nil, fmt.Errorf("cts: export: %w", err)
+	}
+	return def, nil
 }
 
-// ExportDEF emits the post-CTS netlist as DEF-lite: the original components,
-// each with its own placement status and orientation, plus the inserted
-// clock buffers, with the flat clock net replaced by one subnet per buffer
+// ExportDEF emits the post-CTS netlist as DEF-lite: the design's DEF
+// (design.Design.DEF: each original component with its own placement
+// status and orientation, and the clock IO pin) plus the inserted clock
+// buffers, with the flat clock net replaced by one subnet per buffer
 // stage, each carrying its routed wire geometry (L-shaped runs; snaked
 // wire appears as an explicit serpentine detour so the routed length
 // matches the tree's electrical length). This is the
@@ -92,27 +58,15 @@ func exportChecked(d *design.Design, res *Result) (*lefdef.DEF, error) {
 // IS the synthesized one. Each sink leaf connects the component and clock
 // pin of the design's sink instance its SinkIdx names, counting sink
 // instances in the order design.Net numbers them; ExportDEF assumes every
-// index is in range, which ExportDEFFile and ExportDEFWriter check.
+// index is in range, which ExportDEFWriter checks.
 func ExportDEF(d *design.Design, res *Result) *lefdef.DEF {
-	def := &lefdef.DEF{
-		Version: "5.8",
-		Design:  d.Name,
-		DBU:     d.DBU,
-		Die:     d.Die,
-	}
+	def := d.DEF()
 	var sinks []*design.Instance
 	for i := range d.Insts {
-		inst := &d.Insts[i]
-		def.Components = append(def.Components, lefdef.Component{
-			Name: inst.Name, Macro: inst.Macro, Loc: inst.Loc, Status: inst.Status, Orient: inst.Orient,
-		})
-		if inst.IsSink {
+		if inst := &d.Insts[i]; inst.IsSink {
 			sinks = append(sinks, inst)
 		}
 	}
-	def.Pins = append(def.Pins, lefdef.IOPin{
-		Name: d.ClockNet, Net: d.ClockNet, Direction: "INPUT", Use: "CLOCK", Loc: d.ClockRoot,
-	})
 
 	// Name buffers and create their components.
 	bufName := make(map[*tree.Node]string)

@@ -3,7 +3,6 @@ package cts
 import (
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -83,21 +82,36 @@ func TestExportDEFRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportDEFFileErrors covers the defensive boundary of ExportDEFFile:
-// every malformed input must come back as a descriptive error — never a
-// panic, never a silently empty output file.
-func TestExportDEFFileErrors(t *testing.T) {
-	spec := designgen.Spec{Name: "experr", Insts: 200, FFs: 40, Util: 0.6}
-	d := designgen.Generate(spec, 11)
-	opts := DefaultOptions()
-	opts.SAIters = 20
-	res, err := Run(d, opts)
+type exportFailWriter struct{ wrote bool }
+
+func (w *exportFailWriter) Write(p []byte) (int, error) {
+	w.wrote = true
+	return 0, os.ErrClosed
+}
+
+// TestExportDEFWriter pins the checked exporter to the in-memory renderer
+// byte for byte and checks that its output re-parses.
+func TestExportDEFWriter(t *testing.T) {
+	d, res := exportFlow(t)
+	var sb strings.Builder
+	out, err := ExportDEFWriter(&sb, d, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := t.TempDir()
-	ok := filepath.Join(tmp, "ok.def")
+	if sb.String() != out.WriteDEF() {
+		t.Error("streamed DEF differs from WriteDEF rendering")
+	}
+	if _, err := lefdef.ParseDEF(sb.String()); err != nil {
+		t.Errorf("exported DEF does not re-parse: %v", err)
+	}
+}
 
+// TestExportDEFWriterErrors covers the checked exporter's defensive
+// boundary: every malformed input comes back as a descriptive error, never
+// a panic, before a single byte is written, and a writer failure comes
+// back wrapped as an export error.
+func TestExportDEFWriterErrors(t *testing.T) {
+	d, res := exportFlow(t)
 	noSinks := &design.Design{
 		Name: "nosinks", Die: geom.Rect{XHi: 10, YHi: 10}, DBU: 1000,
 		ClockNet: "clk", ClockRoot: geom.Pt(5, 5),
@@ -111,92 +125,48 @@ func TestExportDEFFileErrors(t *testing.T) {
 
 	cases := []struct {
 		name string
-		path string
 		d    *design.Design
 		res  *Result
 		want string
 	}{
-		{"nil design", ok, nil, res, "nil design"},
-		{"nil result", ok, d, nil, "nil synthesis tree"},
-		{"nil tree", ok, d, &Result{}, "nil synthesis tree"},
-		{"no clock net", ok, noNet, res, "no clock net"},
-		{"empty clock net", ok, noSinks, res, "no sinks"},
-		{"sink index out of range", ok, d, badIdx, "index 40"},
-		{"unwritable path", filepath.Join(tmp, "no", "such", "dir", "out.def"), d, res, "export:"},
+		{"nil design", nil, res, "nil design"},
+		{"nil result", d, nil, "nil synthesis tree"},
+		{"nil tree", d, &Result{}, "nil synthesis tree"},
+		{"no clock net", noNet, res, "no clock net"},
+		{"empty clock net", noSinks, res, "no sinks"},
+		{"sink index out of range", d, badIdx, "index 60"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ExportDEFFile(tc.path, tc.d, tc.res)
+			fw := &exportFailWriter{}
+			_, err := ExportDEFWriter(fw, tc.d, tc.res)
 			if err == nil {
-				t.Fatalf("ExportDEFFile succeeded, want error containing %q", tc.want)
+				t.Fatalf("ExportDEFWriter succeeded, want error containing %q", tc.want)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %q, want it to contain %q", err, tc.want)
 			}
+			if fw.wrote {
+				t.Error("validation failure still wrote bytes")
+			}
 		})
 	}
-	// No failing case may leave a file behind at the good path.
-	if _, err := os.Stat(ok); !os.IsNotExist(err) {
-		t.Errorf("failing exports wrote %s (stat err: %v)", ok, err)
-	}
-
-	// And the happy path writes a parseable DEF that matches the returned one.
-	out, err := ExportDEFFile(ok, d, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(ok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != out.WriteDEF() {
-		t.Error("file contents differ from returned DEF")
-	}
-	if _, err := lefdef.ParseDEF(string(data)); err != nil {
-		t.Errorf("exported file does not re-parse: %v", err)
+	if _, err := ExportDEFWriter(&exportFailWriter{}, d, res); err == nil || !strings.Contains(err.Error(), "cts: export:") {
+		t.Errorf("writer failure not wrapped: %v", err)
 	}
 }
 
-type exportFailWriter struct{ wrote bool }
-
-func (w *exportFailWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	return 0, os.ErrClosed
-}
-
-// TestExportDEFWriter pins the streaming exporter to the in-memory
-// renderer byte for byte, and checks its error discipline: validation
-// failures surface before a single byte is written, and writer failures
-// come back wrapped as export errors.
-func TestExportDEFWriter(t *testing.T) {
-	spec := designgen.Spec{Name: "expw", Insts: 300, FFs: 60, Util: 0.6}
-	d := designgen.Generate(spec, 13)
+// exportFlow runs the paper flow on a small generated design.
+func exportFlow(t *testing.T) (*design.Design, *Result) {
+	t.Helper()
+	d := designgen.Generate(designgen.Spec{Name: "expw", Insts: 300, FFs: 60, Util: 0.6}, 13)
 	opts := DefaultOptions()
 	opts.SAIters = 20
 	res, err := Run(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var sb strings.Builder
-	out, err := ExportDEFWriter(&sb, d, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != out.WriteDEF() {
-		t.Error("streamed DEF differs from WriteDEF rendering")
-	}
-
-	fw := &exportFailWriter{}
-	if _, err := ExportDEFWriter(fw, nil, res); err == nil || !strings.Contains(err.Error(), "nil design") {
-		t.Errorf("nil design error = %v", err)
-	}
-	if fw.wrote {
-		t.Error("validation failure still wrote bytes")
-	}
-	if _, err := ExportDEFWriter(fw, d, res); err == nil || !strings.Contains(err.Error(), "cts: export:") {
-		t.Errorf("writer failure not wrapped: %v", err)
-	}
+	return d, res
 }
 
 // TestExportKeepsPlacement runs the flow on a four-component DEF and checks
@@ -222,31 +192,17 @@ MACRO INVX1
 END INVX1
 END LIBRARY
 `
-	comps := []string{
-		"  - ff_a DFFQX1 + PLACED ( 10000 10000 ) FS ;",
-		"  - ff_b DFFQX1 + FIXED ( 40000 40000 ) S ;",
-		"  - u_1 INVX1 ;",
-		"  - u_2 INVX1 + PLACED ( 20000 30000 ) FN ;",
+	src, err := os.ReadFile("../design/testdata/placement.def")
+	if err != nil {
+		t.Fatal(err)
 	}
-	def := `VERSION 5.8 ;
-DESIGN four ;
-UNITS DISTANCE MICRONS 1000 ;
-DIEAREA ( 0 0 ) ( 50000 50000 ) ;
-
-COMPONENTS 4 ;
-` + strings.Join(comps, "\n") + `
-END COMPONENTS
-
-PINS 1 ;
-  - clk + NET clk + DIRECTION INPUT + USE CLOCK + PLACED ( 0 25000 ) N ;
-END PINS
-
-NETS 1 ;
-  - clk ( PIN clk ) ( ff_a CK ) ( ff_b CK ) + USE CLOCK ;
-END NETS
-
-END DESIGN
-`
+	def := string(src)
+	_, block, _ := strings.Cut(def, "COMPONENTS 4 ;\n")
+	block, _, _ = strings.Cut(block, "\nEND COMPONENTS")
+	comps := strings.Split(block, "\n")
+	if len(comps) != 4 {
+		t.Fatalf("fixture lists %d components, want 4", len(comps))
+	}
 	d, err := design.Load(strings.NewReader(lef), strings.NewReader(def), "")
 	if err != nil {
 		t.Fatal(err)

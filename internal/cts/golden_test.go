@@ -8,6 +8,7 @@ import (
 
 	"sllt/internal/design"
 	"sllt/internal/geom"
+	"sllt/internal/lefdef"
 	"sllt/internal/tree"
 )
 
@@ -27,8 +28,8 @@ func goldenDesign() *design.Design {
 		geom.Pt(10, 10), geom.Pt(30, 10), geom.Pt(10, 30), geom.Pt(30, 30),
 	} {
 		d.Insts = append(d.Insts, design.Instance{
-			Name: "ff_" + string(rune('a'+i)), Macro: "DFFX1", Loc: p,
-			IsSink: true, ClockPin: "CK", ClockPinCap: 1.5,
+			Component: lefdef.Component{Name: "ff_" + string(rune('a'+i)), Macro: "DFFX1", Loc: p},
+			IsSink:    true, ClockPin: "CK", ClockPinCap: 1.5,
 		})
 	}
 	return d

@@ -2,7 +2,7 @@
 // a die, placed instances with identified flip-flops, and the clock source.
 // It is assembled from LEF (macro footprints and pin capacitances) plus DEF
 // (placement and connectivity) via Load and FromLEFDEF, or synthesized
-// directly by the designgen package.
+// directly by the designgen package, and written back by Design.DEF.
 package design
 
 import (
@@ -14,18 +14,13 @@ import (
 	"sllt/internal/tree"
 )
 
-// Instance is one placed cell.
+// Instance is one placed cell: its DEF component (name, macro, location,
+// placement status and orientation, which the design's DEF writes back as
+// they came in; the zero values mean PLACED and N) and its clock pin.
 type Instance struct {
-	Name  string
-	Macro string
-	Loc   geom.Point
+	lefdef.Component
 	// IsSink marks instances whose clock pin belongs to the CTS clock net.
 	IsSink bool
-	// Status and Orient are the DEF component's placement status and
-	// orientation, which the post-CTS DEF writes back. The zero values
-	// mean PLACED and N.
-	Status lefdef.Placement
-	Orient string
 	// ClockPin and ClockPinCap describe the clock input when IsSink.
 	ClockPin    string
 	ClockPinCap float64
@@ -101,6 +96,26 @@ func Load(lef, def io.Reader, clockNet string) (*Design, error) {
 	return FromLEFDEF(l, df, clockNet)
 }
 
+// DEF returns the design as DEF: the header, each instance's own component,
+// the clock IO pin and no nets, which the caller adds. It is FromLEFDEF's
+// inverse and the one place a design becomes DEF.
+func (d *Design) DEF() *lefdef.DEF {
+	def := &lefdef.DEF{
+		Version:    "5.8",
+		Design:     d.Name,
+		DBU:        d.DBU,
+		Die:        d.Die,
+		Components: make([]lefdef.Component, len(d.Insts)),
+		Pins: []lefdef.IOPin{{
+			Name: d.ClockNet, Net: d.ClockNet, Direction: "INPUT", Use: "CLOCK", Loc: d.ClockRoot,
+		}},
+	}
+	for i := range d.Insts {
+		def.Components[i] = d.Insts[i].Component
+	}
+	return def
+}
+
 // FromLEFDEF builds a Design from parsed LEF and DEF. clockNet selects the
 // net to synthesize; pass "" to use the first net with USE CLOCK (or, as a
 // fallback, a net named "clk"). A clock net that would yield a wrong tree
@@ -148,17 +163,18 @@ func FromLEFDEF(lef *lefdef.LEF, def *lefdef.DEF, clockNet string) (*Design, err
 	}
 
 	listed := make([]bool, len(net.Conns))
-	d.Insts = make([]Instance, 0, len(def.Components))
-	for _, comp := range def.Components {
-		inst := Instance{Name: comp.Name, Macro: comp.Macro, Loc: comp.Loc, Status: comp.Status, Orient: comp.Orient}
-		if ci, ok := onNet[comp.Name]; ok {
+	d.Insts = make([]Instance, len(def.Components))
+	for i := range def.Components {
+		inst := &d.Insts[i]
+		inst.Component = def.Components[i]
+		if ci, ok := onNet[inst.Name]; ok {
 			listed[ci] = true
-			m := lef.FindMacro(comp.Macro)
+			m := lef.FindMacro(inst.Macro)
 			switch {
-			case comp.Status == lefdef.Unplaced:
-				return nil, fmt.Errorf("design %s: clock sink %s has no PLACED or FIXED location", def.Design, comp.Name)
+			case inst.Status == lefdef.Unplaced:
+				return nil, fmt.Errorf("design %s: clock sink %s has no PLACED or FIXED location", def.Design, inst.Name)
 			case m == nil:
-				return nil, fmt.Errorf("design %s: component %s uses unknown macro %s", def.Design, comp.Name, comp.Macro)
+				return nil, fmt.Errorf("design %s: component %s uses unknown macro %s", def.Design, inst.Name, inst.Macro)
 			}
 			inst.IsSink = true
 			inst.ClockPin = net.Conns[ci].Pin
@@ -170,10 +186,9 @@ func FromLEFDEF(lef *lefdef.LEF, def *lefdef.DEF, clockNet string) (*Design, err
 			}
 			if !declared {
 				return nil, fmt.Errorf("design %s: clock net %s connects pin %s of component %s, which macro %s does not declare",
-					def.Design, net.Name, inst.ClockPin, comp.Name, comp.Macro)
+					def.Design, net.Name, inst.ClockPin, inst.Name, inst.Macro)
 			}
 		}
-		d.Insts = append(d.Insts, inst)
 	}
 	for _, c := range net.Conns {
 		if c.Comp != "PIN" && !listed[onNet[c.Comp]] {

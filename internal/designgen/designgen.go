@@ -121,9 +121,7 @@ func Generate(spec Spec, seed int64) *design.Design {
 			}
 		}
 		insts[i] = design.Instance{
-			Name:        fmt.Sprintf("ff_%05d", i),
-			Macro:       "DFFQX1",
-			Loc:         p,
+			Component:   lefdef.Component{Name: fmt.Sprintf("ff_%05d", i), Macro: "DFFQX1", Loc: p},
 			IsSink:      true,
 			ClockPin:    "CK",
 			ClockPinCap: ffPinCap,
@@ -132,11 +130,11 @@ func Generate(spec Spec, seed int64) *design.Design {
 	// Logic instances: uniform filler. They carry no clock pins but define
 	// the utilization and the DEF's scale.
 	for i := 0; i < nLogic; i++ {
-		insts[nFF+i] = design.Instance{
+		insts[nFF+i] = design.Instance{Component: lefdef.Component{
 			Name:  fmt.Sprintf("u_%06d", i),
 			Macro: "NAND2X1",
 			Loc:   geom.Pt(rng.Float64()*side, rng.Float64()*side),
-		}
+		}}
 	}
 	return d
 }
@@ -196,30 +194,18 @@ func BufferMacros(lib *liberty.Library) []lefdef.Macro {
 	return out
 }
 
-// DEF converts a generated design into DEF-lite form (components, clock IO
-// pin, and the flat clock net).
+// DEF returns the design's DEF (Design.DEF) with the flat clock net: the
+// IO pin, then each sink's clock pin in instance order.
 func DEF(d *design.Design) *lefdef.DEF {
-	def := &lefdef.DEF{
-		Version: "5.8",
-		Design:  d.Name,
-		DBU:     d.DBU,
-		Die:     d.Die,
-	}
+	def := d.DEF()
 	clock := lefdef.Net{Name: d.ClockNet, Use: "CLOCK",
 		Conns: []lefdef.Conn{{Comp: "PIN", Pin: d.ClockNet}}}
 	for i := range d.Insts {
-		inst := &d.Insts[i]
-		def.Components = append(def.Components, lefdef.Component{
-			Name: inst.Name, Macro: inst.Macro, Loc: inst.Loc, Orient: "N",
-		})
-		if inst.IsSink {
+		if inst := &d.Insts[i]; inst.IsSink {
 			clock.Conns = append(clock.Conns, lefdef.Conn{Comp: inst.Name, Pin: inst.ClockPin})
 		}
 	}
-	def.Pins = append(def.Pins, lefdef.IOPin{
-		Name: d.ClockNet, Net: d.ClockNet, Direction: "INPUT", Use: "CLOCK", Loc: d.ClockRoot,
-	})
-	def.Nets = append(def.Nets, clock)
+	def.Nets = []lefdef.Net{clock}
 	return def
 }
 

@@ -1,6 +1,7 @@
 package lefdef
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"strings"
@@ -182,7 +183,7 @@ func (d *DEF) parseStream(cur *tokCursor, in *interner) error {
 			// DIEAREA ( x1 y1 ) ( x2 y2 ) ;
 			var nums [4]float64
 			cnt := 0
-			for k := 0; ; k++ {
+			for k := 1; ; k++ {
 				tk, okk := cur.peek(k)
 				if !okk {
 					cur.advance(k)
@@ -192,12 +193,17 @@ func (d *DEF) parseStream(cur *tokCursor, in *interner) error {
 					cur.advance(k + 1)
 					break
 				}
-				if v, okv := atofOKTok(tk); okv {
-					if cnt < 4 {
-						nums[cnt] = v
-					}
-					cnt++
+				if isLParen(tk) || isRParen(tk) {
+					continue
 				}
+				v, err := cur.num(k)
+				if err != nil {
+					return fmt.Errorf("def: DIEAREA: %w", err)
+				}
+				if cnt < 4 {
+					nums[cnt] = v
+				}
+				cnt++
 			}
 			if cnt >= 4 {
 				s := float64(d.DBU)
@@ -291,11 +297,12 @@ func (d *DEF) parseComponentsStream(cur *tokCursor, in *interner) error {
 					if tokIs(t, "FIXED") {
 						c.Status = Fixed
 					}
-					tx, _ := cur.peek(2)
-					x := atofTok(tx) / scale
-					ty, _ := cur.peek(3)
-					y := atofTok(ty) / scale
-					c.Loc = geom.Pt(x, y)
+					x, errx := cur.num(2)
+					y, erry := cur.num(3)
+					if err := cmp.Or(errx, erry); err != nil {
+						return fmt.Errorf("def: COMPONENTS %s: %w", name, err)
+					}
+					c.Loc = geom.Pt(x/scale, y/scale)
 					// The orient is optional; punctuation after ")" means it
 					// was omitted (grabbing it would corrupt WriteDEF output).
 					if t5, ok5 := cur.peek(5); ok5 {
@@ -370,11 +377,12 @@ func (d *DEF) parsePinsStream(cur *tokCursor, in *interner) error {
 				_, ok3 := cur.peek(3)
 				t1, _ = cur.peek(1)
 				if ok3 && isLParen(t1) {
-					tx, _ := cur.peek(2)
-					x := atofTok(tx) / scale
-					ty, _ := cur.peek(3)
-					y := atofTok(ty) / scale
-					p.Loc = geom.Pt(x, y)
+					x, errx := cur.num(2)
+					y, erry := cur.num(3)
+					if err := cmp.Or(errx, erry); err != nil {
+						return fmt.Errorf("def: PINS %s: %w", p.Name, err)
+					}
+					p.Loc = geom.Pt(x/scale, y/scale)
 					cur.advance(5)
 				} else {
 					cur.advance(1)
@@ -449,7 +457,10 @@ func (d *DEF) parseNetsStream(cur *tokCursor, in *interner) error {
 					cur.advance(3)
 				case tokIs(t1, "ROUTED"):
 					cur.advance(2)
-					n.Routes = parseRoutesStream(cur, in, scale)
+					var err error
+					if n.Routes, err = parseRoutesStream(cur, in, scale); err != nil {
+						return fmt.Errorf("def: NETS %s: %w", n.Name, err)
+					}
 				default:
 					cur.advance(1)
 				}
@@ -468,12 +479,12 @@ func (d *DEF) parseNetsStream(cur *tokCursor, in *interner) error {
 // per layer section, sections separated by NEW. Coordinates may use the DEF
 // "*" shorthand for "unchanged". Stops at the first token that does not
 // belong to the route (';', '+', end of input), leaving it unconsumed.
-func parseRoutesStream(cur *tokCursor, in *interner, scale float64) []Route {
+func parseRoutesStream(cur *tokCursor, in *interner, scale float64) ([]Route, error) {
 	var routes []Route
 	for {
 		t, ok := cur.peek(0)
 		if !ok || isSemi(t) || isPlus(t) {
-			return routes
+			return routes, nil
 		}
 		layer := in.str(t)
 		cur.advance(1)
@@ -488,15 +499,10 @@ func parseRoutesStream(cur *tokCursor, in *interner, scale float64) []Route {
 				break
 			}
 			// ( x y ) with * meaning "same as previous".
-			tx, _ := cur.peek(1)
-			x := last.X
-			if !isStar(tx) {
-				x = atofTok(tx) / scale
-			}
-			ty, _ := cur.peek(2)
-			y := last.Y
-			if !isStar(ty) {
-				y = atofTok(ty) / scale
+			x, errx := routeCoord(cur, 1, last.X, scale)
+			y, erry := routeCoord(cur, 2, last.Y, scale)
+			if err := cmp.Or(errx, erry); err != nil {
+				return nil, err
 			}
 			last = geom.Pt(x, y)
 			r.Points = append(r.Points, last)
@@ -507,8 +513,18 @@ func parseRoutesStream(cur *tokCursor, in *interner, scale float64) []Route {
 			cur.advance(1)
 			continue
 		}
-		return routes
+		return routes, nil
 	}
+}
+
+// routeCoord parses the k-th unconsumed token as a route coordinate in µm;
+// "*" keeps prev.
+func routeCoord(cur *tokCursor, k int, prev, scale float64) (float64, error) {
+	if t, _ := cur.peek(k); isStar(t) {
+		return prev, nil
+	}
+	v, err := cur.num(k)
+	return v / scale, err
 }
 
 // WriteDEF emits DEF-lite source. It is a convenience wrapper over WriteTo.

@@ -16,6 +16,7 @@
 package lefdef
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"strings"
@@ -155,14 +156,16 @@ func parseMacroStream(cur *tokCursor, in *interner) (*Macro, error) {
 		case tokIs(t, "SIZE"):
 			// SIZE w BY h ;
 			if _, ok3 := cur.peek(3); ok3 {
-				tw, _ := cur.peek(1)
-				m.W = atofTok(tw)
-				th, _ := cur.peek(3)
-				m.H = atofTok(th)
+				var errw, errh error
+				m.W, errw = cur.num(1)
+				m.H, errh = cur.num(3)
+				if err := cmp.Or(errw, errh); err != nil {
+					return nil, fmt.Errorf("lef: MACRO %s: %w", m.Name, err)
+				}
 			}
 			cur.skipStatement()
 		case tokIs(t, "PIN"):
-			p, err := parseMacroPinStream(cur, in)
+			p, err := parseMacroPinStream(cur, in, m.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +182,7 @@ func parseMacroStream(cur *tokCursor, in *interner) (*Macro, error) {
 	}
 }
 
-func parseMacroPinStream(cur *tokCursor, in *interner) (MacroPin, error) {
+func parseMacroPinStream(cur *tokCursor, in *interner, macro string) (MacroPin, error) {
 	t1, ok := cur.peek(1)
 	if !ok {
 		return MacroPin{}, fmt.Errorf("lef: truncated PIN at token %d", cur.pos())
@@ -203,8 +206,11 @@ func parseMacroPinStream(cur *tokCursor, in *interner) (MacroPin, error) {
 			}
 			cur.skipStatement()
 		case tokIs(t, "CAPACITANCE"):
-			if t1, ok = cur.peek(1); ok {
-				p.Cap = atofTok(t1)
+			if _, ok = cur.peek(1); ok {
+				var err error
+				if p.Cap, err = cur.num(1); err != nil {
+					return p, fmt.Errorf("lef: MACRO %s PIN %s: %w", macro, p.Name, err)
+				}
 			}
 			cur.skipStatement()
 		case tokIs(t, "END"):

@@ -185,3 +185,39 @@ func TestParseDEFErrors(t *testing.T) {
 		t.Error("malformed COMPONENTS should error")
 	}
 }
+
+// TestParseMalformedNumber checks every site that reads a number: a token
+// strconv.ParseFloat rejects fails the parse with an error naming the
+// section, the entry and the token, where it used to read as 0, and the
+// legacy oracle parsers agree.
+func TestParseMalformedNumber(t *testing.T) {
+	for _, tc := range []struct {
+		name, file, from, to, want string
+	}{
+		{"die area", sampleDEF, "( 100000 80000 )", "( 100000 8OOOO )", `def: DIEAREA: bad number "8OOOO"`},
+		{"placed component", sampleDEF, "( 10000 20000 )", "( 1O000 20000 )", `def: COMPONENTS ff_1: bad number "1O000"`},
+		{"fixed component", sampleDEF, "PLACED ( 50000 60000 )", "FIXED ( 50000 6e )", `def: COMPONENTS ff_2: bad number "6e"`},
+		{"io pin", sampleDEF, "PLACED ( 0 40000 )", "PLACED ( O 40000 )", `def: PINS clk: bad number "O"`},
+		{"route point", sampleDEF, "+ USE CLOCK ;", "+ ROUTED metal4 ( 0 40000 ) ( 1O000 * ) ;", `def: NETS clk: bad number "1O000"`},
+		{"macro size", sampleLEF, "SIZE 1.0 BY 1.6", "SIZE 1.0 BY 1,6", `lef: MACRO CLKBUFX4: bad number "1,6"`},
+		{"pin capacitance", sampleLEF, "CAPACITANCE 1.2", "CAPACITANCE 1e999", `lef: MACRO DFFQX1 PIN CK: bad number "1e999"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := strings.Replace(tc.file, tc.from, tc.to, 1)
+			if src == tc.file {
+				t.Fatalf("%q not in the sample", tc.from)
+			}
+			var err error
+			if tc.file == sampleLEF {
+				_, err = ParseLEF(src)
+				diffLEF(t, tc.name, src)
+			} else {
+				_, err = ParseDEF(src)
+				diffDEF(t, tc.name, src)
+			}
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("error = %v, want %s", err, tc.want)
+			}
+		})
+	}
+}

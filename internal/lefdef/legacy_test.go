@@ -9,6 +9,7 @@ package lefdef
 // byte-identical.
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -48,10 +49,15 @@ func ParseDEFLegacy(src string) (*DEF, error) {
 		case "DIEAREA":
 			// DIEAREA ( x1 y1 ) ( x2 y2 ) ;
 			var nums []float64
-			for j := i; j < len(toks) && toks[j] != ";"; j++ {
-				if v, err := strconv.ParseFloat(toks[j], 64); err == nil {
-					nums = append(nums, v)
+			for j := i + 1; j < len(toks) && toks[j] != ";"; j++ {
+				if toks[j] == "(" || toks[j] == ")" {
+					continue
 				}
+				v, err := num(toks[j])
+				if err != nil {
+					return nil, fmt.Errorf("def: DIEAREA: %w", err)
+				}
+				nums = append(nums, v)
 			}
 			if len(nums) >= 4 {
 				s := float64(def.DBU)
@@ -109,7 +115,12 @@ func (d *DEF) parseComponents(toks []string, i int) (int, error) {
 				if toks[j] == "FIXED" {
 					c.Status = Fixed
 				}
-				c.Loc = geom.Pt(atof(toks[j+2])/scale, atof(toks[j+3])/scale)
+				x, errx := num(toks[j+2])
+				y, erry := num(toks[j+3])
+				if err := cmp.Or(errx, erry); err != nil {
+					return i, fmt.Errorf("def: COMPONENTS %s: %w", c.Name, err)
+				}
+				c.Loc = geom.Pt(x/scale, y/scale)
 				// The orient is optional; punctuation after ")" means it
 				// was omitted (grabbing it would corrupt WriteDEF output).
 				if j+5 < len(toks) && toks[j+4] == ")" {
@@ -162,7 +173,12 @@ func (d *DEF) parsePins(toks []string, i int) (int, error) {
 				j++
 			case "PLACED", "FIXED":
 				if j+3 < len(toks) && toks[j+1] == "(" {
-					p.Loc = geom.Pt(atof(toks[j+2])/scale, atof(toks[j+3])/scale)
+					x, errx := num(toks[j+2])
+					y, erry := num(toks[j+3])
+					if err := cmp.Or(errx, erry); err != nil {
+						return i, fmt.Errorf("def: PINS %s: %w", p.Name, err)
+					}
+					p.Loc = geom.Pt(x/scale, y/scale)
 					j += 4
 				}
 			}
@@ -208,7 +224,10 @@ func (d *DEF) parseNets(toks []string, i int) (int, error) {
 					j += 2
 				case "ROUTED":
 					var next int
-					n.Routes, next = parseRoutes(toks, j+2, scale)
+					var err error
+					if n.Routes, next, err = parseRoutes(toks, j+2, scale); err != nil {
+						return i, fmt.Errorf("def: NETS %s: %w", n.Name, err)
+					}
 					j = next - 1
 				}
 			}
@@ -224,11 +243,11 @@ func (d *DEF) parseNets(toks []string, i int) (int, error) {
 // layer section, sections separated by NEW. Coordinates may use the DEF "*"
 // shorthand for "unchanged". Returns the routes and the index of the first
 // unconsumed token.
-func parseRoutes(toks []string, i int, scale float64) ([]Route, int) {
+func parseRoutes(toks []string, i int, scale float64) ([]Route, int, error) {
 	var routes []Route
 	for i < len(toks) {
 		if toks[i] == ";" || toks[i] == "+" {
-			return routes, i
+			return routes, i, nil
 		}
 		layer := toks[i]
 		i++
@@ -237,12 +256,10 @@ func parseRoutes(toks []string, i int, scale float64) ([]Route, int) {
 		for i+2 < len(toks) && toks[i] == "(" {
 			// ( x y ) with * meaning "same as previous".
 			xs, ys := toks[i+1], toks[i+2]
-			x, y := last.X, last.Y
-			if xs != "*" {
-				x = atof(xs) / scale
-			}
-			if ys != "*" {
-				y = atof(ys) / scale
+			x, errx := legacyCoord(xs, last.X, scale)
+			y, erry := legacyCoord(ys, last.Y, scale)
+			if err := cmp.Or(errx, erry); err != nil {
+				return nil, i, err
 			}
 			last = geom.Pt(x, y)
 			r.Points = append(r.Points, last)
@@ -253,9 +270,9 @@ func parseRoutes(toks []string, i int, scale float64) ([]Route, int) {
 			i++
 			continue
 		}
-		return routes, i
+		return routes, i, nil
 	}
-	return routes, i
+	return routes, i, nil
 }
 
 // ParseLEFLegacy parses LEF-lite source with the retained whole-string
@@ -315,12 +332,16 @@ func parseMacro(toks []string, i int) (*Macro, int, error) {
 		case "SIZE":
 			// SIZE w BY h ;
 			if i+3 < len(toks) {
-				m.W = atof(toks[i+1])
-				m.H = atof(toks[i+3])
+				var errw, errh error
+				m.W, errw = num(toks[i+1])
+				m.H, errh = num(toks[i+3])
+				if err := cmp.Or(errw, errh); err != nil {
+					return nil, i, fmt.Errorf("lef: MACRO %s: %w", m.Name, err)
+				}
 			}
 			i = skipStatement(toks, i)
 		case "PIN":
-			p, next, err := parseMacroPin(toks, i)
+			p, next, err := parseMacroPin(toks, i, m.Name)
 			if err != nil {
 				return nil, i, err
 			}
@@ -338,7 +359,7 @@ func parseMacro(toks []string, i int) (*Macro, int, error) {
 	return nil, i, fmt.Errorf("lef: macro %s not terminated", m.Name)
 }
 
-func parseMacroPin(toks []string, i int) (MacroPin, int, error) {
+func parseMacroPin(toks []string, i int, macro string) (MacroPin, int, error) {
 	if i+1 >= len(toks) {
 		return MacroPin{}, i, fmt.Errorf("lef: truncated PIN at token %d", i)
 	}
@@ -358,7 +379,10 @@ func parseMacroPin(toks []string, i int) (MacroPin, int, error) {
 			i = skipStatement(toks, i)
 		case "CAPACITANCE":
 			if i+1 < len(toks) {
-				p.Cap = atof(toks[i+1])
+				var err error
+				if p.Cap, err = num(toks[i+1]); err != nil {
+					return p, i, fmt.Errorf("lef: MACRO %s PIN %s: %w", macro, p.Name, err)
+				}
 			}
 			i = skipStatement(toks, i)
 		case "END":
@@ -502,7 +526,21 @@ func skipStatement(toks []string, i int) int {
 	return i + 1
 }
 
-func atof(s string) float64 {
-	v, _ := strconv.ParseFloat(s, 64)
-	return v
+// legacyCoord parses a route coordinate in µm; "*" keeps prev.
+func legacyCoord(s string, prev, scale float64) (float64, error) {
+	if s == "*" {
+		return prev, nil
+	}
+	v, err := num(s)
+	return v / scale, err
+}
+
+// num parses a number token; a token strconv.ParseFloat rejects is an
+// error naming it, the streaming parsers' rule.
+func num(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad number %q", s)
+	}
+	return v, nil
 }

@@ -1,6 +1,9 @@
 package lefdef
 
-import "strconv"
+import (
+	"fmt"
+	"strconv"
+)
 
 // tokCursor adapts the streaming Scanner to the arbitrary-lookahead access
 // pattern of the parsers. Tokens pulled from the scanner are copied into one
@@ -97,6 +100,17 @@ func (c *tokCursor) advanceSlow(n int) {
 	}
 }
 
+// num parses the k-th unconsumed token as a number. A token
+// strconv.ParseFloat rejects is an error naming it, which the caller
+// prefixes with the section and entry it sat in.
+func (c *tokCursor) num(k int) (float64, error) {
+	t, _ := c.peek(k)
+	if v, ok := atofTok(t); ok {
+		return v, nil
+	}
+	return 0, fmt.Errorf("bad number %q", t)
+}
+
 // skipStatement consumes tokens through the next ';' (or to end of input) —
 // the cursor form of the legacy skipStatement.
 func (c *tokCursor) skipStatement() {
@@ -149,17 +163,8 @@ func (it *interner) str(b []byte) string {
 // legacy parser used for anything else — acceptance and results are
 // bit-identical to ParseFloat/Atoi on every input.
 
-// atofTok mirrors the legacy atof: ParseFloat with errors mapped to 0.
-func atofTok(t []byte) float64 {
-	if v, ok := fastFloat(t); ok {
-		return v
-	}
-	v, _ := strconv.ParseFloat(string(t), 64)
-	return v
-}
-
-// atofOKTok mirrors `ParseFloat(tok, 64); err == nil` acceptance.
-func atofOKTok(t []byte) (float64, bool) {
+// atofTok mirrors `ParseFloat(tok, 64); err == nil` acceptance.
+func atofTok(t []byte) (float64, bool) {
 	if v, ok := fastFloat(t); ok {
 		return v, true
 	}

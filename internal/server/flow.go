@@ -39,26 +39,24 @@ type FlowFunc func(ctx context.Context, req *JobRequest, workers int, rec *obs.R
 // offline CLI's on every engine — the property the e2e test pins. A LEF,
 // DEF or Liberty parse error fails the job as the parser wrote it,
 // prefixed "lef:", "def:" or "liberty:"; a request's Liberty replaces the
-// engine's library, strongest cell included.
+// engine's library, strongest cell included. The parse is the report's
+// ingest span.
 func RunFlow(ctx context.Context, req *JobRequest, workers int, rec *obs.Recorder, store *cache.Cache) (*FlowResult, error) {
+	opts, err := req.Options.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	span := rec.Begin("ingest")
 	d, err := design.Load(strings.NewReader(req.LEF), strings.NewReader(req.DEF), req.Net)
+	if err == nil && req.Liberty != "" {
+		opts.Lib, err = liberty.ParseReader(strings.NewReader(req.Liberty))
+	}
+	span.End()
 	if err != nil {
 		return nil, err
 	}
 	if req.Design != "" {
 		d.Name = req.Design
-	}
-
-	opts, err := req.Options.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	if req.Liberty != "" {
-		lib, err := liberty.ParseReader(strings.NewReader(req.Liberty))
-		if err != nil {
-			return nil, err
-		}
-		opts.Lib = lib
 	}
 	opts.Workers = workers
 	opts.Obs = rec
